@@ -1,5 +1,6 @@
 //! Criterion benchmarks for the extension components: approximate join,
-//! tree diff, streaming XML indexing, and the blob store.
+//! tree diff, streaming XML indexing, the blob store, and the stages of
+//! the store lookup's probe phase.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pqgram_core::join::{join, join_nested_loop};
@@ -108,11 +109,64 @@ fn bench_blob_store(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The stages of a lookup's probe phase, one number each: ns/gram for the
+/// one directory visit a gram gets (down the B+-tree, and through a
+/// learned fence over the same directory), ns/block for fetching a posting
+/// block whose pack page is resident and already validated, and ns/row
+/// for the per-row overlap merge.
+fn bench_probe_pipeline(c: &mut Criterion) {
+    use pqgram_store::fuzz::{merge_rows, ProbeStages};
+    use pqgram_store::IndexStore;
+    let params = PQParams::default();
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut labels = LabelTable::new();
+    // A small alphabet shares grams across trees: posting lists grow into
+    // blocks, as on a real collection.
+    let indexes: Vec<_> = (0..400)
+        .map(|_| {
+            let t = random_tree(&mut rng, &mut labels, &RandomTreeConfig::new(120, 6));
+            build_index(&t, &labels, params)
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("pqgram-bench-probe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("probe.pqg");
+    std::fs::remove_file(&path).ok();
+    let forest = indexes.iter().zip(0u64..).map(|(ix, i)| (TreeId(i), ix));
+    drop(IndexStore::bulk_create(&path, params, forest).unwrap());
+    let stages = ProbeStages::open(&path).unwrap();
+    let mut grams: Vec<u64> = indexes[0].iter().map(|(g, _)| g).collect();
+    grams.sort_unstable();
+    let rows = stages.visit(&grams, false).unwrap();
+    assert_eq!(rows, stages.visit(&grams, true).unwrap());
+    let blocks = stages.fetch_blocks(&rows).unwrap();
+    assert!(blocks > 0, "the fixture must hold posting blocks");
+    let postings: Vec<(u64, u32)> = (0..20_000u64).map(|i| (i * 7 % 400, 1)).collect();
+
+    let mut group = c.benchmark_group("probe_pipeline");
+    group.throughput(criterion::Throughput::Elements(grams.len() as u64));
+    group.bench_function("dir_visit_btree", |b| {
+        b.iter(|| stages.visit(black_box(&grams), false).unwrap())
+    });
+    group.bench_function("dir_visit_fence", |b| {
+        b.iter(|| stages.visit(black_box(&grams), true).unwrap())
+    });
+    group.throughput(criterion::Throughput::Elements(blocks));
+    group.bench_function("block_fetch_resident", |b| {
+        b.iter(|| stages.fetch_blocks(black_box(&rows)).unwrap())
+    });
+    group.throughput(criterion::Throughput::Elements(postings.len() as u64));
+    group.bench_function("emit", |b| b.iter(|| merge_rows(black_box(&postings))));
+    group.finish();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 criterion_group!(
     benches,
     bench_join,
     bench_diff,
     bench_stream_vs_dom,
-    bench_blob_store
+    bench_blob_store,
+    bench_probe_pipeline
 );
 criterion_main!(benches);

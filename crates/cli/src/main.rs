@@ -381,6 +381,16 @@ fn cmd_lookup(args: &Args) -> Result<(), String> {
             stats.blocks_decoded, stats.bytes_decoded, stats.blocks_skipped
         );
         println!("rows by source: {}", describe_sources(&stats));
+        let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
+        let ph = &stats.phases;
+        println!(
+            "phases: plan {:.1} us, probe {:.1} us, verify {:.1} us, sort {:.1} us ({:.1} us total)",
+            us(ph.plan),
+            us(ph.probe),
+            us(ph.verify),
+            us(ph.sort),
+            us(ph.total())
+        );
     }
     if hits.is_empty() {
         match top_k {

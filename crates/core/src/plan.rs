@@ -146,6 +146,44 @@ impl LookupPlanner {
         lo <= hi && self.admits_total(self.query_total.clamp(lo, hi))
     }
 
+    /// The feasible bag sizes as one integer interval: for every `total`
+    /// in `0..=u32::MAX` (the range of the stored totals encoding),
+    /// [`Self::admits_total`]`(total)` holds iff `lo <= total <= hi`; an
+    /// empty window is `(1, 0)`. The answers come from the same
+    /// [`overlap_distance`] expression: `admits_total` only rises on the
+    /// way up to `n` and only falls past it, so each edge is one binary
+    /// search — computed once per source, so a probe loop tests a posting
+    /// with two integer compares instead of a float division.
+    pub fn total_window(&self) -> (u64, u64) {
+        let max = u64::from(u32::MAX);
+        let peak = self.query_total.min(max);
+        if !self.admits_total(peak) {
+            return (1, 0);
+        }
+        // Smallest admitted size in [0, peak].
+        let (mut lo, mut hi) = (0u64, peak);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.admits_total(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let first = lo;
+        // Largest admitted size in [peak, max].
+        let (mut lo, mut hi) = (peak, max);
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            if self.admits_total(mid) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        (first, lo)
+    }
+
     /// Must zero-overlap trees be enumerated? True when even `s = 0`
     /// satisfies the bound (`τ > 1`, or a top-k heap still accepting
     /// distance-1 results) — such trees never surface from any posting
@@ -298,6 +336,58 @@ mod tests {
         let mut t = LookupPlanner::threshold(20, 0.9);
         t.tighten_to(0.1); // thresholds never move
         assert!(t.admits_distance(0.7));
+    }
+
+    /// `total_window` is `admits_total` as an interval, on every size the
+    /// probe loop can meet.
+    fn assert_window_matches(p: &LookupPlanner) {
+        let (lo, hi) = p.total_window();
+        let n = p.query_total();
+        let probes = (0..=4 * n + 8).chain([u64::from(u32::MAX) - 1, u64::from(u32::MAX)]);
+        for m in probes {
+            assert_eq!(
+                lo <= m && m <= hi,
+                p.admits_total(m),
+                "{p:?}: window [{lo}, {hi}] disagrees at m = {m}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn total_window_agrees_with_admits_total(
+            n in 0u64..400,
+            tau_pick in 0usize..5,
+            cuts in proptest::collection::vec(0.0f64..1.1, 0..6),
+        ) {
+            let tau = [0.0, 0.1, 0.6, 1.0, 1.2][tau_pick];
+            assert_window_matches(&LookupPlanner::threshold(n, tau));
+            // A top-k bound as the heap fills: admit-everything at first,
+            // then whatever an arbitrary tightening sequence leaves.
+            let mut p = LookupPlanner::nearest(n);
+            assert_window_matches(&p);
+            for b in cuts {
+                p.tighten_to(b);
+                assert_window_matches(&p);
+            }
+        }
+    }
+
+    #[test]
+    fn total_window_edges() {
+        // Nothing is below τ = 0: the empty window.
+        assert_eq!(LookupPlanner::threshold(25, 0.0).total_window(), (1, 0));
+        // τ > 1 and an unfilled top-k heap admit every size.
+        let all = (0, u64::from(u32::MAX));
+        assert_eq!(LookupPlanner::threshold(25, 1.2).total_window(), all);
+        assert_eq!(LookupPlanner::nearest(25).total_window(), all);
+        // A top-k bound tightened to 0 keeps exactly the query's own size.
+        let mut p = LookupPlanner::nearest(25);
+        p.tighten_to(0.0);
+        assert_eq!(p.total_window(), (25, 25));
+        // An empty query is at distance 1 from every stored (non-empty) bag.
+        assert_eq!(LookupPlanner::threshold(0, 1.0).total_window(), (0, 0));
+        assert_eq!(LookupPlanner::threshold(0, 1.2).total_window(), all);
     }
 
     /// The planner's size answer agrees with the classic size filter on

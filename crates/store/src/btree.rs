@@ -23,6 +23,7 @@
 use crate::buffer::BufferPool;
 use crate::page::{PageBuf, PageId};
 use crate::pager::{Result, StoreError};
+use std::sync::Arc;
 
 /// B+-tree key: `(tree_id, gram)` in the index store.
 pub type Key = (u64, u64);
@@ -173,6 +174,14 @@ impl<'p> BTree<'p> {
                 return Ok(());
             }
             leaf = next;
+        }
+    }
+
+    /// A forward cursor for ascending seeks (see [`LeafCursor::seek`]).
+    pub(crate) fn cursor(self) -> LeafCursor<'p> {
+        LeafCursor {
+            tree: self,
+            leaf: None,
         }
     }
 
@@ -422,6 +431,89 @@ impl<'p> BTree<'p> {
             set_count(p, 1);
         })?;
         self.set_root(new_root)
+    }
+}
+
+/// A pinned leaf whose header passed [`pin_leaf`]'s checks.
+struct Leaf {
+    page: Arc<PageBuf>,
+    n: usize,
+}
+
+impl Leaf {
+    /// True when the leaf holds a key at or after `lo`.
+    fn reaches(&self, lo: Key) -> bool {
+        self.n > 0 && leaf_key(&self.page, self.n - 1) >= lo
+    }
+}
+
+/// The entry count of a leaf page, or `Corrupt` when the page is not a
+/// leaf or its header claims more entries than a page holds.
+// analyze: validates(count)
+fn leaf_entries(p: &PageBuf) -> Result<usize> {
+    let n = count(p);
+    if p.get_u8(0) != TYPE_LEAF || n > NODE_CAPACITY {
+        return Err(corrupt("leaf chain reaches a page that is not a leaf"));
+    }
+    Ok(n)
+}
+
+/// Pins leaf `id` so a cursor can read its entries in place.
+// analyze: validates(count)
+fn pin_leaf(pool: &BufferPool, id: PageId) -> Result<Leaf> {
+    let page = pool.pin(id)?.page;
+    let n = leaf_entries(&page)?;
+    Ok(Leaf { page, n })
+}
+
+/// A forward cursor over the leaf chain. A caller visiting ascending keys
+/// (the lookup's sorted query grams) stays on the current leaf, or hops
+/// to its right sibling, while the next key is within reach, and
+/// re-descends from the root only when it is not — instead of one
+/// root-to-leaf walk and one copied-out leaf per key.
+pub(crate) struct LeafCursor<'p> {
+    tree: BTree<'p>,
+    leaf: Option<Leaf>,
+}
+
+impl LeafCursor<'_> {
+    /// Calls `f(key, value)` for every entry with `key >= lo`, ascending,
+    /// until `f` returns `false`. Forward-only: `lo` must be greater than
+    /// every key `f` accepted (returned `true` for) in earlier calls.
+    pub(crate) fn seek(&mut self, lo: Key, mut f: impl FnMut(Key, u32) -> bool) -> Result<()> {
+        let tree = &self.tree;
+        let near = match self.leaf.take() {
+            Some(cur) if cur.reaches(lo) => Some(cur),
+            Some(cur) => {
+                // Every key up to the end of `cur` is below `lo`.
+                let next = cur.page.get_page_id(OFF_NEXT);
+                if next == PageId::NONE {
+                    self.leaf = Some(cur);
+                    return Ok(());
+                }
+                Some(pin_leaf(tree.pool, next)?).filter(|sibling| sibling.reaches(lo))
+            }
+            None => None,
+        };
+        let mut leaf = match near {
+            Some(leaf) => leaf,
+            None => pin_leaf(tree.pool, tree.descend(lo)?.0)?,
+        };
+        loop {
+            let (start, _) = leaf_search(&leaf.page, lo);
+            for i in start..leaf.n {
+                if !f(leaf_key(&leaf.page, i), leaf_value(&leaf.page, i)) {
+                    self.leaf = Some(leaf);
+                    return Ok(());
+                }
+            }
+            let next = leaf.page.get_page_id(OFF_NEXT);
+            if next == PageId::NONE {
+                self.leaf = Some(leaf);
+                return Ok(());
+            }
+            leaf = pin_leaf(tree.pool, next)?;
+        }
     }
 }
 
@@ -1186,8 +1278,7 @@ impl<'p> BTree<'p> {
             let mut next_level: Vec<(Key, PageId)> = Vec::new();
             let mut i = 0usize;
             while i < current.len() {
-                // One internal node covers up to int_cap + 1 children.
-                let take = (int_cap + 1).min(current.len() - i);
+                let take = group_len(current.len() - i, int_cap + 1);
                 let node = self.pool.allocate()?;
                 let group = current.get(i..i + take).unwrap_or(&[]);
                 let Some(&(group_key, group_child)) = group.first() else {
@@ -1210,6 +1301,18 @@ impl<'p> BTree<'p> {
         };
         self.set_root(root)?;
         Ok(total)
+    }
+}
+
+/// How many of the `left` remaining nodes of a level the next parent
+/// takes, at most `fan` per parent. Groups are full except that a lone
+/// trailing node is avoided by leaving it a sibling: an internal node
+/// with one child has no separator, which [`BTree::verify`] rejects.
+fn group_len(left: usize, fan: usize) -> usize {
+    if left == fan + 1 {
+        fan - 1
+    } else {
+        fan.min(left)
     }
 }
 
@@ -1261,6 +1364,66 @@ mod bulk_tests {
             tree.verify()?;
         }
         Ok(())
+    }
+
+    /// Every level size splits into parents of 2..=fan children.
+    #[test]
+    fn level_grouping_never_leaves_a_lone_child() {
+        for fan in [3usize, 4, 7, 185] {
+            for n in 2..=3 * fan * fan + 2 {
+                let (mut left, mut groups) = (n, 0usize);
+                while left > 0 {
+                    let take = group_len(left, fan);
+                    assert!(
+                        (2..=fan).contains(&take),
+                        "fan {fan} n {n}: group of {take}"
+                    );
+                    left -= take;
+                    groups += 1;
+                }
+                assert_eq!(groups, n.div_ceil(fan), "fan {fan} n {n}: node count moved");
+            }
+        }
+    }
+
+    /// One leaf more than a full internal node: the leaf level holds
+    /// `fan + 1` nodes, which used to end in a one-child internal node
+    /// ("internal node without separators").
+    fn lone_child_case(name: &str, leaves: u64) -> Result<()> {
+        let p = pool(name)?;
+        let tree = BTree::open(&p, 0)?;
+        let leaf_cap = u64::try_from(NODE_CAPACITY * 9 / 10).unwrap_or(u64::MAX);
+        let n = (leaves - 1) * leaf_cap + 1;
+        assert_eq!(
+            tree.bulk_load((0..n).map(|g| ((g / 1000, g % 1000), 1)))?,
+            n
+        );
+        let check = tree.verify()?;
+        assert_eq!((check.entries, check.leaves), (n, leaves));
+        let mut next = 0u64;
+        tree.for_each_range((0, 0), (u64::MAX, u64::MAX), |k, _| {
+            assert_eq!(k, (next / 1000, next % 1000));
+            next += 1;
+            true
+        })?;
+        assert_eq!(next, n, "a full scan returns the input");
+        Ok(())
+    }
+
+    #[test]
+    fn bulk_load_one_leaf_past_a_full_internal_node() -> Result<()> {
+        let fan = u64::try_from(NODE_CAPACITY * 9 / 10 + 1).unwrap_or(u64::MAX);
+        lone_child_case("lone1.db", fan + 1)?;
+        lone_child_case("lone1k2.db", 2 * fan + 1)
+    }
+
+    /// The same one level up (`fan² + 1` leaves put `fan + 1` nodes on the
+    /// first internal level): 6.3 M rows and a 140 MB file, so opt-in.
+    #[test]
+    #[ignore = "bulk-loads 6.3 M rows; run with --ignored"]
+    fn bulk_load_one_node_past_a_full_second_level() -> Result<()> {
+        let fan = u64::try_from(NODE_CAPACITY * 9 / 10 + 1).unwrap_or(u64::MAX);
+        lone_child_case("lone2.db", fan * fan + 1)
     }
 
     #[test]

@@ -58,6 +58,18 @@ struct Frame {
     page: Arc<PageBuf>,
     dirty: bool,
     referenced: bool,
+    /// The page's decoder has validated these exact bytes since they
+    /// entered the frame (see [`BufferPool::mark_validated`]). Every path
+    /// that puts different bytes in the frame builds it `false`.
+    validated: bool,
+}
+
+/// An `Arc` snapshot of a page that outlives every pool lock, plus whether
+/// its frame was marked validated when the snapshot was taken. A page
+/// served uncached is never validated.
+pub(crate) struct Pinned {
+    pub(crate) page: Arc<PageBuf>,
+    pub(crate) validated: bool,
 }
 
 /// One cache shard: a clock over its own frames. Never touches the pager —
@@ -71,11 +83,14 @@ struct Shard {
 
 impl Shard {
     /// Snapshot of a cached page, bumping its clock reference bit.
-    fn hit(&mut self, id: PageId) -> Option<Arc<PageBuf>> {
+    fn hit(&mut self, id: PageId) -> Option<Pinned> {
         let &slot = self.by_id.get(&id)?;
         let frame = self.frames.get_mut(slot)?;
         frame.referenced = true;
-        Some(Arc::clone(&frame.page))
+        Some(Pinned {
+            page: Arc::clone(&frame.page),
+            validated: frame.validated,
+        })
     }
 
     /// The frame at `slot`, or `Corrupt` if the slot map and frame table
@@ -149,32 +164,61 @@ impl BufferPool {
     /// An `Arc` snapshot of the page, faulting it in on a miss. The shard
     /// lock is *not* held across the pager read, and the caller holds no
     /// pool lock at all once the snapshot is returned.
-    fn snapshot(&self, id: PageId) -> Result<Arc<PageBuf>> {
+    fn snapshot(&self, id: PageId) -> Result<Pinned> {
         let shard = self.shard_for(id)?;
-        if let Some(page) = shard.lock().hit(id) {
-            return Ok(page);
-        }
-        // Miss: do the I/O without the shard lock so readers of other
-        // pages in this shard are not serialized behind it.
-        let page = {
+        let mut fetched: Option<Arc<PageBuf>> = None;
+        loop {
+            {
+                let mut guard = shard.lock();
+                // Cached — or installed by another thread while we read.
+                if let Some(pinned) = guard.hit(id) {
+                    return Ok(pinned);
+                }
+                if let Some(page) = fetched {
+                    self.install_clean(&mut guard, id, Arc::clone(&page));
+                    return Ok(Pinned {
+                        page,
+                        validated: false,
+                    });
+                }
+            }
+            // Miss: do the I/O without the shard lock so readers of other
+            // pages in this shard are not serialized behind it.
             let mut pager = self.pager.lock();
-            pager.read_page(id)?
-        };
-        let mut guard = shard.lock();
-        if let Some(raced) = guard.hit(id) {
-            // Another thread installed the page while we were reading.
-            return Ok(raced);
+            fetched = Some(Arc::new(pager.read_page(id)?));
         }
-        let page = Arc::new(page);
-        self.install_clean(&mut guard, id, Arc::clone(&page));
-        Ok(page)
+    }
+
+    /// Pins a page for decoding in place: the snapshot outlives every pool
+    /// lock and can be kept across calls. The bytes are raw disk state —
+    /// unless `validated` says this frame's decoder already checked them,
+    /// the caller validates before they steer memory.
+    // analyze: untrusted-source
+    pub(crate) fn pin(&self, id: PageId) -> Result<Pinned> {
+        self.snapshot(id)
+    }
+
+    /// Records that the decoder owning page `id` validated `page`. A no-op
+    /// unless the frame still holds exactly that snapshot: a frame that
+    /// was rewritten, evicted or never cached in the meantime stays
+    /// unvalidated, so its next reader validates again.
+    pub(crate) fn mark_validated(&self, id: PageId, page: &Arc<PageBuf>) -> Result<()> {
+        let shard = self.shard_for(id)?;
+        let mut guard = shard.lock();
+        if let Some(&slot) = guard.by_id.get(&id) {
+            let frame = guard.frame_mut(slot)?;
+            if Arc::ptr_eq(&frame.page, page) {
+                frame.validated = true;
+            }
+        }
+        Ok(())
     }
 
     /// Runs `f` against a read-only view of the page. `f` runs outside all
     /// pool locks: it may block without stalling any other reader.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&PageBuf) -> R) -> Result<R> {
-        let page = self.snapshot(id)?;
-        Ok(f(&page))
+        let pinned = self.snapshot(id)?;
+        Ok(f(&pinned.page))
     }
 
     /// Runs `f` against a mutable view of the page and marks it dirty.
@@ -186,7 +230,7 @@ impl BufferPool {
     /// single-writer by contract (readers never mutate frame payloads);
     /// concurrent readers of the same page keep their pre-write snapshots.
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut PageBuf) -> R) -> Result<R> {
-        let mut page = self.snapshot(id)?;
+        let mut page = self.snapshot(id)?.page;
         let out = f(Arc::make_mut(&mut page));
         let shard = self.shard_for(id)?;
         let mut guard = shard.lock();
@@ -196,6 +240,7 @@ impl BufferPool {
                 frame.page = page;
                 frame.dirty = true;
                 frame.referenced = true;
+                frame.validated = false;
             }
             None => {
                 // The frame was evicted (or never cached) while `f` ran;
@@ -339,6 +384,7 @@ impl BufferPool {
                 page,
                 dirty: false,
                 referenced: true,
+                validated: false,
             });
             shard.by_id.insert(id, shard.frames.len() - 1);
             return;
@@ -364,6 +410,7 @@ impl BufferPool {
                 page,
                 dirty: false,
                 referenced: true,
+                validated: false,
             };
             if old_id != PageId::NONE {
                 shard.by_id.remove(&old_id);
@@ -392,6 +439,7 @@ impl BufferPool {
                 page,
                 dirty,
                 referenced: true,
+                validated: false,
             };
             return Ok(slot);
         }
@@ -401,6 +449,7 @@ impl BufferPool {
                 page,
                 dirty,
                 referenced: true,
+                validated: false,
             });
             shard.frames.len() - 1
         } else {
@@ -412,6 +461,7 @@ impl BufferPool {
                     page,
                     dirty,
                     referenced: true,
+                    validated: false,
                 },
             );
             if old.id != PageId::NONE {

@@ -303,6 +303,7 @@ impl DocumentStore {
             query,
             tau,
             1,
+            true,
         )?)
     }
 

@@ -10,15 +10,16 @@
 //! fingerprints makes the prediction unusable. Lookup correctness never
 //! depends on the model — the model only narrows the search window.
 //!
-//! Inline postings are answered straight from the arrays; posting blocks
-//! are still decoded from their pack pages via [`postings::read_block`].
+//! A probe reads a gram's directory rows through a [`FenceCursor`];
+//! `crate::postings` turns them into postings exactly as it does for rows
+//! read off the B+-tree (inline rows as they are, blocks decoded from
+//! their pack pages).
 
 use std::ops::Range;
 
 use crate::btree::BTree;
-use crate::buffer::BufferPool;
 use crate::pager::Result;
-use crate::postings::{self, DirValue, ProbeCounters};
+use crate::postings::DirRow;
 
 /// Maximum positions a prediction may be off before `locate` falls back to
 /// binary search within the window.
@@ -82,22 +83,28 @@ impl Fence {
 
     /// The directory row range holding `gram`'s entries (empty if absent).
     pub fn locate(&self, gram: u64) -> Range<usize> {
-        let n = self.grams.len();
-        let start = match self.predict(gram) {
-            Some(p) => p,
-            None => self.grams.partition_point(|&g| g < gram),
-        };
-        let end = start
-            + self
-                .grams
-                .get(start..)
-                .map(|rest| rest.partition_point(|&g| g <= gram))
-                .unwrap_or(0);
+        let start = self.lower_bound(gram);
+        let end = start + gallop(self.grams.get(start..).unwrap_or(&[]), |g| g <= gram);
         debug_assert!(
-            start <= end && end <= n,
+            start <= end && end <= self.grams.len(),
             "locate range must be ordered and in bounds"
         );
         start..end
+    }
+
+    /// First index with `grams[i] >= gram`: the model's prediction when it
+    /// verifies, a full binary search when it does not.
+    fn lower_bound(&self, gram: u64) -> usize {
+        self.predict(gram)
+            .unwrap_or_else(|| self.grams.partition_point(|&g| g < gram))
+    }
+
+    /// A forward cursor for a probe visiting its grams in ascending order.
+    pub(crate) fn cursor(&self) -> FenceCursor<'_> {
+        FenceCursor {
+            fence: self,
+            pos: None,
+        }
     }
 
     /// Predicted-and-verified first index with `grams[i] >= gram`, or
@@ -122,105 +129,56 @@ impl Fence {
         let ok_right = p == n || self.grams.get(p).is_some_and(|&g| g >= gram);
         (ok_left && ok_right).then_some(p)
     }
-
-    /// Row estimate for `gram`'s postings from the in-memory directory
-    /// arrays alone — no block decode, no page reads. Same cost model as
-    /// [`crate::postings::estimate_rows`]: inline rows count one (exact);
-    /// blocks span gram boundaries, so only blocks beyond the first keyed
-    /// inside the gram count the per-block cap, while the first one and a
-    /// block at the boundary entry just past the gram count the small
-    /// straddle allowance. Feeds the lookup planner's skip-cost ordering
-    /// only — any value is correct.
-    pub fn estimate_rows(&self, gram: u64) -> u64 {
-        let cap = u64::try_from(postings::MAX_BLOCK_ROWS).unwrap_or(u64::MAX);
-        let straddle = u64::try_from(postings::BLOCK_MIN).unwrap_or(u64::MAX);
-        let range = self.locate(gram);
-        let boundary = range.end;
-        let mut rows = 0u64;
-        let mut blocks_inside = 0u64;
-        for i in range {
-            match self.vals.get(i).map(|&v| postings::dir_value(v)) {
-                Some(DirValue::Inline(_)) => rows += 1,
-                Some(DirValue::Block(_)) => {
-                    rows += if blocks_inside == 0 { straddle } else { cap };
-                    blocks_inside += 1;
-                }
-                None => break,
-            }
-        }
-        if let Some(&raw) = self.vals.get(boundary) {
-            if matches!(postings::dir_value(raw), DirValue::Block(_)) {
-                rows += straddle;
-            }
-        }
-        rows
-    }
-
-    /// Streams every posting of `gram` in ascending treeId order, answering
-    /// inline rows from the in-memory arrays and decoding blocks from their
-    /// pack pages. Blocks span gram boundaries, so besides the rows keyed
-    /// inside the gram the entry just past it is inspected: its block may
-    /// still start inside the gram. `f` returns `false` to stop early.
-    pub fn for_each_posting(
-        &self,
-        pool: &BufferPool,
-        gram: u64,
-        cache: &mut postings::BlockCache,
-        counters: &mut ProbeCounters,
-        mut f: impl FnMut(u64, u32) -> bool,
-    ) -> Result<()> {
-        let range = self.locate(gram);
-        let boundary = range.end;
-        for i in range {
-            let (t, raw) = match (self.tids.get(i), self.vals.get(i)) {
-                (Some(&t), Some(&v)) => (t, v),
-                _ => break,
-            };
-            match postings::dir_value_checked(raw)? {
-                DirValue::Inline(c) => {
-                    counters.rows += 1;
-                    if !f(t, c) {
-                        return Ok(());
-                    }
-                }
-                DirValue::Block(page) => {
-                    if !emit_block(pool, page, (gram, t), gram, cache, counters, &mut f)? {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        // Boundary entry keyed past the gram: only a block can still hold
-        // rows of `gram`; its header metadata decides without a decode.
-        if let (Some(&g), Some(&t), Some(&raw)) = (
-            self.grams.get(boundary),
-            self.tids.get(boundary),
-            self.vals.get(boundary),
-        ) {
-            if let DirValue::Block(page) = postings::dir_value_checked(raw)? {
-                if cache.peek_first(pool, page, (g, t))?.0 > gram {
-                    counters.blocks_skipped += 1;
-                } else {
-                    emit_block(pool, page, (g, t), gram, cache, counters, &mut f)?;
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
-/// Decodes the block keyed `key` (through the probe memo) and emits its
-/// rows matching `gram`. Returns `false` if `f` asked to stop.
-fn emit_block(
-    pool: &BufferPool,
-    page: crate::page::PageId,
-    key: (u64, u64),
-    gram: u64,
-    cache: &mut postings::BlockCache,
-    counters: &mut ProbeCounters,
-    f: &mut impl FnMut(u64, u32) -> bool,
-) -> Result<bool> {
-    cache.for_each_gram(pool, page, key, gram, counters, f)
+/// Length of the prefix of the sorted `xs` that satisfies the monotone
+/// `pred`, by exponential then binary search: `O(log answer)`, so a short
+/// forward step costs a couple of compares however long the array is.
+fn gallop(xs: &[u64], pred: impl Fn(u64) -> bool) -> usize {
+    let mut bound = 1usize;
+    while xs.get(bound - 1).is_some_and(|&x| pred(x)) {
+        bound *= 2;
+    }
+    // `pred` holds on `xs[..bound / 2]` and fails at `xs[bound - 1]` (or
+    // the array ended first).
+    let lo = bound / 2;
+    let hi = (bound - 1).min(xs.len());
+    lo + xs
+        .get(lo..hi)
+        .map_or(0, |mid| mid.partition_point(|&x| pred(x)))
+}
+
+/// A forward cursor over a [`Fence`]. The first visit lands by model
+/// prediction; every later one gallops from where the previous visit
+/// stopped — a probe's sorted grams sit a few rows apart, so the step is
+/// a handful of compares instead of a prediction plus two binary searches
+/// over the rest of the array.
+pub(crate) struct FenceCursor<'a> {
+    fence: &'a Fence,
+    /// Index of the boundary row the previous visit stopped on.
+    pos: Option<usize>,
+}
+
+impl FenceCursor<'_> {
+    /// Appends the directory rows that can hold postings of `gram`: every
+    /// row keyed inside the gram plus the first row keyed past it (blocks
+    /// span gram boundaries, so its block may still start inside the
+    /// gram). Grams must be visited in ascending order.
+    pub(crate) fn visit(&mut self, gram: u64, out: &mut Vec<DirRow>) {
+        let f = self.fence;
+        let mut i = match self.pos {
+            None => f.lower_bound(gram),
+            Some(p) => p + gallop(f.grams.get(p..).unwrap_or(&[]), |g| g < gram),
+        };
+        while let (Some(&g), Some(&t), Some(&v)) = (f.grams.get(i), f.tids.get(i), f.vals.get(i)) {
+            out.push(((g, t), v));
+            if g != gram {
+                break;
+            }
+            i += 1;
+        }
+        self.pos = Some(i);
+    }
 }
 
 /// One-pass shrinking-cone piecewise-linear fit over the first index of
@@ -290,7 +248,7 @@ mod tests {
     fn fence_over(grams: Vec<u64>) -> Fence {
         let n = grams.len();
         let tids = (0..n as u64).collect();
-        let vals = vec![postings::INLINE_BIT | 1; n];
+        let vals = vec![crate::postings::INLINE_BIT | 1; n];
         Fence::from_rows(grams, tids, vals)
     }
 

@@ -389,7 +389,7 @@ impl IndexStore {
         check_params(query.params(), self.params)?;
         let probe = self.source_probe();
         Ok(crate::ops::lookup_with_stats(
-            &self.pool, &probe, query, tau, threads,
+            &self.pool, &probe, query, tau, threads, true,
         )?)
     }
 
@@ -406,8 +406,9 @@ impl IndexStore {
         threads: usize,
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
         check_params(query.params(), self.params)?;
-        Ok(crate::ops::lookup_unpruned_with_stats(
-            &self.pool, query, tau, threads,
+        let bare = SourceProbe::default();
+        Ok(crate::ops::lookup_with_stats(
+            &self.pool, &bare, query, tau, threads, false,
         )?)
     }
 

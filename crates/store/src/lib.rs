@@ -110,6 +110,16 @@ pub mod fuzz {
         postings::decode_block(bytes).map(|d| d.rows)
     }
 
+    /// The probe path's decode of one gram out of an encoded block entry:
+    /// the entry is laid out on a pack page, the page validated the way a
+    /// buffer-resident one is, and the gram's `(treeId, count)` rows
+    /// decoded in place (`Arc<PageBuf>` + parsed layout, no copy). Same
+    /// contract under fuzzing as [`decode_block`], and whenever that one
+    /// decodes the entry the rows must agree.
+    pub fn decode_gram_in_place(bytes: &[u8], gram: u64) -> Result<Vec<(u64, u32)>> {
+        postings::decode_gram_in_place(bytes, gram)
+    }
+
     /// Gram-filter page layout constants for field-targeted mutation and
     /// CRC repair in the fuzz harness (`crate::filter` documents the
     /// format; these mirror its internal offsets).
@@ -145,6 +155,66 @@ pub mod fuzz {
         Ok(crate::filter::load(&pool)?.is_some())
     }
 
+    /// The stages of a lookup's probe phase over one single-file store,
+    /// callable one at a time — for the `probe_pipeline` bench group
+    /// (`crates/bench/benches/components.rs`).
+    pub struct ProbeStages {
+        pool: crate::buffer::BufferPool,
+        fence: crate::fence::Fence,
+    }
+
+    impl ProbeStages {
+        /// Opens the store file at `path` behind a default-sized pool and
+        /// mirrors its inverted directory into a learned fence.
+        pub fn open(path: &std::path::Path) -> Result<ProbeStages> {
+            let pool = crate::buffer::BufferPool::new(
+                crate::pager::Pager::open(path)?,
+                crate::buffer::DEFAULT_CAPACITY,
+            );
+            let dir = crate::btree::BTree::open_existing(&pool, crate::ops::SLOT_INV)?;
+            let fence = crate::fence::Fence::build(&dir)?;
+            Ok(ProbeStages { pool, fence })
+        }
+
+        /// One forward-cursor directory visit per gram (ascending) —
+        /// through the fence when `fenced`, else down the B+-tree —
+        /// returning the visited rows.
+        pub fn visit(&self, grams: &[u64], fenced: bool) -> Result<Vec<postings::DirRow>> {
+            let fence = fenced.then_some(&self.fence);
+            let mut dir = postings::DirCursor::open(&self.pool, fence)?;
+            let mut rows = Vec::new();
+            for &g in grams {
+                dir.visit(g, &mut rows)?;
+            }
+            Ok(rows)
+        }
+
+        /// Fetches every posting block among `rows` the way a probe's
+        /// block-memo miss does (validated pin, entry lookup, layout
+        /// parse); returns how many there were.
+        pub fn fetch_blocks(&self, rows: &[postings::DirRow]) -> Result<u64> {
+            let mut blocks = 0;
+            for &(key, raw) in rows {
+                if let postings::DirValue::Block(page) = postings::dir_value(raw) {
+                    postings::fetch_block(&self.pool, page, key)?;
+                    blocks += 1;
+                }
+            }
+            Ok(blocks)
+        }
+    }
+
+    /// The probe phase's per-row merge step over already-decoded
+    /// `(treeId, count)` rows; returns the number of candidates.
+    pub fn merge_rows(rows: &[(u64, u32)]) -> usize {
+        let skip = pqgram_tree::FxHashSet::default();
+        let mut merge = crate::ops::Merge::new(&skip, None);
+        for &(t, c) in rows {
+            merge.emit(1, t, c);
+        }
+        merge.live
+    }
+
     /// A learned fence built over a sorted gram column (treeIds and
     /// inline values synthesised), probed via [`Fence::locate`].
     pub struct Fence(crate::fence::Fence);
@@ -166,7 +236,9 @@ pub mod fuzz {
 pub use btree::BTree;
 pub use document::DocumentStore;
 pub use index_store::{IndexStore, IndexStoreReader};
-pub use ops::{InvertedEncoding, LookupPlan, LookupStats, RelationBytes, StoreCheck, MAIN_SOURCE};
+pub use ops::{
+    InvertedEncoding, LookupPhases, LookupPlan, LookupStats, RelationBytes, StoreCheck, MAIN_SOURCE,
+};
 pub use page::{PageBuf, PageId, PAGE_SIZE};
 pub use pager::{Pager, StoreError};
 pub use segmented::{SegmentedIndexStore, SegmentedReader, MEMTABLE_SOURCE};

@@ -47,14 +47,17 @@ use crate::fence::Fence;
 use crate::filter::{self, GramFilter};
 use crate::page::PAGE_SIZE_U64;
 use crate::pager::{Result, StoreError};
-use crate::postings::{self, ProbeCounters};
+use crate::postings::{self, DirCursor, DirRow, ProbeCounters};
 use pqgram_core::join::overlap_distance;
 use pqgram_core::maintain::IndexDelta;
 use pqgram_core::plan::LookupPlanner;
 use pqgram_core::topk::TopK;
 use pqgram_core::{GramKey, LookupHit, PQParams, TreeId, TreeIndex};
 use pqgram_tree::{FxHashMap, FxHashSet};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::time::{Duration, Instant};
 
 /// Meta slot of the forward relation root: `(treeId, pqg) → cnt`.
 pub(crate) const SLOT_FWD: usize = 0;
@@ -491,6 +494,71 @@ pub struct LookupStats {
     /// file (keyed by [`MAIN_SOURCE`]). A single-file store reports exactly
     /// one [`MAIN_SOURCE`] entry.
     pub by_source: Vec<(u64, u64)>,
+    /// Where the call's wall time went.
+    pub phases: LookupPhases,
+}
+
+/// Coarse phase clocks of one lookup, summed over its sources. Every
+/// phase boundary reads the clock once and charges everything since the
+/// previous boundary (three reads per source), so the four phases add up
+/// to the call's wall time with no gaps.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LookupPhases {
+    /// Deciding what to read: sorting the query's grams, filter and
+    /// size-window consults, the directory visit of every probe gram, the
+    /// skip-cost estimates and the budget cut.
+    pub plan: Duration,
+    /// Reading it: posting fetch, validation, decode and the per-tree
+    /// overlap merge, including re-probes of provisional skips.
+    pub probe: Duration,
+    /// Totals reads, compensation point reads and exact distances for the
+    /// surviving candidates, the zero-overlap sweep, and the memtable pass.
+    pub verify: Duration,
+    /// Ordering the hits.
+    pub sort: Duration,
+}
+
+impl LookupPhases {
+    /// The four phases together.
+    pub fn total(&self) -> Duration {
+        self.plan + self.probe + self.verify + self.sort
+    }
+}
+
+/// The lap timer behind [`LookupPhases`].
+pub(crate) struct PhaseClock(Instant);
+
+impl PhaseClock {
+    pub(crate) fn start() -> PhaseClock {
+        PhaseClock(Instant::now())
+    }
+
+    /// Time since the previous lap (or the start).
+    pub(crate) fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let lap = now - self.0;
+        self.0 = now;
+        lap
+    }
+}
+
+/// The query as the candidate merge consumes it: its `(gram,
+/// multiplicity)` list ascending by gram — sorted once per lookup and
+/// shared by every source — and its bag size.
+pub(crate) struct QueryGrams {
+    pub(crate) grams: Vec<(GramKey, u32)>,
+    pub(crate) total: u64,
+}
+
+impl QueryGrams {
+    pub(crate) fn of(query: &TreeIndex) -> QueryGrams {
+        let mut grams: Vec<(GramKey, u32)> = query.iter().collect();
+        grams.sort_unstable_by_key(|&(g, _)| g);
+        QueryGrams {
+            grams,
+            total: query.total(),
+        }
+    }
 }
 
 impl LookupStats {
@@ -594,6 +662,7 @@ pub(crate) struct SourceProbe<'a> {
 const SKIP_MIN_ROWS: u64 = 16;
 
 /// The probe phase's output for one source.
+#[derive(Default)]
 struct Gathered {
     /// `(treeId, observed overlap)` of every surviving candidate,
     /// ascending by tree id.
@@ -603,9 +672,86 @@ struct Gathered {
     skipped: Vec<(GramKey, u32)>,
 }
 
+/// One query gram of a source's probe list with the directory rows its
+/// one directory visit returned (a range into the shared row buffer).
+struct ProbeGram {
+    gram: GramKey,
+    qc: u32,
+    dir: Range<usize>,
+}
+
+fn dir_rows<'r>(rows: &'r [DirRow], p: &ProbeGram) -> &'r [DirRow] {
+    rows.get(p.dir.clone()).unwrap_or(&[])
+}
+
+/// `Merge::shared` value of a tree whose bag size lies outside the size
+/// window: its rows count as pruned, it is never a candidate.
+const PRUNED: u64 = u64::MAX;
+/// `Merge::shared` value of a tree owned by a newer source.
+const MASKED: u64 = u64::MAX - 1;
+
+/// The per-tree overlap merge of one source's probes. Every posting row
+/// costs one hash-map entry operation; the skip mask, the totals mirror
+/// and the size window are consulted only when a tree id is first seen,
+/// and a tree they rule out is remembered under a sentinel so its later
+/// rows are still counted exactly.
+pub(crate) struct Merge<'a> {
+    skip: &'a FxHashSet<u64>,
+    /// The totals mirror with the planner's inclusive bag-size window,
+    /// derived once per source (pruned plans with a mirror only).
+    window: Option<(&'a TotalsView, (u64, u64))>,
+    /// `treeId → observed overlap`, or [`PRUNED`] / [`MASKED`].
+    shared: FxHashMap<u64, u64>,
+    /// Entries of `shared` that are real candidates.
+    pub(crate) live: usize,
+    pruned_window: u64,
+}
+
+impl<'a> Merge<'a> {
+    pub(crate) fn new(
+        skip: &'a FxHashSet<u64>,
+        window: Option<(&'a TotalsView, (u64, u64))>,
+    ) -> Merge<'a> {
+        Merge {
+            skip,
+            window,
+            shared: FxHashMap::default(),
+            live: 0,
+            pruned_window: 0,
+        }
+    }
+
+    /// Folds one posting row — tree `t` stores the probed gram `c` times,
+    /// the query `qc` times — into the tree's overlap.
+    #[inline]
+    pub(crate) fn emit(&mut self, qc: u32, t: u64, c: u32) {
+        match self.shared.entry(t) {
+            Entry::Occupied(mut e) => match *e.get() {
+                PRUNED => self.pruned_window += 1,
+                MASKED => {}
+                _ => *e.get_mut() += u64::from(qc.min(c)),
+            },
+            Entry::Vacant(e) => {
+                let outside = |(view, (lo, hi)): (&TotalsView, (u64, u64))| {
+                    (view.get(t)).is_some_and(|m| !(lo..=hi).contains(&u64::from(m)))
+                };
+                e.insert(if self.skip.contains(&t) {
+                    MASKED
+                } else if self.window.is_some_and(outside) {
+                    self.pruned_window += 1;
+                    PRUNED
+                } else {
+                    self.live += 1;
+                    u64::from(qc.min(c))
+                });
+            }
+        }
+    }
+}
+
 /// The probe phase of the candidate merge against one source: consult the
 /// gram filter, the planner's size window, and the overlap budget, then
-/// range-probe the remaining query grams and accumulate per-tree bag
+/// probe the remaining query grams and accumulate per-tree bag
 /// intersections. With `prune` false every advisory stage is disabled and
 /// this degrades to the exhaustive probe of every query gram (the
 /// pre-planner plan, kept as the benchmark ablation baseline).
@@ -614,33 +760,32 @@ struct Gathered {
 /// their posting rows are still read (and counted) during the probe, but
 /// they contribute no candidate. An empty mask is the plain single-file
 /// plan, byte for byte.
+///
+/// Charges its planning stage to `stats.phases.plan`; the caller charges
+/// the rest of the call to `probe`.
+#[allow(clippy::too_many_arguments)]
 fn gather_candidates(
     pool: &BufferPool,
     src: &SourceProbe<'_>,
-    query: &TreeIndex,
+    query: &QueryGrams,
     planner: &LookupPlanner,
     skip: &FxHashSet<u64>,
     prune: bool,
     stats: &mut LookupStats,
+    clock: &mut PhaseClock,
 ) -> Result<Gathered> {
     stats.sources_considered += 1;
-    let done = Gathered {
-        candidates: Vec::new(),
-        skipped: Vec::new(),
-    };
-    let mut probe: Vec<(GramKey, u32)> = query.iter().collect();
-    probe.sort_unstable_by_key(|&(g, _)| g);
-    let had_grams = !probe.is_empty();
+    let mut grams: Vec<(GramKey, u32)> = query.grams.clone();
     if prune {
         // Membership filter: a rejected gram is definitively absent from
         // this source — zero overlap, nothing to probe or compensate.
         if let Some(f) = src.filter {
-            let before = probe.len();
-            probe.retain(|&(g, _)| f.contains(g));
-            stats.grams_skipped_filter += before - probe.len();
-            if had_grams && probe.is_empty() && !planner.needs_zero_overlap() {
+            let before = grams.len();
+            grams.retain(|&(g, _)| f.contains(g));
+            stats.grams_skipped_filter += before - grams.len();
+            if before > 0 && grams.is_empty() && !planner.needs_zero_overlap() {
                 stats.sources_skipped_filter += 1;
-                return Ok(done);
+                return Ok(Gathered::default());
             }
         }
         // Size window: if no bag size this source stores can reach the
@@ -651,139 +796,113 @@ fn gather_candidates(
             let (lo, hi) = view.bounds();
             if !planner.admits_total_range(lo, hi) && !planner.needs_zero_overlap() {
                 stats.sources_skipped_window += 1;
-                return Ok(done);
+                return Ok(Gathered::default());
             }
         }
     }
-    let inv = match src.fence {
-        Some(_) => None,
-        None => Some(BTree::open_existing(pool, SLOT_INV)?),
-    };
+    // One directory visit per gram, in ascending order behind a forward
+    // cursor; its rows serve the skip-cost estimate and the probe alike
+    // (walks are not counted as reads).
+    let mut dir = DirCursor::open(pool, src.fence)?;
+    let mut rows: Vec<DirRow> = Vec::new();
+    let mut probe: Vec<ProbeGram> = Vec::with_capacity(grams.len());
+    for (gram, qc) in grams {
+        let from = rows.len();
+        dir.visit(gram, &mut rows)?;
+        probe.push(ProbeGram {
+            gram,
+            qc,
+            dir: from..rows.len(),
+        });
+    }
     // Overlap budget: a set of grams whose summed query multiplicity stays
     // at or below the budget can be skipped — a tree found only in them
     // cannot reach the bound, and one found elsewhere gets their exact
     // contribution back via forward point reads. Skip the costliest grams
-    // first (directory-walk row estimates; walks are not counted as reads).
-    let mut skipped: Vec<(u64, GramKey, u32)> = Vec::new();
+    // first, by directory row estimates (ties: ascending gram).
+    let mut skipped: Vec<(u64, ProbeGram)> = Vec::new();
     let mut skipped_mass = 0u64;
-    if prune {
-        let budget = planner.overlap_budget();
-        if budget > 0 {
-            let mut est: Vec<(u64, GramKey, u32)> = Vec::with_capacity(probe.len());
-            for &(g, qc) in &probe {
-                let rows = match (src.fence, inv.as_ref()) {
-                    (Some(f), _) => f.estimate_rows(g),
-                    (None, Some(dir)) => postings::estimate_rows(dir, g)?,
-                    (None, None) => 0,
-                };
-                est.push((rows, g, qc));
-            }
-            est.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            let mut picked: FxHashSet<GramKey> = FxHashSet::default();
-            for &(rows, g, qc) in &est {
-                if rows < SKIP_MIN_ROWS {
-                    break;
-                }
-                if skipped_mass + u64::from(qc) <= budget {
-                    skipped_mass += u64::from(qc);
-                    skipped.push((rows, g, qc));
-                    picked.insert(g);
-                }
-            }
-            if !picked.is_empty() {
-                probe.retain(|&(g, _)| !picked.contains(&g));
+    let budget = if prune { planner.overlap_budget() } else { 0 };
+    if budget > 0 {
+        let mut est: Vec<(u64, usize, u64)> = (probe.iter().enumerate())
+            .map(|(i, p)| {
+                (
+                    postings::estimate_rows(dir_rows(&rows, p), p.gram),
+                    i,
+                    u64::from(p.qc),
+                )
+            })
+            .collect();
+        est.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut cut: Vec<(usize, u64)> = Vec::new();
+        for &(est_rows, i, qc) in est.iter().take_while(|e| e.0 >= SKIP_MIN_ROWS) {
+            if skipped_mass + qc <= budget {
+                skipped_mass += qc;
+                cut.push((i, est_rows));
             }
         }
+        cut.sort_unstable();
+        for &(i, est_rows) in cut.iter().rev() {
+            skipped.push((est_rows, probe.remove(i)));
+        }
+    }
+    stats.phases.plan += clock.lap();
+    let window = match src.totals {
+        Some(view) if prune => Some((view, planner.total_window())),
+        _ => None,
+    };
+    let mut merge = Merge::new(skip, window);
+    let mut counters = ProbeCounters::default();
+    let mut cache = postings::BlockCache::default();
+    let count_false_positives = prune && src.filter.is_some();
+    let mut probe_one = |merge: &mut Merge<'_>, stats: &mut LookupStats, p: &ProbeGram| {
+        let before = counters.rows;
+        let mut emit = |t: u64, c: u32| merge.emit(p.qc, t, c);
+        let dir = dir_rows(&rows, p);
+        postings::for_each_posting(pool, dir, p.gram, &mut cache, &mut counters, &mut emit)?;
+        if count_false_positives && counters.rows == before {
+            stats.filter_false_positive_probes += 1;
+        }
+        Ok::<_, StoreError>(())
+    };
+    for p in &probe {
+        probe_one(&mut merge, stats, p)?;
     }
     let mut probed = probe.len();
-    let mut shared: FxHashMap<u64, u64> = FxHashMap::default();
-    let mut counters = ProbeCounters::default();
-    let mut pruned_window = 0u64;
-    {
-        let view = if prune { src.totals } else { None };
-        let mut cache = postings::BlockCache::default();
-        let mut probe_grams = |grams: &[(GramKey, u32)],
-                       shared: &mut FxHashMap<u64, u64>,
-                       counters: &mut ProbeCounters,
-                       pruned_window: &mut u64,
-                       stats: &mut LookupStats|
-         -> Result<()> {
-            for &(g, qc) in grams {
-                let before = counters.rows;
-                let mut emit = |t: u64, c: u32| {
-                    if skip.contains(&t) {
-                        return true;
-                    }
-                    if let Some(view) = view {
-                        if let Some(m) = view.get(t) {
-                            if !planner.admits_total(u64::from(m)) {
-                                *pruned_window += 1;
-                                return true;
-                            }
-                        }
-                    }
-                    *shared.entry(t).or_insert(0) += u64::from(qc.min(c));
-                    true
-                };
-                match (src.fence, inv.as_ref()) {
-                    (Some(fence), _) => {
-                        fence.for_each_posting(pool, g, &mut cache, counters, &mut emit)?;
-                    }
-                    (None, Some(dir)) => {
-                        postings::for_each_posting(pool, dir, g, &mut cache, counters, &mut emit)?;
-                    }
-                    (None, None) => {}
-                }
-                if prune && src.filter.is_some() && counters.rows == before {
-                    stats.filter_false_positive_probes += 1;
-                }
-            }
-            Ok(())
-        };
-        probe_grams(&probe, &mut shared, &mut counters, &mut pruned_window, stats)?;
-        // Second look at the provisional skips: compensation later costs
-        // one forward point read per surviving candidate, so a skipped
-        // gram only pays off when its posting list outweighs the current
-        // candidate set. Re-probe the rest, cheapest first — a re-probe
-        // can only add candidates, so the greedy cut is monotone.
-        if !skipped.is_empty() {
-            skipped.sort_unstable();
-            let mut kept: Vec<(u64, GramKey, u32)> = Vec::with_capacity(skipped.len());
-            for &(rows, g, qc) in &skipped {
-                let survivors = u64::try_from(shared.len()).unwrap_or(u64::MAX);
-                if rows <= survivors {
-                    probe_grams(&[(g, qc)], &mut shared, &mut counters, &mut pruned_window, stats)?;
-                    skipped_mass -= u64::from(qc);
-                    probed += 1;
-                } else {
-                    kept.push((rows, g, qc));
-                }
-            }
-            skipped = kept;
+    // Second look at the provisional skips: compensation later costs
+    // one forward point read per surviving candidate, so a skipped
+    // gram only pays off when its posting list outweighs the current
+    // candidate set. Re-probe the rest, cheapest first — a re-probe
+    // can only add candidates, so the greedy cut is monotone.
+    skipped.sort_unstable_by_key(|(est_rows, p)| (*est_rows, p.gram));
+    let mut kept: Vec<(GramKey, u32)> = Vec::with_capacity(skipped.len());
+    for (est_rows, p) in &skipped {
+        if *est_rows <= u64::try_from(merge.live).unwrap_or(u64::MAX) {
+            probe_one(&mut merge, stats, p)?;
+            skipped_mass -= u64::from(p.qc);
+            probed += 1;
+        } else {
+            kept.push((p.gram, p.qc));
         }
     }
     stats.grams_probed += probed;
-    stats.grams_skipped_budget += skipped.len();
+    stats.grams_skipped_budget += kept.len();
     stats.absorb(&counters);
-    stats.rows_pruned_window += pruned_window;
-    stats.candidates += shared.len();
+    stats.rows_pruned_window += merge.pruned_window;
+    stats.candidates += merge.live;
     // Coarse overlap prune: `observed + skipped_mass` bounds the true
     // overlap from above, so a candidate the planner rejects here cannot
     // reach the bound with any compensation.
-    let mut candidates: Vec<(u64, u64)> = if prune {
-        shared
-            .into_iter()
-            .filter(|&(_, o)| planner.admits_overlap(o + skipped_mass))
-            .collect()
-    } else {
-        shared.into_iter().collect()
-    };
+    let mut candidates: Vec<(u64, u64)> = merge
+        .shared
+        .into_iter()
+        .filter(|&(_, o)| o < MASKED && (!prune || planner.admits_overlap(o + skipped_mass)))
+        .collect();
     candidates.sort_unstable_by_key(|&(t, _)| t);
-    let mut skipped: Vec<(GramKey, u32)> = skipped.into_iter().map(|(_, g, qc)| (g, qc)).collect();
-    skipped.sort_unstable_by_key(|&(g, _)| g);
+    kept.sort_unstable_by_key(|&(g, _)| g);
     Ok(Gathered {
         candidates,
-        skipped,
+        skipped: kept,
     })
 }
 
@@ -843,16 +962,18 @@ fn for_each_zero_overlap(
 pub(crate) fn lookup_source_threshold(
     pool: &BufferPool,
     src: &SourceProbe<'_>,
-    query: &TreeIndex,
+    query: &QueryGrams,
     tau: f64,
     threads: usize,
     skip: &FxHashSet<u64>,
     prune: bool,
     stats: &mut LookupStats,
+    clock: &mut PhaseClock,
     hits: &mut Vec<LookupHit>,
 ) -> Result<()> {
-    let planner = LookupPlanner::threshold(query.total(), tau);
-    let gathered = gather_candidates(pool, src, query, &planner, skip, prune, stats)?;
+    let planner = LookupPlanner::threshold(query.total, tau);
+    let gathered = gather_candidates(pool, src, query, &planner, skip, prune, stats, clock)?;
+    stats.phases.probe += clock.lap();
     let fwd = BTree::open_existing(pool, SLOT_FWD)?;
     let tot = BTree::open_existing(pool, SLOT_TOT)?;
     let skipped = &gathered.skipped;
@@ -880,7 +1001,7 @@ pub(crate) fn lookup_source_threshold(
                 }
             }
             verified += 1;
-            let distance = overlap_distance(overlap, query.total(), u64::from(total));
+            let distance = overlap_distance(overlap, query.total, u64::from(total));
             if planner.admits_distance(distance) {
                 out.push(LookupHit {
                     tree_id: TreeId(t),
@@ -898,7 +1019,7 @@ pub(crate) fn lookup_source_threshold(
     }
     if planner.needs_zero_overlap() {
         for_each_zero_overlap(pool, src, skip, &gathered.candidates, stats, |t, m| {
-            let distance = overlap_distance(0, query.total(), u64::from(m));
+            let distance = overlap_distance(0, query.total, u64::from(m));
             if planner.admits_distance(distance) {
                 hits.push(LookupHit {
                     tree_id: TreeId(t),
@@ -908,6 +1029,7 @@ pub(crate) fn lookup_source_threshold(
             true
         })?;
     }
+    stats.phases.verify += clock.lap();
     Ok(())
 }
 
@@ -918,17 +1040,20 @@ pub(crate) fn lookup_source_threshold(
 /// every later one, so the loop breaks. Zero-overlap trees (distance
 /// exactly 1) are enumerated ascending only while the heap still admits
 /// them.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn lookup_source_top_k(
     pool: &BufferPool,
     src: &SourceProbe<'_>,
-    query: &TreeIndex,
+    query: &QueryGrams,
     planner: &mut LookupPlanner,
     topk: &mut TopK,
     skip: &FxHashSet<u64>,
     stats: &mut LookupStats,
+    clock: &mut PhaseClock,
 ) -> Result<()> {
     planner.tighten_to(topk.bound());
-    let gathered = gather_candidates(pool, src, query, planner, skip, true, stats)?;
+    let gathered = gather_candidates(pool, src, query, planner, skip, true, stats, clock)?;
+    stats.phases.probe += clock.lap();
     let fwd = BTree::open_existing(pool, SLOT_FWD)?;
     let tot = BTree::open_existing(pool, SLOT_TOT)?;
     let mass: u64 = gathered.skipped.iter().map(|&(_, qc)| u64::from(qc)).sum();
@@ -957,7 +1082,7 @@ pub(crate) fn lookup_source_top_k(
             }
         }
         stats.verified += 1;
-        let distance = overlap_distance(overlap, query.total(), u64::from(total));
+        let distance = overlap_distance(overlap, query.total, u64::from(total));
         topk.offer(TreeId(t), distance);
     }
     planner.tighten_to(topk.bound());
@@ -965,10 +1090,11 @@ pub(crate) fn lookup_source_top_k(
         // All zero-overlap trees sit at distance exactly 1 and are offered
         // in ascending id order, so the first rejection ends the source.
         for_each_zero_overlap(pool, src, skip, &gathered.candidates, stats, |t, m| {
-            let distance = overlap_distance(0, query.total(), u64::from(m));
+            let distance = overlap_distance(0, query.total, u64::from(m));
             topk.offer(TreeId(t), distance)
         })?;
     }
+    stats.phases.verify += clock.lap();
     Ok(())
 }
 
@@ -984,40 +1110,31 @@ pub(crate) fn merge_stats_base() -> LookupStats {
 /// threshold — `τ > 1` enumerates the zero-overlap trees from the totals
 /// relation instead of scanning the forward relation. `threads > 1` fans
 /// the exact-distance verification phase out over that many workers.
+///
+/// With `prune` false (and an empty `src`) every advisory pruning stage
+/// is disabled — no filter consults, no size window, no gram skipping, no
+/// overlap prune: the plan exactly as it ran before the planner existed,
+/// kept as the benchmark ablation baseline so pruning wins are measured
+/// in-binary against identical data.
 pub(crate) fn lookup_with_stats(
     pool: &BufferPool,
     src: &SourceProbe<'_>,
     query: &TreeIndex,
     tau: f64,
     threads: usize,
+    prune: bool,
 ) -> Result<(Vec<LookupHit>, LookupStats)> {
     let skip = FxHashSet::default();
     let mut stats = merge_stats_base();
+    let mut clock = PhaseClock::start();
+    let grams = QueryGrams::of(query);
+    stats.phases.plan += clock.lap();
     let mut hits = Vec::new();
-    lookup_source_threshold(pool, src, query, tau, threads, &skip, true, &mut stats, &mut hits)?;
+    lookup_source_threshold(
+        pool, src, &grams, tau, threads, &skip, prune, &mut stats, &mut clock, &mut hits,
+    )?;
     sort_hits(&mut hits);
-    stats.hits = hits.len();
-    stats.by_source = vec![(MAIN_SOURCE, stats.rows_read)];
-    Ok((hits, stats))
-}
-
-/// The candidate merge with every advisory pruning stage disabled: no
-/// filter consults, no size window, no gram skipping, no overlap prune —
-/// the plan exactly as it ran before the planner existed. Kept as the
-/// benchmark ablation baseline so pruning wins are measured in-binary
-/// against identical data.
-pub(crate) fn lookup_unpruned_with_stats(
-    pool: &BufferPool,
-    query: &TreeIndex,
-    tau: f64,
-    threads: usize,
-) -> Result<(Vec<LookupHit>, LookupStats)> {
-    let skip = FxHashSet::default();
-    let mut stats = merge_stats_base();
-    let mut hits = Vec::new();
-    let src = SourceProbe::default();
-    lookup_source_threshold(pool, &src, query, tau, threads, &skip, false, &mut stats, &mut hits)?;
-    sort_hits(&mut hits);
+    stats.phases.sort += clock.lap();
     stats.hits = hits.len();
     stats.by_source = vec![(MAIN_SOURCE, stats.rows_read)];
     Ok((hits, stats))
@@ -1035,10 +1152,23 @@ pub(crate) fn lookup_top_k_with_stats(
 ) -> Result<(Vec<LookupHit>, LookupStats)> {
     let skip = FxHashSet::default();
     let mut stats = merge_stats_base();
-    let mut planner = LookupPlanner::nearest(query.total());
+    let mut clock = PhaseClock::start();
+    let grams = QueryGrams::of(query);
+    stats.phases.plan += clock.lap();
+    let mut planner = LookupPlanner::nearest(grams.total);
     let mut topk = TopK::new(k);
-    lookup_source_top_k(pool, src, query, &mut planner, &mut topk, &skip, &mut stats)?;
+    lookup_source_top_k(
+        pool,
+        src,
+        &grams,
+        &mut planner,
+        &mut topk,
+        &skip,
+        &mut stats,
+        &mut clock,
+    )?;
     let hits = topk.into_sorted_hits();
+    stats.phases.sort += clock.lap();
     stats.hits = hits.len();
     stats.by_source = vec![(MAIN_SOURCE, stats.rows_read)];
     Ok((hits, stats))

@@ -27,11 +27,14 @@
 //! every read is bounds-checked and every structural violation returns
 //! [`StoreError::Corrupt`] — this module must never panic on disk bytes.
 
-use crate::btree::BTree;
+use crate::btree::{BTree, LeafCursor};
 use crate::buffer::BufferPool;
 use crate::crc::crc32;
+use crate::fence::{Fence, FenceCursor};
+use crate::ops::SLOT_INV;
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::pager::{Result, StoreError};
+use std::sync::Arc;
 
 /// One posting row: `((gram, treeId), count)`.
 pub(crate) type Row = ((u64, u64), u32);
@@ -541,7 +544,7 @@ struct Sections<'a> {
 
 /// The validated section layout of one pack entry: header fields plus the
 /// byte offset of every section. Plain data (no borrows), so the probe
-/// memo in [`BlockCache`] can keep it alongside the entry bytes and skip
+/// memo in [`BlockCache`] can keep it alongside the pinned page and skip
 /// re-parsing on every hit.
 #[derive(Clone, Copy)]
 struct Layout {
@@ -596,8 +599,8 @@ fn sections_of<'a>(bytes: &'a [u8], l: &Layout) -> Result<Sections<'a>> {
 
 /// Parses and bounds-checks the header and section layout of one entry
 /// *without* verifying the CRC — callers either verify it themselves
-/// ([`validate_entry`]) or hold bytes already verified once (the probe
-/// memo in [`BlockCache`]).
+/// ([`validate_entry`], [`validated_pack_page`]) or hold an entry of a page
+/// that already passed [`pin_pack`].
 // analyze: validates(len|offset|count)
 fn parse_layout(bytes: &[u8]) -> Result<Layout> {
     if bytes.len() < ENTRY_HDR + PREFIX + 4 {
@@ -910,21 +913,19 @@ pub(crate) fn decode_block(bytes: &[u8]) -> Result<Decoded> {
     Ok(Decoded { first, last, rows })
 }
 
-/// Streams the rows of a single `gram` out of one entry whose CRC has
-/// already been verified (see [`BlockCache`]): a select-zero jump lands on
-/// the gram's Elias-Fano bucket, the cumulative-count section gives its row
+/// Streams the rows of a single `gram` out of one entry that has already
+/// passed validation (see [`pin_pack`]): a select-zero jump lands on the
+/// gram's Elias-Fano bucket, the cumulative-count section gives its row
 /// prefix and run length in O(1), then only that run's treeIds and counts
 /// are decoded — the rest of the block is never materialised.
-///
-/// Returns `false` if `f` asked to stop early.
 fn for_each_gram_in_sections(
     s: &Sections<'_>,
     gram: u64,
     counters: &mut ProbeCounters,
-    f: &mut impl FnMut(u64, u32) -> bool,
-) -> Result<bool> {
+    f: &mut impl FnMut(u64, u32),
+) -> Result<()> {
     if gram < s.first.0 || gram > s.last.0 {
-        return Ok(true);
+        return Ok(());
     }
     let delta = gram - s.first.0;
     let bucket = delta.checked_shr(u32::from(s.gw)).unwrap_or(0);
@@ -964,7 +965,7 @@ fn for_each_gram_in_sections(
         idx += 1;
         pos += 1;
     }
-    let Some(index) = found else { return Ok(true) };
+    let Some(index) = found else { return Ok(()) };
     let prefix = if index == 0 { 0 } else { ef_cum(s, index - 1)? };
     let end = ef_cum(s, index)?;
     if end > s.n || prefix >= end {
@@ -981,11 +982,9 @@ fn for_each_gram_in_sections(
         }
         prev_tid = Some(tid);
         counters.rows += 1;
-        if !f(tid, count) {
-            return Ok(false);
-        }
+        f(tid, count);
     }
-    Ok(true)
+    Ok(())
 }
 
 /// Reads one biased count (`count - 1` on disk, `1` when `cw == 0`).
@@ -1122,15 +1121,6 @@ fn pack_find(p: &PageBuf, key: (u64, u64)) -> Result<Option<(usize, usize)>> {
     Ok(None)
 }
 
-/// Copies the raw bytes of the entry keyed `key` off a pack page.
-// analyze: validates(offset|len)
-fn pack_read(p: &PageBuf, key: (u64, u64)) -> Result<Vec<u8>> {
-    match pack_find(p, key)? {
-        Some((off, total)) => Ok(p.slice(off, total).to_vec()),
-        None => Err(corrupt("directory points at a missing pack entry")),
-    }
-}
-
 /// Appends an encoded entry to a pack page if it fits.
 fn pack_try_add(p: &mut PageBuf, bytes: &[u8]) -> Result<bool> {
     let (n, end) = pack_header(p)?;
@@ -1149,8 +1139,7 @@ fn pack_try_add(p: &mut PageBuf, bytes: &[u8]) -> Result<bool> {
 
 /// Removes the entry keyed `key` from a pack page.
 fn pack_remove(p: &mut PageBuf, key: (u64, u64)) -> Result<()> {
-    let (off, total) =
-        pack_find(p, key)?.ok_or_else(|| corrupt("directory points at a missing pack entry"))?;
+    let (off, total) = find_entry(p, key)?;
     let (n, end) = pack_header(p)?;
     let tail = p.slice(off + total, end - (off + total)).to_vec();
     p.put_slice(off, &tail);
@@ -1292,7 +1281,10 @@ pub(crate) fn read_block(
     key: (u64, u64),
     counters: &mut ProbeCounters,
 ) -> Result<Decoded> {
-    let bytes = pool.with_page(page, |p| pack_read(p, key))??;
+    let bytes = pool.with_page(page, |p| {
+        let (off, total) = find_entry(p, key)?;
+        Ok::<_, StoreError>(p.slice(off, total).to_vec())
+    })??;
     counters.blocks_decoded += 1;
     counters.bytes_decoded += u64::try_from(bytes.len()).unwrap_or(u64::MAX);
     let decoded = decode_block(&bytes)?;
@@ -1302,22 +1294,122 @@ pub(crate) fn read_block(
     Ok(decoded)
 }
 
+/// Checks a whole pack page — the entry chain exactly fills the used
+/// region, and every entry passes the layout parse and its CRC — and
+/// hands the page back as the proof.
+// analyze: validates(offset|len|count)
+fn validated_pack_page(p: Arc<PageBuf>) -> Result<Arc<PageBuf>> {
+    for (off, total) in pack_entries(&p)? {
+        let entry = p.slice(off, total);
+        parse_layout(entry)?;
+        check_crc(entry)?;
+    }
+    Ok(p)
+}
+
+/// Pins pack page `page` for in-place decoding. The probe path's
+/// invariant: *no decoder reads pack-entry bytes that have not passed
+/// layout + CRC validation since the page entered its buffer frame or was
+/// last written by this process.* The frame remembers a passed
+/// validation ([`BufferPool::mark_validated`]); a write, an eviction or
+/// an uncached read forgets it, and the page is validated again here.
+// analyze: validates(offset|len|count)
+fn pin_pack(pool: &BufferPool, page: PageId) -> Result<Arc<PageBuf>> {
+    let pinned = pool.pin(page)?;
+    if pinned.validated {
+        return Ok(pinned.page);
+    }
+    let buf = validated_pack_page(pinned.page)?;
+    pool.mark_validated(page, &buf)?;
+    Ok(buf)
+}
+
+/// Where the entry keyed `key` sits on a validated pack page.
+fn find_entry(p: &PageBuf, key: (u64, u64)) -> Result<(usize, usize)> {
+    pack_find(p, key)?.ok_or_else(|| corrupt("directory points at a missing pack entry"))
+}
+
+/// One posting block pinned for decoding in place: the validated page,
+/// the entry's extent on it and its parsed [`Layout`].
+pub(crate) struct PinnedBlock {
+    tag: (u32, (u64, u64)),
+    page: Arc<PageBuf>,
+    off: usize,
+    len: usize,
+    layout: Layout,
+}
+
+impl PinnedBlock {
+    /// The block keyed `key` on a pack page that passed
+    /// [`validated_pack_page`]: the bounds-checked entry lookup plus the
+    /// layout parse.
+    // analyze: validates(offset|len|count)
+    fn on_page(page: Arc<PageBuf>, id: PageId, key: (u64, u64)) -> Result<PinnedBlock> {
+        let (off, len) = find_entry(&page, key)?;
+        let layout = parse_layout(page.slice(off, len))?;
+        Ok(PinnedBlock {
+            tag: (id.0, key),
+            page,
+            off,
+            len,
+            layout,
+        })
+    }
+
+    /// Streams the rows of `gram`, decoded selectively off the pinned page.
+    fn for_each_gram(
+        &self,
+        gram: u64,
+        counters: &mut ProbeCounters,
+        f: &mut impl FnMut(u64, u32),
+    ) -> Result<()> {
+        let s = sections_of(self.page.slice(self.off, self.len), &self.layout)?;
+        for_each_gram_in_sections(&s, gram, counters, f)
+    }
+}
+
+/// Fetches the block keyed `key` on `page` for decoding in place — what a
+/// [`BlockCache`] miss costs: a validated pin, the entry lookup and the
+/// layout parse.
+pub(crate) fn fetch_block(pool: &BufferPool, page: PageId, key: (u64, u64)) -> Result<PinnedBlock> {
+    PinnedBlock::on_page(pin_pack(pool, page)?, page, key)
+}
+
+/// The probe path's decode of `gram` out of one encoded entry, laid out as
+/// the only entry of a pack page: page validation, entry lookup, layout
+/// parse and the selective in-place decode, exactly as a [`BlockCache`]
+/// miss runs them. The fuzz harness's door to `Arc<PageBuf>` + [`Layout`]
+/// decoding; same contract as [`decode_block`].
+pub(crate) fn decode_gram_in_place(bytes: &[u8], gram: u64) -> Result<Vec<(u64, u32)>> {
+    let mut page = PageBuf::zeroed();
+    pack_init(&mut page);
+    if !pack_try_add(&mut page, bytes)? {
+        return Err(corrupt("encoded block exceeds pack page capacity"));
+    }
+    let page = validated_pack_page(Arc::new(page))?;
+    let key = (pack_u64(&page, PACK_HDR)?, pack_u64(&page, PACK_HDR + 8)?);
+    let block = PinnedBlock::on_page(page, PageId::NONE, key)?;
+    let mut rows = Vec::new();
+    block.for_each_gram(gram, &mut ProbeCounters::default(), &mut |t, c| {
+        rows.push((t, c))
+    })?;
+    Ok(rows)
+}
+
 /// One-block memo for probe loops. Query grams are probed in ascending
 /// order and multi-gram blocks hold ~[`MAX_BLOCK_ROWS`] rows, so
 /// consecutive grams usually land in the same block — memoising the last
-/// entry's validated bytes and parsed [`Layout`] turns O(grams) page
-/// reads, CRC passes and header parses into O(blocks touched).
+/// block's pinned page and parsed [`Layout`] turns O(grams) page fetches
+/// and header parses into O(blocks touched).
 #[derive(Default)]
 pub(crate) struct BlockCache {
-    entry: Option<((u32, (u64, u64)), Vec<u8>, Layout)>,
+    entry: Option<PinnedBlock>,
 }
 
 impl BlockCache {
-    /// Streams the rows of `gram` from the block keyed `key` on `page`.
-    /// The entry bytes are copied off the page, CRC-verified and
-    /// layout-parsed only on a memo miss (counted in `counters`); the
-    /// gram's rows are then decoded selectively without materialising the
-    /// rest of the block. Returns `false` if `f` asked to stop early.
+    /// Streams the rows of `gram` from the block keyed `key` on `page`,
+    /// decoding them selectively, in place, off the pinned page. The block
+    /// is fetched (and counted in `counters`) only on a memo miss.
     pub(crate) fn for_each_gram(
         &mut self,
         pool: &BufferPool,
@@ -1325,78 +1417,97 @@ impl BlockCache {
         key: (u64, u64),
         gram: u64,
         counters: &mut ProbeCounters,
-        f: &mut impl FnMut(u64, u32) -> bool,
-    ) -> Result<bool> {
-        let tag = (page.0, key);
-        let hit = matches!(&self.entry, Some((t, _, _)) if *t == tag);
-        if !hit {
-            let bytes = pool.with_page(page, |p| pack_read(p, key))??;
-            counters.blocks_decoded += 1;
-            counters.bytes_decoded += u64::try_from(bytes.len()).unwrap_or(u64::MAX);
-            let layout = parse_layout(&bytes)?;
-            check_crc(&bytes)?;
-            if layout.last != key {
-                return Err(corrupt("pack entry key disagrees with directory"));
+        f: &mut impl FnMut(u64, u32),
+    ) -> Result<()> {
+        let block = match self.entry.take() {
+            Some(b) if b.tag == (page.0, key) => b,
+            _ => {
+                let b = fetch_block(pool, page, key)?;
+                counters.blocks_decoded += 1;
+                counters.bytes_decoded += u64::try_from(b.len).unwrap_or(u64::MAX);
+                b
             }
-            self.entry = Some((tag, bytes, layout));
-        }
-        match &self.entry {
-            Some((_, bytes, layout)) => {
-                let s = sections_of(bytes, layout)?;
-                for_each_gram_in_sections(&s, gram, counters, f)
-            }
-            None => Err(corrupt("block cache lost its entry")),
-        }
+        };
+        block.for_each_gram(gram, counters, f)?;
+        self.entry = Some(block);
+        Ok(())
     }
 
     /// The first `(gram, treeId)` of the block keyed `key` — from the memo
-    /// when it holds that block, otherwise straight from the entry header
-    /// on the pack page. The per-block metadata that lets probes skip
-    /// boundary blocks without a decode (and, on a memo hit, without even
-    /// a page access).
-    pub(crate) fn peek_first(
-        &self,
-        pool: &BufferPool,
-        page: PageId,
-        key: (u64, u64),
-    ) -> Result<(u64, u64)> {
+    /// when it holds that block, otherwise from the entry header on the
+    /// validated pack page. The per-block metadata that lets probes skip
+    /// boundary blocks without a decode.
+    fn peek_first(&self, pool: &BufferPool, page: PageId, key: (u64, u64)) -> Result<(u64, u64)> {
         match &self.entry {
-            Some((tag, _, layout)) if *tag == (page.0, key) => Ok(layout.first),
-            _ => peek_block_first(pool, page, key),
+            Some(b) if b.tag == (page.0, key) => Ok(b.layout.first),
+            _ => entry_first(&*pin_pack(pool, page)?, key),
         }
     }
 }
 
 /// Reads the first `(gram, treeId)` of the block keyed `key` straight from
-/// its entry header — the per-block metadata that lets probes skip blocks
-/// without decoding them.
+/// its entry header — maintenance's placement test ahead of a full
+/// [`read_block`].
 // analyze: untrusted-source
 pub(crate) fn peek_block_first(
     pool: &BufferPool,
     page: PageId,
     key: (u64, u64),
 ) -> Result<(u64, u64)> {
-    pool.with_page(page, |p| {
-        let (off, _) = pack_find(p, key)?
-            .ok_or_else(|| corrupt("directory points at a missing pack entry"))?;
-        Ok((pack_u64(p, off + 16)?, pack_u64(p, off + 24)?))
-    })?
+    pool.with_page(page, |p| entry_first(p, key))?
 }
 
-/// The directory rows that can hold postings of `gram`: every row keyed
-/// inside the gram plus the first row keyed past it (whose block may
-/// still start inside the gram).
-fn gram_dir_rows(dir: &BTree<'_>, gram: u64) -> Result<Vec<((u64, u64), u32)>> {
-    let mut rows = Vec::new();
-    dir.for_each_range((gram, 0), (u64::MAX, u64::MAX), |(g, t), v| {
-        rows.push(((g, t), v));
-        g == gram
-    })?;
-    Ok(rows)
+/// The first `(gram, treeId)` field of the entry keyed `key`.
+// analyze: untrusted-source
+fn entry_first(p: &PageBuf, key: (u64, u64)) -> Result<(u64, u64)> {
+    let (off, _) = find_entry(p, key)?;
+    Ok((pack_u64(p, off + 16)?, pack_u64(p, off + 24)?))
 }
 
-/// Row estimate for `gram`'s postings from one directory range walk — no
-/// block decode, no pack-page reads. Inline rows count one (exact).
+/// One directory row: `((gram, treeId), tagged value)`.
+pub(crate) type DirRow = ((u64, u64), u32);
+
+/// A forward cursor over one source's inverted directory — the B+-tree's
+/// leaf chain, or an immutable segment's learned fence — for a probe that
+/// visits its grams in ascending order.
+pub(crate) enum DirCursor<'a> {
+    /// The mutable main file: the directory B+-tree.
+    Tree(LeafCursor<'a>),
+    /// An immutable segment: the in-memory mirror of its directory.
+    Fence(FenceCursor<'a>),
+}
+
+impl<'a> DirCursor<'a> {
+    /// A cursor over `fence` when the source has one, else over the
+    /// directory relation of `pool`.
+    pub(crate) fn open(pool: &'a BufferPool, fence: Option<&'a Fence>) -> Result<DirCursor<'a>> {
+        Ok(match fence {
+            Some(f) => DirCursor::Fence(f.cursor()),
+            None => DirCursor::Tree(BTree::open_existing(pool, SLOT_INV)?.cursor()),
+        })
+    }
+
+    /// Appends the directory rows that can hold postings of `gram`: every
+    /// row keyed inside the gram plus the first row keyed past it (whose
+    /// block may still start inside the gram). The one directory visit a
+    /// gram gets: [`estimate_rows`] and [`for_each_posting`] both consume
+    /// these rows. Grams must be visited in ascending order.
+    pub(crate) fn visit(&mut self, gram: u64, out: &mut Vec<DirRow>) -> Result<()> {
+        match self {
+            DirCursor::Tree(c) => c.seek((gram, 0), |k, v| {
+                out.push((k, v));
+                k.0 == gram
+            }),
+            DirCursor::Fence(c) => {
+                c.visit(gram, out);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Row estimate for `gram`'s postings from its visited directory rows —
+/// no block decode, no pack-page reads. Inline rows count one (exact).
 /// Blocks are keyed by their *last* row and may span gram boundaries, so
 /// only blocks beyond the first keyed inside the gram are known to start
 /// inside it too: those count the per-block cap, while the first such
@@ -1406,65 +1517,49 @@ fn gram_dir_rows(dir: &BTree<'_>, gram: u64) -> Result<Vec<((u64, u64), u32)>> {
 /// ordering only, and any value is correct — over-counting a straddled
 /// gram would make the planner skip it and then pay more in compensation
 /// reads than the probe it avoided.
-pub(crate) fn estimate_rows(dir: &BTree<'_>, gram: u64) -> Result<u64> {
+pub(crate) fn estimate_rows(rows: &[DirRow], gram: u64) -> u64 {
     let cap = u64::try_from(MAX_BLOCK_ROWS).unwrap_or(u64::MAX);
     let straddle = u64::try_from(BLOCK_MIN).unwrap_or(u64::MAX);
-    let mut rows = 0u64;
+    let mut est = 0u64;
     let mut blocks_inside = 0u64;
-    dir.for_each_range((gram, 0), (u64::MAX, u64::MAX), |(g, _), raw| {
+    for &((g, _), raw) in rows {
         match dir_value(raw) {
-            DirValue::Inline(_) => {
-                if g == gram {
-                    rows += 1;
-                }
+            DirValue::Inline(_) => est += u64::from(g == gram),
+            DirValue::Block(_) if g == gram => {
+                est += if blocks_inside == 0 { straddle } else { cap };
+                blocks_inside += 1;
             }
-            DirValue::Block(_) => {
-                if g == gram {
-                    rows += if blocks_inside == 0 { straddle } else { cap };
-                    blocks_inside += 1;
-                } else {
-                    rows += straddle;
-                }
-            }
+            DirValue::Block(_) => est += straddle,
         }
-        g == gram
-    })?;
-    Ok(rows)
+    }
+    est
 }
 
-/// Streams every posting of `gram` in ascending treeId order.
-///
-/// `f` receives `(treeId, count)` and returns `false` to stop early.
-/// `cache` memoises block decodes across the caller's probe loop.
+/// Streams every posting of `gram`, ascending by treeId, from its visited
+/// directory rows: inline rows straight from the directory, blocks decoded
+/// in place through `cache`. The boundary row keyed past the gram can only
+/// contribute as a block, and its header decides that without a decode.
 pub(crate) fn for_each_posting(
     pool: &BufferPool,
-    dir: &BTree<'_>,
+    rows: &[DirRow],
     gram: u64,
     cache: &mut BlockCache,
     counters: &mut ProbeCounters,
-    mut f: impl FnMut(u64, u32) -> bool,
+    f: &mut impl FnMut(u64, u32),
 ) -> Result<()> {
-    for ((g, t), raw) in gram_dir_rows(dir, gram)? {
+    for &((g, t), raw) in rows {
         match dir_value_checked(raw)? {
             DirValue::Inline(c) => {
-                if g != gram {
-                    // The boundary row: an inline posting of a later gram.
-                    return Ok(());
-                }
-                counters.rows += 1;
-                if !f(t, c) {
-                    return Ok(());
+                if g == gram {
+                    counters.rows += 1;
+                    f(t, c);
                 }
             }
             DirValue::Block(page) => {
                 if g != gram && cache.peek_first(pool, page, (g, t))?.0 > gram {
-                    // Boundary block that starts past the gram: skip on
-                    // header metadata, no decode.
                     counters.blocks_skipped += 1;
-                    return Ok(());
-                }
-                if !cache.for_each_gram(pool, page, (g, t), gram, counters, &mut f)? {
-                    return Ok(());
+                } else {
+                    cache.for_each_gram(pool, page, (g, t), gram, counters, f)?;
                 }
             }
         }
@@ -1932,5 +2027,147 @@ mod tests {
         let bytes = encode_block(&rows).unwrap();
         assert!(bytes.len() <= PACK_CAPACITY, "len {}", bytes.len());
         assert_eq!(decode_block(&bytes).unwrap().rows, rows);
+    }
+
+    // -----------------------------------------------------------------
+    // Residency validation: a pack page is validated once per stay in a
+    // buffer frame — never decoded unverified, never re-CRC'd while it
+    // stays put.
+    // -----------------------------------------------------------------
+
+    use crate::pager::Pager;
+    use std::path::PathBuf;
+
+    /// A committed store file behind a one-shard, eight-frame pool: two
+    /// grams in one posting block, plus filler pages to evict with.
+    /// Returns the path, the pool, the block's pack page and the filler.
+    fn small_pool_store(name: &str) -> Result<(PathBuf, BufferPool, PageId, Vec<PageId>)> {
+        let dir = std::env::temp_dir().join(format!("pqgram-residency-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).ok();
+        let path = dir.join(name);
+        std::fs::remove_file(&path).ok();
+        let pool = BufferPool::new(Pager::create(&path)?, 8);
+        pool.begin()?;
+        let inv = BTree::open(&pool, SLOT_INV)?;
+        let rows: Vec<Row> = (0..200u64)
+            .map(|i| ((7 + i / 150, 10 + i * 3), 1))
+            .collect();
+        bulk_load_inverted(&pool, &inv, &rows, true)?;
+        let filler: Vec<PageId> = (0..32).map(|_| pool.allocate()).collect::<Result<_>>()?;
+        pool.commit()?;
+        let mut pack = None;
+        inv.for_each_range((0, 0), (u64::MAX, u64::MAX), |_, raw| {
+            if let DirValue::Block(page) = dir_value(raw) {
+                pack = Some(page);
+            }
+            true
+        })?;
+        let pack = pack.ok_or_else(|| corrupt("fixture holds no block"))?;
+        Ok((path, pool, pack, filler))
+    }
+
+    /// The lookup's probe of one gram: directory visit, then the emitter
+    /// over a fresh block memo.
+    fn probe(pool: &BufferPool, gram: u64) -> Result<Vec<(u64, u32)>> {
+        let mut rows = Vec::new();
+        DirCursor::open(pool, None)?.visit(gram, &mut rows)?;
+        let mut out = Vec::new();
+        for_each_posting(
+            pool,
+            &rows,
+            gram,
+            &mut BlockCache::default(),
+            &mut ProbeCounters::default(),
+            &mut |t, c| out.push((t, c)),
+        )?;
+        Ok(out)
+    }
+
+    /// Flips one payload byte of the first entry on pack page `pack`,
+    /// in the file image only.
+    fn tamper(path: &PathBuf, pack: PageId) -> Result<()> {
+        let mut image = std::fs::read(path)?;
+        image[pack.index() * PAGE_SIZE + PACK_HDR + ENTRY_HDR + PREFIX + 2] ^= 0x40;
+        Ok(std::fs::write(path, &image)?)
+    }
+
+    fn evict_everything(pool: &BufferPool, filler: &[PageId]) -> Result<()> {
+        for &id in filler {
+            pool.with_page(id, |_| ())?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_tampered_pack_page_is_caught_at_its_next_fault() -> Result<()> {
+        let (path, pool, pack, filler) = small_pool_store("evict.db")?;
+        evict_everything(&pool, &filler)?;
+        assert_eq!(probe(&pool, 7)?.len(), 150);
+        assert!(
+            pool.pin(pack)?.validated,
+            "a probed page is marked validated"
+        );
+        // While the page stays resident its bytes are the validated ones:
+        // the damaged file image is not consulted, nothing is re-checked.
+        tamper(&path, pack)?;
+        assert_eq!(probe(&pool, 8)?.len(), 50);
+        // Once evicted, the next probe faults the damaged image in and must
+        // reject it before decoding a row.
+        evict_everything(&pool, &filler)?;
+        assert!(matches!(probe(&pool, 7), Err(StoreError::Corrupt(_))));
+        assert!(
+            !pool.pin(pack)?.validated,
+            "a rejected page is never marked"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn damage_done_while_resident_is_caught_after_reopen() -> Result<()> {
+        let (path, pool, pack, _) = small_pool_store("reopen.db")?;
+        assert_eq!(probe(&pool, 7)?.len(), 150);
+        tamper(&path, pack)?;
+        drop(pool);
+        let pool = BufferPool::new(Pager::open(&path)?, 8);
+        assert!(matches!(probe(&pool, 8), Err(StoreError::Corrupt(_))));
+        Ok(())
+    }
+
+    #[test]
+    fn a_rewritten_block_is_validated_again_on_its_next_probe() -> Result<()> {
+        let (_, pool, pack, _) = small_pool_store("rewrite.db")?;
+        assert_eq!(probe(&pool, 8)?.len(), 50);
+        assert!(pool.pin(pack)?.validated);
+        pool.begin()?;
+        let inv = BTree::open(&pool, SLOT_INV)?;
+        upsert_posting(&pool, &inv, 8, 11, 5)?;
+        assert!(!pool.pin(pack)?.validated, "a write forgets the validation");
+        let rows = probe(&pool, 8)?;
+        assert_eq!((rows.len(), rows.first()), (51, Some(&(11, 5))));
+        assert!(
+            pool.pin(pack)?.validated,
+            "the rewritten bytes were checked"
+        );
+        pool.commit()
+    }
+
+    #[test]
+    fn uncached_reads_validate_every_time() -> Result<()> {
+        let (path, pool, pack, filler) = small_pool_store("uncached.db")?;
+        // Dirty every frame: a reader cannot evict dirty frames, so the
+        // pack page is served uncached from here on.
+        pool.begin()?;
+        for &id in filler.iter().take(8) {
+            pool.with_page_mut(id, |p| p.put_u64(0, 1))?;
+        }
+        assert_eq!(probe(&pool, 7)?.len(), 150);
+        assert!(
+            !pool.pin(pack)?.validated,
+            "an uncached page has no frame to mark"
+        );
+        // No residency, so no trust: damage shows on the very next read.
+        tamper(&path, pack)?;
+        assert!(matches!(probe(&pool, 7), Err(StoreError::Corrupt(_))));
+        pool.rollback()
     }
 }

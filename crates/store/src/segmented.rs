@@ -39,10 +39,13 @@
 //! swept at the next open if a crash intervenes.
 
 use crate::btree::BTree;
+use crate::buffer::BufferPool;
 use crate::index_store::{check_params, IndexError, IndexStore};
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
-use crate::ops::{LookupStats, StoreCheck, MAIN_SOURCE, SLOT_FWD};
+use crate::ops::{
+    LookupStats, PhaseClock, QueryGrams, SourceProbe, StoreCheck, MAIN_SOURCE, SLOT_FWD,
+};
 use crate::segment::Segment;
 use crate::vfs::{RealVfs, Vfs};
 use parking_lot::Mutex;
@@ -103,6 +106,21 @@ pub(crate) struct SourceSet {
     segments: Vec<Arc<Segment>>,
     /// The compacted main file, immutable between compactions.
     main: Arc<IndexStore>,
+}
+
+impl SourceSet {
+    /// The on-disk sources in probe order, newest first and the main file
+    /// last: `(stats id, pool, probe surface, tree ids the source masks
+    /// in every older one)`.
+    fn sources(&self) -> impl Iterator<Item = (u64, &BufferPool, SourceProbe<'_>, &[u64])> {
+        let segments = self
+            .segments
+            .iter()
+            .map(|seg| (seg.seq(), seg.pool(), seg.source_probe(), seg.owned()));
+        let main: (_, _, _, &[u64]) =
+            (MAIN_SOURCE, self.main.pool(), self.main.source_probe(), &[]);
+        segments.chain([main])
+    }
 }
 
 /// The single-writer handle of a segmented store.
@@ -745,16 +763,15 @@ impl SegmentedReader {
 /// bit-identical to a single-file store holding the merged forest.
 fn memtable_pass(
     mt: &Memtable,
-    query: &TreeIndex,
+    query: &QueryGrams,
     skip: &mut FxHashSet<u64>,
     mut emit: impl FnMut(u64, u64, &TreeIndex),
 ) {
-    let probe: Vec<(u64, u32)> = query.iter().collect();
     for (t, entry) in mt.iter() {
         skip.insert(t);
         let Some(index) = entry else { continue };
         let mut overlap = 0u64;
-        for &(g, qc) in &probe {
+        for &(g, qc) in &query.grams {
             overlap += u64::from(qc.min(index.count(g)));
         }
         emit(t, overlap, index);
@@ -773,13 +790,16 @@ fn lookup_merged(
     tau: f64,
     threads: usize,
 ) -> Result<(Vec<LookupHit>, LookupStats)> {
-    let planner = LookupPlanner::threshold(query.total(), tau);
+    let mut stats = crate::ops::merge_stats_base();
+    let mut clock = PhaseClock::start();
+    let query = QueryGrams::of(query);
+    stats.phases.plan += clock.lap();
+    let planner = LookupPlanner::threshold(query.total, tau);
     let mut skip: FxHashSet<u64> = FxHashSet::default();
     let mut hits: Vec<LookupHit> = Vec::new();
-    let mut stats = crate::ops::merge_stats_base();
     if let Some(mt) = memtable {
         if !mt.is_empty() {
-            memtable_pass(mt, query, &mut skip, |t, overlap, index| {
+            memtable_pass(mt, &query, &mut skip, |t, overlap, index| {
                 // Mirror the candidate-merge plan: trees sharing a gram are
                 // candidates (plus every tree when the bound admits the
                 // zero-overlap distance), size-window survivors get
@@ -792,7 +812,7 @@ fn lookup_merged(
                     return;
                 }
                 stats.verified += 1;
-                let distance = overlap_distance(overlap, query.total(), index.total());
+                let distance = overlap_distance(overlap, query.total, index.total());
                 if planner.admits_distance(distance) {
                     hits.push(LookupHit {
                         tree_id: TreeId(t),
@@ -801,38 +821,19 @@ fn lookup_merged(
                 }
             });
             stats.by_source.push((MEMTABLE_SOURCE, 0));
+            stats.phases.verify += clock.lap();
         }
     }
-    for seg in &set.segments {
+    for (id, pool, probe, owned) in set.sources() {
         let before = stats.rows_read;
         crate::ops::lookup_source_threshold(
-            seg.pool(),
-            &seg.source_probe(),
-            query,
-            tau,
-            threads,
-            &skip,
-            true,
-            &mut stats,
-            &mut hits,
+            pool, &probe, &query, tau, threads, &skip, true, &mut stats, &mut clock, &mut hits,
         )?;
-        stats.by_source.push((seg.seq(), stats.rows_read - before));
-        skip.extend(seg.owned().iter().copied());
+        stats.by_source.push((id, stats.rows_read - before));
+        skip.extend(owned.iter().copied());
     }
-    let before = stats.rows_read;
-    crate::ops::lookup_source_threshold(
-        set.main.pool(),
-        &set.main.source_probe(),
-        query,
-        tau,
-        threads,
-        &skip,
-        true,
-        &mut stats,
-        &mut hits,
-    )?;
-    stats.by_source.push((MAIN_SOURCE, stats.rows_read - before));
     crate::ops::sort_hits(&mut hits);
+    stats.phases.sort += clock.lap();
     stats.hits = hits.len();
     Ok((hits, stats))
 }
@@ -847,50 +848,45 @@ fn lookup_top_k_merged(
     query: &TreeIndex,
     k: usize,
 ) -> Result<(Vec<LookupHit>, LookupStats)> {
-    let mut planner = LookupPlanner::nearest(query.total());
-    let mut topk = TopK::new(k);
-    let mut skip: FxHashSet<u64> = FxHashSet::default();
     let mut stats = crate::ops::merge_stats_base();
     if k == 0 {
         return Ok((Vec::new(), stats));
     }
+    let mut clock = PhaseClock::start();
+    let query = QueryGrams::of(query);
+    stats.phases.plan += clock.lap();
+    let mut planner = LookupPlanner::nearest(query.total);
+    let mut topk = TopK::new(k);
+    let mut skip: FxHashSet<u64> = FxHashSet::default();
     if let Some(mt) = memtable {
         if !mt.is_empty() {
-            memtable_pass(mt, query, &mut skip, |t, overlap, index| {
+            memtable_pass(mt, &query, &mut skip, |t, overlap, index| {
                 stats.candidates += 1;
                 stats.verified += 1;
-                let distance = overlap_distance(overlap, query.total(), index.total());
+                let distance = overlap_distance(overlap, query.total, index.total());
                 topk.offer(TreeId(t), distance);
             });
             stats.by_source.push((MEMTABLE_SOURCE, 0));
+            stats.phases.verify += clock.lap();
         }
     }
-    for seg in &set.segments {
+    for (id, pool, probe, owned) in set.sources() {
         let before = stats.rows_read;
         crate::ops::lookup_source_top_k(
-            seg.pool(),
-            &seg.source_probe(),
-            query,
+            pool,
+            &probe,
+            &query,
             &mut planner,
             &mut topk,
             &skip,
             &mut stats,
+            &mut clock,
         )?;
-        stats.by_source.push((seg.seq(), stats.rows_read - before));
-        skip.extend(seg.owned().iter().copied());
+        stats.by_source.push((id, stats.rows_read - before));
+        skip.extend(owned.iter().copied());
     }
-    let before = stats.rows_read;
-    crate::ops::lookup_source_top_k(
-        set.main.pool(),
-        &set.main.source_probe(),
-        query,
-        &mut planner,
-        &mut topk,
-        &skip,
-        &mut stats,
-    )?;
-    stats.by_source.push((MAIN_SOURCE, stats.rows_read - before));
     let hits = topk.into_sorted_hits();
+    stats.phases.sort += clock.lap();
     stats.hits = hits.len();
     Ok((hits, stats))
 }

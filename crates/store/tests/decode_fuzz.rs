@@ -167,11 +167,61 @@ fn assert_decoded_invariants(rows: &[((u64, u64), u32)], what: &str) {
     );
 }
 
+/// The probe path decodes in place — off an `Arc<PageBuf>` with a parsed
+/// layout, after whole-page validation — instead of through
+/// `decode_block`. Drives that entry over the same bytes: when the full
+/// decode accepts the entry, every gram must decode in place to exactly
+/// its rows (and an absent gram to none); when it rejects, the in-place
+/// decode of the header's own grams must still return — `Ok` only with
+/// ascending treeIds and positive counts — and never panic.
+fn assert_in_place_agrees(bytes: &[u8], full: Option<&[((u64, u64), u32)]>, what: &str) {
+    let header_gram = |at: usize| {
+        bytes
+            .get(at..at + 8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    };
+    match full {
+        Some(rows) if bytes.len() <= PAGE_SIZE - 8 => {
+            let mut grams: Vec<u64> = rows.iter().map(|&((g, _), _)| g).collect();
+            grams.dedup();
+            for &gram in &grams {
+                let expect: Vec<(u64, u32)> = rows
+                    .iter()
+                    .filter(|&&((g, _), _)| g == gram)
+                    .map(|&((_, t), c)| (t, c))
+                    .collect();
+                let got = fuzz::decode_gram_in_place(bytes, gram)
+                    .unwrap_or_else(|e| panic!("{what}: in-place decode of gram {gram}: {e}"));
+                assert_eq!(got, expect, "{what}: in-place rows of gram {gram}");
+            }
+            for absent in [
+                grams[0].wrapping_sub(1),
+                grams[grams.len() - 1].wrapping_add(1),
+            ] {
+                if !grams.contains(&absent) {
+                    let got = fuzz::decode_gram_in_place(bytes, absent).expect("validated entry");
+                    assert!(got.is_empty(), "{what}: rows for absent gram {absent}");
+                }
+            }
+        }
+        _ => {
+            for gram in [header_gram(0), header_gram(16)].into_iter().flatten() {
+                if let Ok(rows) = fuzz::decode_gram_in_place(bytes, gram) {
+                    assert!(rows.len() <= fuzz::MAX_BLOCK_ROWS, "{what}: row cap");
+                    assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "{what}: treeIds");
+                    assert!(rows.iter().all(|&(_, c)| c > 0), "{what}: counts");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn committed_seeds_decode_cleanly() {
     for (i, seed) in load_corpus().iter().enumerate() {
         let rows = fuzz::decode_block(seed).expect("corpus seed must be a valid block");
         assert_decoded_invariants(&rows, &format!("seed {i}"));
+        assert_in_place_agrees(seed, Some(&rows), &format!("seed {i}"));
     }
 }
 
@@ -189,9 +239,11 @@ fn mutated_posting_blocks_verify_or_reject() {
         if rng.below(2) == 0 {
             fix_crc(&mut bytes);
         }
-        if let Ok(rows) = fuzz::decode_block(&bytes) {
-            assert_decoded_invariants(&rows, &format!("case {case}"));
+        let full = fuzz::decode_block(&bytes).ok();
+        if let Some(rows) = &full {
+            assert_decoded_invariants(rows, &format!("case {case}"));
         }
+        assert_in_place_agrees(&bytes, full.as_deref(), &format!("case {case}"));
     }
 }
 
@@ -207,9 +259,11 @@ fn random_garbage_blocks_never_panic() {
         if rng.below(3) == 0 {
             fix_crc(&mut bytes);
         }
-        if let Ok(rows) = fuzz::decode_block(&bytes) {
-            assert_decoded_invariants(&rows, "garbage");
+        let full = fuzz::decode_block(&bytes).ok();
+        if let Some(rows) = &full {
+            assert_decoded_invariants(rows, "garbage");
         }
+        assert_in_place_agrees(&bytes, full.as_deref(), "garbage");
     }
 }
 
