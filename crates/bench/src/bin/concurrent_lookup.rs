@@ -36,7 +36,7 @@ use pqgram_bench::datasets::xmark_tree;
 use pqgram_bench::experiments::query_variant;
 use pqgram_bench::report::Table;
 use pqgram_core::{build_index, PQParams, TreeId, TreeIndex};
-use pqgram_store::{IndexStore, IndexStoreReader, SegmentedIndexStore};
+use pqgram_store::{IndexStore, IndexStoreReader, LookupPlan, SegmentedIndexStore};
 use pqgram_tree::{LabelTable, Tree};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -198,11 +198,15 @@ fn run_threads(
                         let qi = (w * per + k) % queries.len();
                         let t = Instant::now();
                         let (hits, stats) = ok(
-                            reader.lookup_with_stats_threads(&queries[qi], TAU, 1),
+                            reader.lookup_with_stats(&queries[qi], TAU),
                             "concurrent lookup",
                         );
                         local.push(t.elapsed());
-                        assert!(stats.used_inverted, "τ = {TAU} must use the inverted plan");
+                        assert_eq!(
+                            stats.plan,
+                            LookupPlan::CandidateMerge,
+                            "τ = {TAU} must use the inverted plan"
+                        );
                         assert_eq!(hits, expected[qi], "worker {w} op {k} diverged from serial");
                     }
                     local
@@ -365,7 +369,7 @@ fn main() {
 
     // Warm the buffer pool once so every thread count sees the same cache.
     for (q, want) in queries.iter().zip(&expected) {
-        let (hits, _) = ok(reader.lookup_with_stats_threads(q, TAU, 1), "warmup");
+        let (hits, _) = ok(reader.lookup_with_stats(q, TAU), "warmup");
         assert_eq!(&hits, want);
     }
 

@@ -1,52 +1,38 @@
 //! `store-lookup` experiment: exhaustive forward-relation scan vs. the
-//! inverted candidate-merge plan of the persistent store, the planner's
-//! pruning stages vs. the unpruned merge (the pre-planner plan, kept as
-//! an ablation), and the posting-block encoding vs. the row-per-posting
-//! (format-v2) ablation.
+//! planned inverted candidate-merge of the persistent store.
 //!
 //! ```sh
 //! cargo run --release -p pqgram-bench --bin store_lookup            # full
 //! cargo run --release -p pqgram-bench --bin store_lookup -- --smoke # CI
-//! cargo run --release -p pqgram-bench --bin store_lookup -- --smoke --no-compress
 //! ```
 //!
 //! Builds forests of {16, 125, 1000, 10000} XMark documents (plus a
-//! 100000-document row in full mode), stores them in an [`IndexStore`]
-//! under both inverted-relation encodings, and looks up a locally edited
-//! variant of one member with every plan. Document sizes are skewed, as
+//! 100000-document row in full mode), stores them in an [`IndexStore`],
+//! and looks up a locally edited variant of one member with both plans.
+//! Document sizes are skewed, as
 //! in real collections: ~4% of the documents are large and carry most of
 //! the nodes, the rest are small. Content vocabularies are diversified
 //! the way real corpora are: the query document shares its labels with a
 //! small cluster of peers, every other small document draws from a
 //! cluster-local vocabulary, and all documents overlap on a handful of
 //! shared scaffold grams (see `tagged_xmark_tree`). The scan plan pays
-//! for every row of every document; the unpruned merge pays for the
-//! scaffold posting lists and verifies the whole collection; the planned
-//! merge budget-skips the scaffold grams and verifies only the query's
-//! cluster. Emits `bench_results/store_lookup.csv` and
-//! `BENCH_store_lookup.json` (repo root) and asserts the acceptance
-//! criteria: all plans and both encodings return identical hits at every
-//! cardinality; `τ > 1` thresholds run the same candidate-merge plan
-//! bit-identically to the exhaustive reference; at ≥1000 documents the
-//! planned merge reads ≥10× fewer rows than the scan, reads ≥5× fewer
-//! rows and verifies ≥5× fewer candidates than the unpruned merge, and
-//! wins on wall clock, and the posting-block encoding keeps the inverted
-//! relation ≥4× smaller on disk than row-per-posting without losing
-//! probe speed.
-//!
-//! With `--no-compress` the probed store itself is built row-per-posting
-//! (the ablation: format-v2 behaviour end to end); results go to
-//! `*_nocompress` outputs and the compression criteria are skipped.
+//! for every row of every document; the planned merge budget-skips the
+//! scaffold grams and verifies only the query's cluster. Emits
+//! `bench_results/store_lookup.csv` and `BENCH_store_lookup.json` (repo
+//! root) and asserts the acceptance criteria: both plans return identical
+//! hits at every cardinality; `τ > 1` thresholds run the same
+//! candidate-merge plan bit-identically to the exhaustive reference; at
+//! ≥1000 documents the planned merge reads ≥10× fewer rows than the scan
+//! and wins on wall clock.
 
 use pqgram_bench::datasets::tagged_xmark_tree;
 use pqgram_bench::experiments::query_variant;
 use pqgram_bench::report::Table;
 use pqgram_core::{build_index, ForestIndex, PQParams, TreeId};
-use pqgram_store::{IndexStore, InvertedEncoding, LookupPlan, RealVfs};
+use pqgram_store::{IndexStore, LookupPlan};
 use pqgram_tree::{LabelTable, Tree};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const TAU: f64 = 0.8;
@@ -71,25 +57,11 @@ struct Row {
     scan_ms: f64,
     inv_ms: f64,
     speedup: f64,
-    /// Inverted relation on disk, posting-block encoding (probed store
-    /// when compressing; the reference build under `--no-compress`).
+    /// Inverted relation on disk (directory plus posting blocks).
     inv_bytes: u64,
-    /// Inverted relation on disk, row-per-posting encoding.
-    raw_bytes: u64,
-    /// `raw_bytes / inv_bytes`.
-    compression: f64,
-    /// Median candidate-merge wall time on the row-per-posting store.
-    raw_inv_ms: f64,
     blocks_decoded: u64,
     /// Candidates whose distance the planned merge computed.
     verified: usize,
-    /// Rows read / candidates verified by the unpruned merge (the plan
-    /// exactly as it ran before the lookup planner existed).
-    unpruned_rows: u64,
-    unpruned_verified: usize,
-    /// `unpruned_rows / inv_rows` and `unpruned_verified / verified`.
-    prune_row_ratio: f64,
-    prune_verify_ratio: f64,
     /// Planned-merge pruning stats: posting rows dropped by the size
     /// window, query grams skipped on the overlap budget, query grams the
     /// gram filter proved absent.
@@ -116,7 +88,7 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, Duration) {
 /// [`CLUSTER`]-sized cluster with its own tag. Large documents get the
 /// shared tag `big`: they are the collection's byte mass, and a common
 /// vocabulary among them keeps the posting lists that dominate the
-/// inverted relation long (the compression columns measure those).
+/// inverted relation long.
 fn doc_tag(i: usize, small: usize) -> String {
     if i >= small {
         "big".to_owned()
@@ -154,24 +126,12 @@ fn skewed_forest(
         .collect()
 }
 
-fn build_store(
-    path: &PathBuf,
-    params: PQParams,
-    forest: &ForestIndex,
-    encoding: InvertedEncoding,
-) -> IndexStore {
-    std::fs::remove_file(path).ok();
-    IndexStore::bulk_create_with_encoding(path, params, forest.iter(), Arc::new(RealVfs), encoding)
-        .expect("bulk create")
-}
-
 fn run_count(
     count: usize,
     small_pool: usize,
     big_pool: usize,
     reps: usize,
     work_dir: &PathBuf,
-    compress: bool,
 ) -> Row {
     let params = PQParams::default();
     let mut labels = LabelTable::new();
@@ -184,21 +144,10 @@ fn run_count(
     for (i, t) in trees.iter().enumerate() {
         forest.insert(TreeId(i as u64), build_index(t, &labels, params));
     }
-    // The probed store, plus a row-per-posting twin for the encoding
-    // comparison columns (under `--no-compress` the probed store *is*
-    // row-per-posting and serves both roles).
     let store_path = work_dir.join(format!("store-lookup-{count}.pqg"));
-    let raw_path = work_dir.join(format!("store-lookup-{count}-raw.pqg"));
-    let encoding = if compress {
-        InvertedEncoding::PostingBlocks
-    } else {
-        InvertedEncoding::RowPerPosting
-    };
-    let store = build_store(&store_path, params, &forest, encoding);
-    let raw = build_store(&raw_path, params, &forest, InvertedEncoding::RowPerPosting);
-
+    std::fs::remove_file(&store_path).ok();
+    let store = IndexStore::bulk_create(&store_path, params, forest.iter()).expect("bulk create");
     let inv_bytes = store.relation_bytes().expect("bytes").inverted_total();
-    let raw_bytes = raw.relation_bytes().expect("bytes").inverted_total();
 
     let ((scan_hits, scan_stats), scan_t) = best_of(reps, || {
         store
@@ -208,13 +157,6 @@ fn run_count(
     let ((inv_hits, inv_stats), inv_t) = best_of(reps, || {
         store.lookup_with_stats(&query, TAU).expect("inverted")
     });
-    let ((unp_hits, unp_stats), _) = best_of(reps, || {
-        store
-            .lookup_unpruned_with_stats(&query, TAU, 1)
-            .expect("unpruned")
-    });
-    let ((raw_hits, raw_stats), raw_t) =
-        best_of(reps, || raw.lookup_with_stats(&query, TAU).expect("raw"));
 
     // τ > 1 thresholds: same candidate-merge plan, bit-identical to the
     // exhaustive reference (which admits every stored document).
@@ -223,8 +165,11 @@ fn run_count(
         let (reference, _) = store
             .lookup_exhaustive_with_stats(&query, tau)
             .expect("wide scan");
-        assert!(wide_stats.used_inverted, "τ = {tau} must stay on the merge");
-        assert_eq!(wide_stats.plan, LookupPlan::CandidateMerge);
+        assert_eq!(
+            wide_stats.plan,
+            LookupPlan::CandidateMerge,
+            "τ = {tau} must stay on the merge"
+        );
         assert_eq!(
             wide, reference,
             "candidate merge diverged from the reference at τ = {tau}, {count} trees"
@@ -232,23 +177,17 @@ fn run_count(
         assert_eq!(wide.len(), store.tree_ids().expect("ids").len());
     }
     std::fs::remove_file(&store_path).ok();
-    std::fs::remove_file(&raw_path).ok();
 
-    assert!(
-        inv_stats.used_inverted && raw_stats.used_inverted && unp_stats.used_inverted,
+    assert_eq!(
+        inv_stats.plan,
+        LookupPlan::CandidateMerge,
         "τ = {TAU} must use the inverted plan"
     );
-    assert!(!scan_stats.used_inverted);
+    assert_eq!(scan_stats.plan, LookupPlan::ExhaustiveReference);
     assert_eq!(inv_hits, scan_hits, "plans disagree at {count} trees");
-    assert_eq!(inv_hits, raw_hits, "encodings disagree at {count} trees");
-    assert_eq!(inv_hits, unp_hits, "pruning changed answers at {count} trees");
     assert!(
         !inv_hits.is_empty(),
         "the query's source document must match"
-    );
-    assert_eq!(
-        raw_stats.blocks_decoded, 0,
-        "a row-per-posting store has no blocks to decode"
     );
 
     let scan_ms = scan_t.as_secs_f64() * 1e3;
@@ -264,15 +203,8 @@ fn run_count(
         inv_ms,
         speedup: scan_ms / inv_ms.max(1e-9),
         inv_bytes,
-        raw_bytes,
-        compression: raw_bytes as f64 / inv_bytes.max(1) as f64,
-        raw_inv_ms: raw_t.as_secs_f64() * 1e3,
         blocks_decoded: inv_stats.blocks_decoded,
         verified: inv_stats.verified,
-        unpruned_rows: unp_stats.rows_read,
-        unpruned_verified: unp_stats.verified,
-        prune_row_ratio: unp_stats.rows_read as f64 / inv_stats.rows_read.max(1) as f64,
-        prune_verify_ratio: unp_stats.verified as f64 / inv_stats.verified.max(1) as f64,
         rows_pruned_window: inv_stats.rows_pruned_window,
         grams_skipped_budget: inv_stats.grams_skipped_budget,
         grams_skipped_filter: inv_stats.grams_skipped_filter,
@@ -293,11 +225,7 @@ fn write_json(path: &str, mode: &str, rows: &[Row]) {
             "    {{\"trees\": {}, \"nodes_total\": {}, \"hits\": {}, \
              \"scan_rows\": {}, \"inverted_rows\": {}, \"row_ratio\": {:.2}, \
              \"scan_ms\": {:.3}, \"inverted_ms\": {:.3}, \"speedup\": {:.2}, \
-             \"inverted_bytes\": {}, \"row_per_posting_bytes\": {}, \
-             \"compression\": {:.2}, \"row_per_posting_ms\": {:.3}, \
-             \"blocks_decoded\": {}, \"verified\": {}, \
-             \"unpruned_rows\": {}, \"unpruned_verified\": {}, \
-             \"prune_row_ratio\": {:.2}, \"prune_verify_ratio\": {:.2}, \
+             \"inverted_bytes\": {}, \"blocks_decoded\": {}, \"verified\": {}, \
              \"rows_pruned_window\": {}, \"grams_skipped_budget\": {}, \
              \"grams_skipped_filter\": {}}}{comma}",
             r.trees,
@@ -310,15 +238,8 @@ fn write_json(path: &str, mode: &str, rows: &[Row]) {
             r.inv_ms,
             r.speedup,
             r.inv_bytes,
-            r.raw_bytes,
-            r.compression,
-            r.raw_inv_ms,
             r.blocks_decoded,
             r.verified,
-            r.unpruned_rows,
-            r.unpruned_verified,
-            r.prune_row_ratio,
-            r.prune_verify_ratio,
             r.rows_pruned_window,
             r.grams_skipped_budget,
             r.grams_skipped_filter,
@@ -331,7 +252,6 @@ fn write_json(path: &str, mode: &str, rows: &[Row]) {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let compress = !std::env::args().any(|a| a == "--no-compress");
     // The small pool (and with it the query document) keeps the same size
     // at both scales; `--smoke` only shrinks the large documents, the
     // repetition count, and drops the 100k-document row.
@@ -345,22 +265,15 @@ fn main() {
     std::fs::create_dir_all(&work_dir).expect("work dir");
 
     println!(
-        "store-lookup: scan vs inverted candidate-merge vs unpruned merge ({} scale, τ = {TAU}{})",
+        "store-lookup: scan vs inverted candidate-merge ({} scale, τ = {TAU})",
         if smoke { "smoke" } else { "full" },
-        if compress {
-            ""
-        } else {
-            ", --no-compress ablation"
-        }
     );
     let mut rows = Vec::new();
     for &count in counts {
-        let row = run_count(count, small_pool, big_pool, reps, &work_dir, compress);
+        let row = run_count(count, small_pool, big_pool, reps, &work_dir);
         println!(
             "  {:>6} trees: scan {:>8} rows / {:>9.3} ms, planned {:>7} rows / {:>9.3} ms \
-             ({:.1}x fewer rows, {:.1}x faster, {} hits); unpruned {:>8} rows / {:>6} verified \
-             (planner: {:.1}x fewer rows, {:.1}x fewer verified); inverted relation {:>9} B vs \
-             {:>9} B raw ({:.1}x smaller)",
+             ({:.1}x fewer rows, {:.1}x faster, {} hits, {} verified); inverted relation {:>9} B",
             row.trees,
             row.scan_rows,
             row.scan_ms,
@@ -369,41 +282,20 @@ fn main() {
             row.row_ratio,
             row.speedup,
             row.hits,
-            row.unpruned_rows,
-            row.unpruned_verified,
-            row.prune_row_ratio,
-            row.prune_verify_ratio,
+            row.verified,
             row.inv_bytes,
-            row.raw_bytes,
-            row.compression,
         );
         rows.push(row);
     }
     std::fs::remove_dir_all(&work_dir).ok();
 
     // Acceptance criteria from ≥1000 documents on: the planned merge must
-    // read ≥10× fewer rows than the scan, read ≥5× fewer rows and verify
-    // ≥5× fewer candidates than the unpruned merge, and win on wall
-    // clock; the posting-block encoding must keep the inverted relation
-    // ≥4× smaller than row-per-posting without giving up probe speed
-    // (25% jitter allowance on a sub-millisecond probe).
+    // read ≥10× fewer rows than the scan and win on wall clock.
     for r in rows.iter().filter(|r| r.trees >= 1_000) {
         assert!(
             r.row_ratio >= 10.0,
             "inverted plan read only {:.1}x fewer rows than the scan at {} trees",
             r.row_ratio,
-            r.trees,
-        );
-        assert!(
-            r.prune_row_ratio >= 5.0,
-            "planner cut rows only {:.1}x vs the unpruned merge at {} trees",
-            r.prune_row_ratio,
-            r.trees,
-        );
-        assert!(
-            r.prune_verify_ratio >= 5.0,
-            "planner cut verified candidates only {:.1}x vs the unpruned merge at {} trees",
-            r.prune_verify_ratio,
             r.trees,
         );
         assert!(
@@ -413,28 +305,10 @@ fn main() {
             r.scan_ms,
             r.trees,
         );
-        if compress {
-            assert!(
-                r.compression >= 4.0,
-                "inverted relation only {:.2}x smaller than row-per-posting at {} trees",
-                r.compression,
-                r.trees,
-            );
-            // The 0.1 ms absolute slack keeps sub-millisecond probes from
-            // tripping on scheduler jitter; a real decode regression is a
-            // multiple, not 50 µs.
-            assert!(
-                r.inv_ms <= r.raw_inv_ms * 1.25 + 0.1,
-                "posting-block probe ({:.3} ms) slower than row-per-posting ({:.3} ms) at {} trees",
-                r.inv_ms,
-                r.raw_inv_ms,
-                r.trees,
-            );
-        }
     }
 
     let mut table = Table::new(
-        "store-lookup: exhaustive scan vs planned candidate-merge vs unpruned merge",
+        "store-lookup: exhaustive scan vs planned candidate-merge",
         &[
             "trees",
             "nodes_total",
@@ -446,14 +320,7 @@ fn main() {
             "inverted_ms",
             "speedup",
             "inverted_bytes",
-            "row_per_posting_bytes",
-            "compression",
-            "row_per_posting_ms",
             "verified",
-            "unpruned_rows",
-            "unpruned_verified",
-            "prune_row_ratio",
-            "prune_verify_ratio",
             "rows_pruned_window",
             "grams_skipped_budget",
             "grams_skipped_filter",
@@ -471,41 +338,18 @@ fn main() {
             format!("{:.3}", r.inv_ms),
             format!("{:.2}", r.speedup),
             r.inv_bytes.to_string(),
-            r.raw_bytes.to_string(),
-            format!("{:.2}", r.compression),
-            format!("{:.3}", r.raw_inv_ms),
             r.verified.to_string(),
-            r.unpruned_rows.to_string(),
-            r.unpruned_verified.to_string(),
-            format!("{:.2}", r.prune_row_ratio),
-            format!("{:.2}", r.prune_verify_ratio),
             r.rows_pruned_window.to_string(),
             r.grams_skipped_budget.to_string(),
             r.grams_skipped_filter.to_string(),
         ]);
     }
     print!("{}", table.render());
-    let (csv_name, json_name) = if compress {
-        ("store_lookup", "BENCH_store_lookup.json")
-    } else {
-        (
-            "store_lookup_nocompress",
-            "BENCH_store_lookup_nocompress.json",
-        )
-    };
-    match table.write_csv(&PathBuf::from("bench_results"), csv_name) {
+    let json_name = "BENCH_store_lookup.json";
+    match table.write_csv(&PathBuf::from("bench_results"), "store_lookup") {
         Ok(path) => println!("   -> {}", path.display()),
         Err(e) => eprintln!("   (csv not written: {e})"),
     }
-    write_json(
-        json_name,
-        match (smoke, compress) {
-            (true, true) => "smoke",
-            (false, true) => "full",
-            (true, false) => "smoke-no-compress",
-            (false, false) => "full-no-compress",
-        },
-        &rows,
-    );
+    write_json(json_name, if smoke { "smoke" } else { "full" }, &rows);
     println!("   -> {json_name}");
 }

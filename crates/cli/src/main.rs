@@ -50,7 +50,7 @@ USAGE:
                                                   parallel segment builds)
   pqgram remove  <store.pqg> --id <n>             drop a document's index
   pqgram lookup  <store.pqg> <query.xml>          approximate lookup
-                 [--tau 0.6] [--top 10] [--threads N]
+                 [--tau 0.6] [--top 10]
                  [--top-k K]                      (k nearest, any distance)
                  [--stats]                        (pruning/access counters)
   pqgram stats   <store.pqg>                      store statistics
@@ -172,42 +172,49 @@ impl AnyStore {
         workers: usize,
     ) -> Result<(), String> {
         match self {
-            AnyStore::Single(s) => s.put_trees(batch).map_err(|e| e.to_string()),
-            AnyStore::Segmented(s) if workers > 1 => s
-                .put_trees_parallel(batch, workers)
-                .map_err(|e| e.to_string()),
-            AnyStore::Segmented(s) => s
-                .put_trees(batch)
-                .and_then(|()| s.flush())
-                .map_err(|e| e.to_string()),
+            AnyStore::Single(s) => s.put_trees(batch),
+            AnyStore::Segmented(s) if workers > 1 => s.put_trees_parallel(batch, workers),
+            AnyStore::Segmented(s) => s.put_trees(batch).and_then(|()| s.flush()),
         }
+        .map_err(|e| e.to_string())
     }
 
     fn remove_tree(&mut self, id: TreeId) -> Result<bool, String> {
         match self {
-            AnyStore::Single(s) => s.remove_tree(id).map_err(|e| e.to_string()),
-            AnyStore::Segmented(s) => {
-                let existed = s.remove_tree(id).map_err(|e| e.to_string())?;
-                s.flush().map_err(|e| e.to_string())?;
-                Ok(existed)
-            }
+            AnyStore::Single(s) => s.remove_tree(id),
+            AnyStore::Segmented(s) => s
+                .remove_tree(id)
+                .and_then(|existed| s.flush().map(|()| existed)),
         }
+        .map_err(|e| e.to_string())
     }
 
-    fn lookup_with_stats_threads(
+    fn update_from_log(
+        &mut self,
+        id: TreeId,
+        tree: &Tree,
+        labels: &LabelTable,
+        log: &pqgram_tree::EditLog,
+    ) -> Result<pqgram_core::UpdateStats, String> {
+        match self {
+            AnyStore::Single(s) => s.update_from_log(id, tree, labels, log),
+            AnyStore::Segmented(s) => s
+                .update_from_log(id, tree, labels, log)
+                .and_then(|stats| s.flush().map(|()| stats)),
+        }
+        .map_err(|e| e.to_string())
+    }
+
+    fn lookup_with_stats(
         &self,
         query: &pqgram_core::TreeIndex,
         tau: f64,
-        threads: usize,
     ) -> Result<(Vec<pqgram_core::LookupHit>, LookupStats), String> {
         match self {
-            AnyStore::Single(s) => s
-                .lookup_with_stats_threads(query, tau, threads)
-                .map_err(|e| e.to_string()),
-            AnyStore::Segmented(s) => s
-                .lookup_with_stats_threads(query, tau, threads)
-                .map_err(|e| e.to_string()),
+            AnyStore::Single(s) => s.lookup_with_stats(query, tau),
+            AnyStore::Segmented(s) => s.lookup_with_stats(query, tau),
         }
+        .map_err(|e| e.to_string())
     }
 
     fn lookup_top_k_with_stats(
@@ -216,32 +223,34 @@ impl AnyStore {
         k: usize,
     ) -> Result<(Vec<pqgram_core::LookupHit>, LookupStats), String> {
         match self {
-            AnyStore::Single(s) => s.lookup_top_k_with_stats(query, k).map_err(|e| e.to_string()),
-            AnyStore::Segmented(s) => {
-                s.lookup_top_k_with_stats(query, k).map_err(|e| e.to_string())
-            }
+            AnyStore::Single(s) => s.lookup_top_k_with_stats(query, k),
+            AnyStore::Segmented(s) => s.lookup_top_k_with_stats(query, k),
         }
+        .map_err(|e| e.to_string())
     }
 
     fn tree_ids(&self) -> Result<Vec<TreeId>, String> {
         match self {
-            AnyStore::Single(s) => s.tree_ids().map_err(|e| e.to_string()),
-            AnyStore::Segmented(s) => s.tree_ids().map_err(|e| e.to_string()),
+            AnyStore::Single(s) => s.tree_ids(),
+            AnyStore::Segmented(s) => s.tree_ids(),
         }
+        .map_err(|e| e.to_string())
     }
 
     fn tree_index(&self, id: TreeId) -> Result<Option<pqgram_core::TreeIndex>, String> {
         match self {
-            AnyStore::Single(s) => s.tree_index(id).map_err(|e| e.to_string()),
-            AnyStore::Segmented(s) => s.tree_index(id).map_err(|e| e.to_string()),
+            AnyStore::Single(s) => s.tree_index(id),
+            AnyStore::Segmented(s) => s.tree_index(id),
         }
+        .map_err(|e| e.to_string())
     }
 
     fn verify(&self) -> Result<StoreCheck, String> {
         match self {
-            AnyStore::Single(s) => s.verify().map_err(|e| e.to_string()),
-            AnyStore::Segmented(s) => s.verify().map_err(|e| e.to_string()),
+            AnyStore::Single(s) => s.verify(),
+            AnyStore::Segmented(s) => s.verify(),
         }
+        .map_err(|e| e.to_string())
     }
 }
 
@@ -339,7 +348,6 @@ fn cmd_lookup(args: &Args) -> Result<(), String> {
     let query_path = args.positional(1, "query.xml")?;
     let tau = args.opt_or::<f64>("tau", 0.6)?;
     let top = args.opt_or::<usize>("top", 10)?;
-    let threads = args.opt_or::<usize>("threads", 1)?;
     let store = AnyStore::open(store_path)?;
     let mut labels = LabelTable::new();
     let query_tree = load_document(query_path, &mut labels)?;
@@ -349,7 +357,7 @@ fn cmd_lookup(args: &Args) -> Result<(), String> {
         // --top-k: the k nearest trees regardless of any threshold, via
         // the heap-tightened planner bound.
         Some(k) => store.lookup_top_k_with_stats(&query, k)?,
-        None => store.lookup_with_stats_threads(&query, tau, threads)?,
+        None => store.lookup_with_stats(&query, tau)?,
     };
     let plan = match stats.plan {
         LookupPlan::CandidateMerge => "inverted candidate-merge",
@@ -696,13 +704,12 @@ fn cmd_join(args: &Args) -> Result<(), String> {
     let top = args.opt_or::<usize>("top", 20)?;
     let threads = args.opt_or::<usize>("threads", 1)?;
     let load = |path: &str| -> Result<pqgram_core::ForestIndex, String> {
-        let store = IndexStore::open(Path::new(path)).map_err(|e| e.to_string())?;
+        let store = AnyStore::open(path)?;
         let mut forest = pqgram_core::ForestIndex::new();
-        for id in store.tree_ids().map_err(|e| e.to_string())? {
+        for id in store.tree_ids()? {
             let idx = store
-                .tree_index(id)
-                .map_err(|e| e.to_string())?
-                .expect("listed id present");
+                .tree_index(id)?
+                .ok_or_else(|| format!("{path}: tree {} is listed but has no index rows", id.0))?;
             forest.insert(id, idx);
         }
         Ok(forest)
@@ -783,7 +790,7 @@ fn cmd_update(args: &Args) -> Result<(), String> {
     let old_path = args.positional(1, "old.xml")?;
     let new_path = args.positional(2, "new.xml")?;
     let id = args.opt::<u64>("id")?.ok_or("missing --id <n>")?;
-    let mut store = IndexStore::open(Path::new(store_path)).map_err(|e| e.to_string())?;
+    let mut store = AnyStore::open(store_path)?;
     // Parsing is deterministic, so re-parsing old.xml reproduces the exact
     // arena the stored index was built from.
     let mut labels = LabelTable::new();
@@ -793,9 +800,7 @@ fn cmd_update(args: &Args) -> Result<(), String> {
     let log = pqgram_diff::sync(&mut tree, &mut labels, &new_tree, &new_labels)
         .map_err(|e| e.to_string())?;
     let (optimized, opt_stats) = pqgram_tree::optimize_log(&tree, &log);
-    let stats = store
-        .update_from_log(TreeId(id), &tree, &labels, &optimized)
-        .map_err(|e| e.to_string())?;
+    let stats = store.update_from_log(TreeId(id), &tree, &labels, &optimized)?;
     println!(
         "updated tree {id}: {} derived edits ({} after preprocessing)",
         opt_stats.original_len, opt_stats.optimized_len

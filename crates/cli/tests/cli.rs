@@ -217,3 +217,60 @@ fn file_based_incremental_update() {
     let out = run(&["lookup", &store, &old, "--tau", "0.0001"]);
     assert!(stdout(&out).contains("no documents"), "{}", stdout(&out));
 }
+
+#[test]
+fn segmented_store_workflow() {
+    let dir = workdir().join("flow7");
+    std::fs::create_dir_all(&dir).unwrap();
+    let old = p(&dir, "old.xml");
+    let newer = p(&dir, "new.xml");
+    let other = p(&dir, "other.xml");
+    let store = p(&dir, "store.pqg");
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        std::fs::remove_file(entry.unwrap().path()).ok();
+    }
+
+    assert!(
+        run(&["gen", "dblp", "--nodes", "1500", "--seed", "8", "--out", &old])
+            .status
+            .success()
+    );
+    assert!(
+        run(&["gen", "dblp", "--nodes", "900", "--seed", "9", "--out", &other])
+            .status
+            .success()
+    );
+    let content = std::fs::read_to_string(&old)
+        .unwrap()
+        .replace("venue0", "venue0-renamed");
+    std::fs::write(&newer, content).unwrap();
+
+    let out = run(&["create", &store, "--segmented"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = run(&["add", &store, "--id", "3", &old, &other]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    // The incremental update must land in the segmented layout too (and be
+    // flushed: every command is its own process).
+    let out = run(&["update", &store, "--id", "3", &old, &newer]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("derived edits"), "{}", stdout(&out));
+
+    let out = run(&["lookup", &store, &newer, "--tau", "0.1"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("0.0000"), "{}", stdout(&out));
+    let out = run(&["lookup", &store, &old, "--tau", "0.0001"]);
+    assert!(stdout(&out).contains("no documents"), "{}", stdout(&out));
+
+    // A self-join of the segmented store pairs every tree with itself.
+    let out = run(&["join", &store, &store, "--tau", "0.1"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("join of 2 x 2 trees"), "{text}");
+    assert!(text.contains("0.0000"), "{text}");
+
+    let out = run(&["stats", &store, "--verify"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("documents:  2"), "{text}");
+    assert!(text.contains("integrity:  ok"), "{text}");
+}

@@ -10,7 +10,8 @@
 //! * **size filter** — `|I₁ ∩ I₂| ≤ min(|I₁|, |I₂|)` implies
 //!   `d ≥ 1 − 2·min / (|I₁| + |I₂|)`; for `d < τ` the bag sizes must satisfy
 //!   `(1 − τ)·(|I₁| + |I₂|) < 2·min(|I₁|, |I₂|)` — wildly different sizes
-//!   can never join;
+//!   can never join. This is [`LookupPlanner::admits_total`], the bound the
+//!   in-memory and persistent lookups prune with;
 //! * **candidate generation** — an inverted index (gram → posting list)
 //!   over the smaller forest; only trees sharing at least one gram with the
 //!   probe can have `d < 1`, and for `τ ≤ 1` everything else is skipped
@@ -29,6 +30,7 @@
 //!   exhaustive scan.
 
 use crate::index::{pq_distance, ForestIndex, GramKey, ParamsMismatch, TreeId, TreeIndex};
+use crate::plan::LookupPlanner;
 use pqgram_tree::{FxHashMap, FxHashSet};
 
 /// One join result pair.
@@ -145,18 +147,6 @@ impl InvertedIndex {
     }
 }
 
-/// The size filter: can two bags of these sizes possibly be closer than
-/// `tau`?
-#[inline]
-pub fn size_filter(total_a: u64, total_b: u64, tau: f64) -> bool {
-    let min = total_a.min(total_b) as f64;
-    let sum = (total_a + total_b) as f64;
-    if sum == 0.0 {
-        return true; // both empty: distance 0
-    }
-    1.0 - 2.0 * min / sum < tau
-}
-
 /// The pq-gram distance from an accumulated bag overlap:
 /// `1 − 2·shared / (total_a + total_b)`, with two empty bags at distance 0.
 /// This is [`pq_distance`] expressed over the merge-join quantities, shared
@@ -192,6 +182,20 @@ pub struct JoinStats {
     pub used_filter: bool,
 }
 
+/// Approximate join: [`join_parallel`] on the calling thread alone.
+///
+/// # Errors
+///
+/// Returns [`ParamsMismatch`] under the same conditions as
+/// [`join_parallel`].
+pub fn join(
+    left: &ForestIndex,
+    right: &ForestIndex,
+    tau: f64,
+) -> Result<(Vec<JoinPair>, JoinStats), ParamsMismatch> {
+    join_parallel(left, right, tau, 1)
+}
+
 /// Approximate join: all pairs across the two forests with pq-gram distance
 /// below `tau`. Returns the pairs (sorted by distance) and pruning stats.
 ///
@@ -201,127 +205,25 @@ pub struct JoinStats {
 /// `τ > 1` the join is exhaustive, and for `0 < τ ≤ 1` the empty×empty
 /// pairs (distance 0) are enumerated directly.
 ///
+/// Candidate verification fans out over `threads` scoped workers through
+/// [`crate::par`] (one thread spawns nothing and is the serial loop). The
+/// inverted index is built once and shared read-only; each worker probes a
+/// contiguous chunk of the probe side and verifies its own candidates
+/// (size filter + exact distance). Per-worker pair lists and pruning
+/// counters merge in chunk order and the final sort fixes the pair order,
+/// so the result is identical for every thread count.
+///
 /// # Errors
 ///
 /// Returns [`ParamsMismatch`] if the `τ > 1` exhaustive region encounters
 /// trees indexed under different `PQParams` (the filtered region never
 /// compares raw bags, so it cannot observe a mismatch).
-pub fn join(
-    left: &ForestIndex,
-    right: &ForestIndex,
-    tau: f64,
-) -> Result<(Vec<JoinPair>, JoinStats), ParamsMismatch> {
-    let mut stats = JoinStats {
-        pairs_naive: left.len() as u64 * right.len() as u64,
-        ..Default::default()
-    };
-    let mut pairs = Vec::new();
-    if tau > 1.0 {
-        // Every pair has distance <= 1 < tau: no filter can prune, so the
-        // inverted index would only add overhead (and misses the
-        // zero-overlap pairs). Degenerate to the exhaustive scan.
-        for (l, li) in left.iter() {
-            for (r, ri) in right.iter() {
-                pairs.push(JoinPair {
-                    left: l,
-                    right: r,
-                    distance: pq_distance(li, ri)?,
-                });
-            }
-        }
-        stats.pairs_candidates = stats.pairs_naive;
-        stats.pairs_verified = stats.pairs_naive;
-    } else {
-        stats.used_filter = true;
-        // Invert the smaller side, probe with the larger.
-        let invert_left = left.len() <= right.len();
-        let (build_side, probe_side) = if invert_left {
-            (left, right)
-        } else {
-            (right, left)
-        };
-        let inverted = InvertedIndex::build(build_side);
-
-        for (probe_id, probe_index) in probe_side.iter() {
-            let intersections = inverted.intersections(probe_index);
-            stats.pairs_candidates += intersections.len() as u64;
-            for (cand, overlap) in intersections {
-                if !size_filter(probe_index.total(), overlap.total, tau) {
-                    continue;
-                }
-                stats.pairs_verified += 1;
-                let distance = overlap_distance(overlap.shared, probe_index.total(), overlap.total);
-                if distance < tau {
-                    let (l, r) = if invert_left {
-                        (cand, probe_id)
-                    } else {
-                        (probe_id, cand)
-                    };
-                    pairs.push(JoinPair {
-                        left: l,
-                        right: r,
-                        distance,
-                    });
-                }
-            }
-        }
-        // Empty bags share no gram with anything, so candidate generation
-        // never surfaces them — yet two empty bags are at distance 0 and
-        // join for every tau > 0.
-        if tau > 0.0 {
-            let left_empty: Vec<TreeId> = left
-                .iter()
-                .filter(|(_, i)| i.total() == 0)
-                .map(|(id, _)| id)
-                .collect();
-            let right_empty: Vec<TreeId> = right
-                .iter()
-                .filter(|(_, i)| i.total() == 0)
-                .map(|(id, _)| id)
-                .collect();
-            for &l in &left_empty {
-                for &r in &right_empty {
-                    stats.pairs_candidates += 1;
-                    stats.pairs_verified += 1;
-                    pairs.push(JoinPair {
-                        left: l,
-                        right: r,
-                        distance: 0.0,
-                    });
-                }
-            }
-        }
-    }
-    stats.pairs_joined = pairs.len() as u64;
-    pairs.sort_by(|a, b| {
-        a.distance
-            .total_cmp(&b.distance)
-            .then_with(|| a.left.cmp(&b.left))
-            .then_with(|| a.right.cmp(&b.right))
-    });
-    Ok((pairs, stats))
-}
-
-/// [`join`] with candidate verification fanned out over `threads` scoped
-/// workers through [`crate::par`]. The inverted index is built once and
-/// shared read-only; each worker probes a contiguous chunk of the probe
-/// side and verifies its own candidates (size filter + exact distance).
-/// Per-worker pair lists and pruning counters merge in chunk order, and the
-/// final sort orders pairs exactly as [`join`] does — the result is
-/// identical to the serial join for every thread count.
-///
-/// # Errors
-///
-/// Returns [`ParamsMismatch`] under the same conditions as [`join`].
 pub fn join_parallel(
     left: &ForestIndex,
     right: &ForestIndex,
     tau: f64,
     threads: usize,
 ) -> Result<(Vec<JoinPair>, JoinStats), ParamsMismatch> {
-    if threads <= 1 {
-        return join(left, right, tau);
-    }
     let mut stats = JoinStats {
         pairs_naive: left.len() as u64 * right.len() as u64,
         ..Default::default()
@@ -362,16 +264,17 @@ pub fn join_parallel(
             let mut candidates = 0u64;
             let mut verified = 0u64;
             for &(probe_id, probe_index) in part {
+                let planner = LookupPlanner::threshold(probe_index.total(), tau);
                 let intersections = inverted.intersections(probe_index);
                 candidates += intersections.len() as u64;
                 for (cand, overlap) in intersections {
-                    if !size_filter(probe_index.total(), overlap.total, tau) {
+                    if !planner.admits_total(overlap.total) {
                         continue;
                     }
                     verified += 1;
                     let distance =
                         overlap_distance(overlap.shared, probe_index.total(), overlap.total);
-                    if distance < tau {
+                    if planner.admits_distance(distance) {
                         let (l, r) = if invert_left {
                             (cand, probe_id)
                         } else {
@@ -388,18 +291,15 @@ pub fn join_parallel(
             stats.pairs_verified += verified;
         }
         if tau > 0.0 {
-            // Same degenerate empty×empty enumeration as the serial join.
-            let left_empty: Vec<TreeId> = left
-                .iter()
-                .filter(|(_, i)| i.total() == 0)
-                .map(|(id, _)| id)
-                .collect();
-            let right_empty: Vec<TreeId> = right
-                .iter()
-                .filter(|(_, i)| i.total() == 0)
-                .map(|(id, _)| id)
-                .collect();
-            for &l in &left_empty {
+            // Empty bags share no gram with anything, so candidate generation
+            // never surfaces them — yet two empty bags are at distance 0 and
+            // join for every tau > 0.
+            let empties = |forest: &ForestIndex| -> Vec<TreeId> {
+                let empty = forest.iter().filter(|(_, i)| i.total() == 0);
+                empty.map(|(id, _)| id).collect()
+            };
+            let right_empty = empties(right);
+            for l in empties(left) {
                 for &r in &right_empty {
                     stats.pairs_candidates += 1;
                     stats.pairs_verified += 1;
@@ -409,13 +309,18 @@ pub fn join_parallel(
         }
     }
     stats.pairs_joined = pairs.len() as u64;
+    sort_pairs(&mut pairs);
+    Ok((pairs, stats))
+}
+
+/// Orders result pairs by distance, ties by `(left, right)` id.
+fn sort_pairs(pairs: &mut [JoinPair]) {
     pairs.sort_by(|a, b| {
         a.distance
             .total_cmp(&b.distance)
             .then_with(|| a.left.cmp(&b.left))
             .then_with(|| a.right.cmp(&b.right))
     });
-    Ok((pairs, stats))
 }
 
 fn pairs_push(out: &mut Vec<JoinPair>, left: TreeId, right: TreeId, distance: f64) {
@@ -450,12 +355,7 @@ pub fn join_nested_loop(
             }
         }
     }
-    pairs.sort_by(|a, b| {
-        a.distance
-            .total_cmp(&b.distance)
-            .then_with(|| a.left.cmp(&b.left))
-            .then_with(|| a.right.cmp(&b.right))
-    });
+    sort_pairs(&mut pairs);
     Ok(pairs)
 }
 
@@ -554,16 +454,17 @@ mod tests {
     }
 
     #[test]
-    fn size_filter_is_sound_and_useful() {
+    fn size_window_is_sound_and_useful() {
+        let admits = |a: u64, b: u64, tau: f64| LookupPlanner::threshold(a, tau).admits_total(b);
         // Sound: never prunes a pair that could join.
-        assert!(size_filter(100, 100, 0.1));
-        assert!(size_filter(0, 0, 0.5));
+        assert!(admits(100, 100, 0.1));
+        assert!(admits(0, 0, 0.5));
         // A 100-gram tree and a 10-gram tree have distance >= 1 - 20/110.
-        assert!(!size_filter(100, 10, 0.5));
-        assert!(size_filter(100, 95, 0.2));
+        assert!(!admits(100, 10, 0.5));
+        assert!(admits(100, 95, 0.2));
         // Boundary: d_min = 1 - 2*50/150 = 1/3.
-        assert!(!size_filter(100, 50, 1.0 / 3.0));
-        assert!(size_filter(100, 50, 0.34));
+        assert!(!admits(100, 50, 1.0 / 3.0));
+        assert!(admits(100, 50, 0.34));
     }
 
     #[test]

@@ -84,9 +84,7 @@ pub use index::{
     build_forest_index_parallel, build_index, pq_distance, ForestIndex, GramKey, LookupHit,
     ParamsMismatch, TreeId, TreeIndex,
 };
-pub use join::{
-    join, join_parallel, overlap_distance, size_filter, InvertedIndex, JoinPair, JoinStats,
-};
+pub use join::{join, join_parallel, overlap_distance, InvertedIndex, JoinPair, JoinStats};
 pub use maintain::{update_index, IndexDelta, MaintainError, UpdateOutcome, UpdateStats};
 pub use params::PQParams;
 pub use plan::{Bound, LookupPlanner};

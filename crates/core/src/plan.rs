@@ -127,8 +127,8 @@ impl LookupPlanner {
     }
 
     /// Could a tree with bag size `total` satisfy the bound? The overlap
-    /// cap is `min(n, total)`; this is the size filter of
-    /// [`crate::join::size_filter`] generalised to both bound shapes.
+    /// cap is `min(n, total)`; this is the classic size filter of the
+    /// approximate join ([`crate::join`]) for both bound shapes.
     #[inline]
     pub fn admits_total(&self, total: u64) -> bool {
         let s = total.min(self.query_total);
@@ -390,19 +390,22 @@ mod tests {
         assert_eq!(LookupPlanner::threshold(0, 1.2).total_window(), all);
     }
 
-    /// The planner's size answer agrees with the classic size filter on
-    /// every input where the filter is defined to be tight (`τ > 0`), since
-    /// both run the same float expression.
+    /// The planner's size answer agrees with the classic size bound of the
+    /// approximate join, `1 − 2·min(n, m) / (n + m) < τ`, on every input
+    /// where that bound is tight (`τ > 0`).
     #[test]
-    fn threshold_size_answers_match_size_filter() {
-        use crate::join::size_filter;
+    fn threshold_size_answers_match_the_classic_size_bound() {
+        let classic = |n: u64, m: u64, tau: f64| {
+            let (min, sum) = (n.min(m) as f64, (n + m) as f64);
+            1.0 - 2.0 * min / sum < tau
+        };
         for &tau in &TAUS[1..] {
             for n in 0u64..50 {
                 let p = LookupPlanner::threshold(n, tau);
                 for m in 1u64..80 {
                     assert_eq!(
                         p.admits_total(m),
-                        size_filter(n, m, tau),
+                        classic(n, m, tau),
                         "tau {tau} n {n} m {m}"
                     );
                 }

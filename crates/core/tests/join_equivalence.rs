@@ -6,7 +6,7 @@
 //! above 1 (where every pair joins).
 
 use pqgram_core::join::join_nested_loop;
-use pqgram_core::{build_index, join, ForestIndex, PQParams, TreeId, TreeIndex};
+use pqgram_core::{build_index, join_parallel, ForestIndex, PQParams, TreeId, TreeIndex};
 use pqgram_tree::generate::{random_tree, RandomTreeConfig};
 use pqgram_tree::LabelTable;
 use proptest::prelude::*;
@@ -46,9 +46,10 @@ fn forest_from_sizes(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `join` ≡ `join_nested_loop` over random forests with empty and tiny
-    /// trees, for thresholds spanning 0 < τ ≤ 1 and τ > 1, with coherent
-    /// pruning statistics.
+    /// `join_parallel` ≡ `join_nested_loop` for every thread count (one
+    /// thread is `join`) over random forests with empty and tiny trees, for
+    /// thresholds spanning 0 < τ ≤ 1 and τ > 1, with coherent pruning
+    /// statistics.
     #[test]
     fn prop_join_equals_nested_loop(
         seed in 0u64..1_000_000,
@@ -63,15 +64,17 @@ proptest! {
         let left = forest_from_sizes(&mut rng, &mut lt, params, &left_sizes, 0);
         let right = forest_from_sizes(&mut rng, &mut lt, params, &right_sizes, 1000);
 
-        let (fast, stats) = join(&left, &right, tau);
-        let slow = join_nested_loop(&left, &right, tau);
-        prop_assert_eq!(&fast, &slow, "join must equal the nested-loop join");
+        let slow = join_nested_loop(&left, &right, tau).unwrap();
+        for threads in [1usize, 2, 4] {
+            let (fast, stats) = join_parallel(&left, &right, tau, threads).unwrap();
+            prop_assert_eq!(&fast, &slow, "join must equal the nested-loop join");
 
-        prop_assert_eq!(stats.pairs_naive,
-            left_sizes.len() as u64 * right_sizes.len() as u64);
-        prop_assert!(stats.pairs_candidates <= stats.pairs_naive);
-        prop_assert!(stats.pairs_verified <= stats.pairs_candidates);
-        prop_assert!(stats.pairs_joined <= stats.pairs_verified);
-        prop_assert_eq!(stats.pairs_joined, fast.len() as u64);
+            prop_assert_eq!(stats.pairs_naive,
+                left_sizes.len() as u64 * right_sizes.len() as u64);
+            prop_assert!(stats.pairs_candidates <= stats.pairs_naive);
+            prop_assert!(stats.pairs_verified <= stats.pairs_candidates);
+            prop_assert!(stats.pairs_joined <= stats.pairs_verified);
+            prop_assert_eq!(stats.pairs_joined, fast.len() as u64);
+        }
     }
 }

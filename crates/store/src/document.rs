@@ -15,9 +15,12 @@
 
 use crate::blob::BlobStore;
 use crate::btree::BTree;
-use crate::buffer::{BufferPool, DEFAULT_CAPACITY};
-use crate::ops::{LookupStats, StoreCheck};
-use crate::pager::{Pager, StoreError};
+use crate::buffer::BufferPool;
+use crate::ops::{
+    check_params, transactional, LookupStats, Source, SourceProbe, StoreCheck, KIND_DOCUMENT_STORE,
+    MAIN_SOURCE,
+};
+use crate::pager::StoreError;
 use pqgram_core::maintain::{compute_index_delta, MaintainError, UpdateStats};
 use pqgram_core::{build_index, GramKey, LookupHit, PQParams, TreeId, TreeIndex};
 use pqgram_diff::DiffError;
@@ -26,12 +29,7 @@ use pqgram_tree::{optimize_log, LabelTable, Tree};
 use std::fmt;
 use std::path::Path;
 
-const META_ROOT: usize = crate::ops::SLOT_FWD;
-const META_P: usize = 1;
-const META_Q: usize = 2;
 const META_BLOBS: usize = 3;
-const META_KIND: usize = 7;
-const KIND_DOCUMENT_STORE: u64 = 2;
 
 /// Errors of the document store.
 #[derive(Debug)]
@@ -88,18 +86,6 @@ impl From<DiffError> for DocError {
 
 type Result<T> = std::result::Result<T, DocError>;
 
-/// Rejects a query built with different `p, q` parameters — comparing
-/// grams across parameterizations would be silently wrong.
-fn check_params(got: PQParams, expected: PQParams) -> Result<()> {
-    if got == expected {
-        Ok(())
-    } else {
-        Err(DocError::Store(StoreError::InvalidArgument(format!(
-            "parameter mismatch: got {got:?}, store built with {expected:?}"
-        ))))
-    }
-}
-
 /// How [`DocumentStore::sync`] brought the stored document up to date.
 #[derive(Clone, Debug)]
 pub enum SyncOutcome {
@@ -137,10 +123,7 @@ impl DocumentStore {
         params: PQParams,
         vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
     ) -> Result<DocumentStore> {
-        let pool = BufferPool::new(Pager::create_with(path, vfs)?, DEFAULT_CAPACITY);
-        pool.set_meta(META_P, params.p() as u64)?;
-        pool.set_meta(META_Q, params.q() as u64)?;
-        pool.set_meta(META_KIND, KIND_DOCUMENT_STORE)?;
+        let pool = crate::ops::create_file(path, vfs, params, KIND_DOCUMENT_STORE)?;
         crate::ops::init_relations(&pool)?;
         BlobStore::open(&pool, META_BLOBS)?;
         pool.flush()?;
@@ -159,18 +142,7 @@ impl DocumentStore {
         path: &Path,
         vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
     ) -> Result<DocumentStore> {
-        let pool = BufferPool::new(Pager::open_with(path, vfs)?, DEFAULT_CAPACITY);
-        if pool.meta(META_KIND) != KIND_DOCUMENT_STORE {
-            return Err(DocError::Store(StoreError::Corrupt(
-                "not a document store (kind marker mismatch)".into(),
-            )));
-        }
-        let (p, q) = (pool.meta(META_P) as usize, pool.meta(META_Q) as usize);
-        let Some(params) = PQParams::try_new(p, q) else {
-            return Err(DocError::Store(StoreError::Corrupt(
-                "missing pq parameters".into(),
-            )));
-        };
+        let (pool, params) = crate::ops::open_file(path, vfs, KIND_DOCUMENT_STORE)?;
         crate::ops::ensure_format(&pool)?;
         Ok(DocumentStore { pool, params })
     }
@@ -186,10 +158,10 @@ impl DocumentStore {
         let index = build_index(tree, labels, self.params);
         let mut blob = Vec::new();
         write_tree(&mut blob, tree, labels).map_err(|e| DocError::Store(StoreError::Io(e)))?;
-        self.transactional(|store| {
-            crate::ops::delete_tree_entries(&store.pool, id)?;
-            crate::ops::put_tree_entries(&store.pool, id, &index)?;
-            let blobs = BlobStore::open(&store.pool, META_BLOBS)?;
+        transactional(&self.pool, || {
+            crate::ops::delete_tree_entries(&self.pool, id)?;
+            crate::ops::put_tree_entries(&self.pool, id, &index)?;
+            let blobs = BlobStore::open(&self.pool, META_BLOBS)?;
             blobs.put(id.0, &blob)?;
             Ok(())
         })
@@ -217,11 +189,11 @@ impl DocumentStore {
         if !blobs.contains(id.0)? {
             return Ok(false);
         }
-        self.transactional(|store| {
-            crate::ops::delete_tree_entries(&store.pool, id)?;
-            let blobs = BlobStore::open(&store.pool, META_BLOBS)?;
+        transactional(&self.pool, || {
+            crate::ops::delete_tree_entries(&self.pool, id)?;
+            let blobs = BlobStore::open(&self.pool, META_BLOBS)?;
             blobs.delete(id.0)?;
-            Ok(())
+            Ok::<_, DocError>(())
         })?;
         Ok(true)
     }
@@ -257,22 +229,19 @@ impl DocumentStore {
         };
         let script_len = log.len();
         let (optimized, _) = optimize_log(&tree, &log);
-        let (delta, stats) = compute_index_delta(&tree, &labels, &optimized, self.params)?;
+        let (delta, mut stats) = compute_index_delta(&tree, &labels, &optimized, self.params)?;
 
         let mut blob = Vec::new();
         write_tree(&mut blob, &tree, &labels).map_err(|e| DocError::Store(StoreError::Io(e)))?;
         let t = std::time::Instant::now();
-        let mut apply_err = None;
-        self.transactional(|store| {
-            if let (Some(gram), _) = crate::ops::apply_delta_rows(&store.pool, id, &delta)? {
-                apply_err = Some(DocError::InconsistentDelta(id, gram));
+        transactional(&self.pool, || {
+            if let (Some(gram), _) = crate::ops::apply_delta_rows(&self.pool, id, &delta)? {
                 return Err(DocError::InconsistentDelta(id, gram));
             }
-            let blobs = BlobStore::open(&store.pool, META_BLOBS)?;
+            let blobs = BlobStore::open(&self.pool, META_BLOBS)?;
             blobs.put(id.0, &blob)?;
             Ok(())
         })?;
-        let mut stats = stats;
         stats.apply = t.elapsed();
         Ok(SyncOutcome::Incremental {
             script_len,
@@ -281,9 +250,9 @@ impl DocumentStore {
         })
     }
 
-    /// Approximate lookup over the stored forest: the candidate-merge plan
-    /// over the inverted relation for `τ ≤ 1`, an exhaustive forward scan
-    /// for `τ > 1`.
+    /// Approximate lookup over the stored forest: the same walk every
+    /// index-store handle takes ([`crate::ops`]'s planner-driven candidate
+    /// merge, for every `τ`), over this file as its one source.
     pub fn lookup(&self, query: &TreeIndex, tau: f64) -> Result<Vec<LookupHit>> {
         Ok(self.lookup_with_stats(query, tau)?.0)
     }
@@ -297,19 +266,21 @@ impl DocumentStore {
         tau: f64,
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
         check_params(query.params(), self.params)?;
-        Ok(crate::ops::lookup_with_stats(
-            &self.pool,
-            &crate::ops::SourceProbe::default(),
-            query,
-            tau,
-            1,
-            true,
-        )?)
+        // No RAM mirrors are kept for a document store: every advisory
+        // probe stage degrades to relation reads.
+        let source = Source {
+            id: MAIN_SOURCE,
+            pool: &self.pool,
+            probe: SourceProbe::default(),
+            owned: &[],
+        };
+        let sources = [source].into_iter();
+        Ok(crate::ops::lookup_merged(sources, None, query, tau)?)
     }
 
     /// Number of index rows.
     pub fn row_count(&self) -> Result<u64> {
-        Ok(BTree::open(&self.pool, META_ROOT)?.len()?)
+        Ok(BTree::open(&self.pool, crate::ops::SLOT_FWD)?.len()?)
     }
 
     /// Verifies the on-disk B+-tree invariants of all three index relations
@@ -325,28 +296,6 @@ impl DocumentStore {
     #[doc(hidden)]
     pub fn has_gram_filter(&self) -> Result<bool> {
         Ok(crate::filter::load(&self.pool)?.is_some())
-    }
-
-    // analyze: txn-boundary
-    fn transactional(&mut self, f: impl FnOnce(&Self) -> Result<()>) -> Result<()> {
-        self.pool.begin()?;
-        match f(self) {
-            Ok(()) => {
-                self.pool.commit()?;
-                // Debug builds audit the full storage invariants after
-                // every committed mutation; release builds pay nothing.
-                #[cfg(debug_assertions)]
-                {
-                    crate::ops::verify_relations(&self.pool)?;
-                    self.pool.validate_pager()?;
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.pool.rollback()?;
-                Err(e)
-            }
-        }
     }
 }
 
@@ -532,6 +481,35 @@ mod tests {
         let best = hits.first().ok_or("no lookup hits")?;
         assert_eq!(best.tree_id, TreeId(2));
         assert!(best.distance.abs() < 1e-12);
+        Ok(())
+    }
+
+    #[test]
+    fn lookup_matches_an_index_store_holding_the_same_forest() -> TestResult {
+        let params = PQParams::default();
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut lt = LabelTable::new();
+        let mut docs = DocumentStore::create(&tmp("walk.docs"), params)?;
+        let mut index = crate::IndexStore::create(&tmp("walk.pqg"), params)?;
+        let mut queries = Vec::new();
+        for i in 0..12u64 {
+            let tree = random_tree(&mut rng, &mut lt, &RandomTreeConfig::new(90, 5));
+            docs.put(TreeId(i), &tree, &lt)?;
+            let idx = build_index(&tree, &lt, params);
+            index.put_tree(TreeId(i), &idx)?;
+            queries.push(idx);
+        }
+        for tau in [0.5, 1.2] {
+            for q in queries.iter().step_by(5) {
+                let (doc_hits, doc_stats) = docs.lookup_with_stats(q, tau)?;
+                assert_eq!(doc_hits, index.lookup(q, tau)?, "tau {tau}");
+                assert!(!doc_hits.is_empty(), "the query's own document is a hit");
+                assert_eq!(
+                    doc_stats.by_source,
+                    vec![(MAIN_SOURCE, doc_stats.rows_read)]
+                );
+            }
+        }
         Ok(())
     }
 

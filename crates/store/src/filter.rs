@@ -170,11 +170,6 @@ impl GramFilter {
         }
         fresh
     }
-
-    /// Total filter bits (for stats/tests).
-    pub(crate) fn bits(&self) -> u64 {
-        self.nblocks * 512
-    }
 }
 
 /// The parsed, validated header: where every filter page lives.

@@ -23,21 +23,18 @@
 //!   edit log without touching unrelated entries (Sections 8–9.2).
 
 use crate::btree::BTree;
-use crate::buffer::{BufferPool, DEFAULT_CAPACITY};
+use crate::buffer::BufferPool;
 use crate::filter::{self, GramFilter};
-use crate::ops::{InvertedEncoding, LookupStats, RelationBytes, SourceProbe, StoreCheck, TotalsView};
-use crate::pager::{Pager, StoreError};
+use crate::ops::{
+    check_params, lookup_merged, lookup_top_k_merged, transactional, LookupStats, RelationBytes,
+    Source, SourceProbe, StoreCheck, TotalsView, KIND_INDEX_STORE, MAIN_SOURCE, SLOT_FWD,
+};
+use crate::pager::StoreError;
 use pqgram_core::maintain::{compute_index_delta, IndexDelta, MaintainError, UpdateStats};
 use pqgram_core::{GramKey, LookupHit, PQParams, TreeId, TreeIndex};
 use pqgram_tree::{EditLog, LabelTable, Tree};
 use std::fmt;
 use std::path::Path;
-
-const META_ROOT: usize = crate::ops::SLOT_FWD;
-pub(crate) const META_P: usize = 1;
-pub(crate) const META_Q: usize = 2;
-pub(crate) const META_KIND: usize = 7;
-pub(crate) const KIND_INDEX_STORE: u64 = 1;
 
 /// Errors of the persistent index layer.
 #[derive(Debug)]
@@ -81,18 +78,6 @@ impl From<MaintainError> for IndexError {
 
 type Result<T> = std::result::Result<T, IndexError>;
 
-/// Rejects an index or query built with different `p, q` parameters — a
-/// lookup or update against mismatched grams would be silently wrong.
-pub(crate) fn check_params(got: PQParams, expected: PQParams) -> Result<()> {
-    if got == expected {
-        Ok(())
-    } else {
-        Err(IndexError::Store(StoreError::InvalidArgument(format!(
-            "parameter mismatch: got {got:?}, store built with {expected:?}"
-        ))))
-    }
-}
-
 /// A persistent forest index file.
 pub struct IndexStore {
     pool: BufferPool,
@@ -121,20 +106,10 @@ impl IndexStore {
         params: PQParams,
         vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
     ) -> Result<IndexStore> {
-        let pool = BufferPool::new(Pager::create_with(path, vfs)?, DEFAULT_CAPACITY);
-        pool.set_meta(META_P, params.p() as u64)?;
-        pool.set_meta(META_Q, params.q() as u64)?;
-        pool.set_meta(META_KIND, KIND_INDEX_STORE)?;
+        let pool = crate::ops::create_file(path, vfs, params, KIND_INDEX_STORE)?;
         crate::ops::init_relations(&pool)?;
         pool.flush()?;
-        let mut store = IndexStore {
-            pool,
-            params,
-            filter: None,
-            totals: TotalsView::empty(),
-        };
-        store.reload_mirrors()?;
-        Ok(store)
+        Self::with_mirrors(pool, params)
     }
 
     /// Opens an existing store (running crash recovery if needed).
@@ -146,29 +121,9 @@ impl IndexStore {
     /// injection, tests).
     // analyze: entrypoint(recovery)
     pub fn open_with(path: &Path, vfs: std::sync::Arc<dyn crate::vfs::Vfs>) -> Result<IndexStore> {
-        let pool = BufferPool::new(Pager::open_with(path, vfs)?, DEFAULT_CAPACITY);
-        if pool.meta(META_KIND) != KIND_INDEX_STORE {
-            return Err(IndexError::Store(StoreError::Corrupt(
-                "not an index store (kind marker mismatch; document stores open with \
-                 DocumentStore)"
-                    .into(),
-            )));
-        }
-        let (p, q) = (pool.meta(META_P) as usize, pool.meta(META_Q) as usize);
-        let Some(params) = PQParams::try_new(p, q) else {
-            return Err(IndexError::Store(StoreError::Corrupt(
-                "missing pq parameters in header".into(),
-            )));
-        };
+        let (pool, params) = crate::ops::open_file(path, vfs, KIND_INDEX_STORE)?;
         crate::ops::ensure_format(&pool)?;
-        let mut store = IndexStore {
-            pool,
-            params,
-            filter: None,
-            totals: TotalsView::empty(),
-        };
-        store.reload_mirrors()?;
-        Ok(store)
+        Self::with_mirrors(pool, params)
     }
 
     /// The pq-gram parameters this store was created with.
@@ -176,16 +131,16 @@ impl IndexStore {
         self.params
     }
 
-    fn tree(&self) -> Result<BTree<'_>> {
-        Ok(BTree::open(&self.pool, META_ROOT)?)
-    }
-
-    /// Reloads both RAM mirrors from disk — after bulk loads and whenever
-    /// an incremental filter update reports a rebuild.
-    fn reload_mirrors(&mut self) -> Result<()> {
-        self.filter = filter::load(&self.pool)?;
-        self.totals = TotalsView::load(&self.pool)?;
-        Ok(())
+    /// Wraps an initialised store file, loading both RAM mirrors from it.
+    fn with_mirrors(pool: BufferPool, params: PQParams) -> Result<IndexStore> {
+        let filter = filter::load(&pool)?;
+        let totals = TotalsView::load(&pool)?;
+        Ok(IndexStore {
+            pool,
+            params,
+            filter,
+            totals,
+        })
     }
 
     /// Refreshes one tree's totals-mirror entry from disk after a commit.
@@ -216,12 +171,19 @@ impl IndexStore {
         Ok(())
     }
 
-    /// The acceleration state lookups probe before touching relations.
-    pub(crate) fn source_probe(&self) -> SourceProbe<'_> {
-        SourceProbe {
-            fence: None,
-            filter: self.filter.as_ref(),
-            totals: Some(&self.totals),
+    /// This file as a lookup source — the only one of a single-file store,
+    /// the oldest of a segmented one: probed through its filter and totals
+    /// mirrors, masking nothing (no source is older).
+    pub(crate) fn source(&self) -> Source<'_> {
+        Source {
+            id: MAIN_SOURCE,
+            pool: &self.pool,
+            probe: SourceProbe {
+                fence: None,
+                filter: self.filter.as_ref(),
+                totals: Some(&self.totals),
+            },
+            owned: &[],
         }
     }
 
@@ -230,10 +192,10 @@ impl IndexStore {
     pub fn put_tree(&mut self, id: TreeId, index: &TreeIndex) -> Result<()> {
         check_params(index.params(), self.params)?;
         let mut rebuilt = false;
-        self.transactional(|store| {
-            crate::ops::delete_tree_entries(&store.pool, id)?;
-            rebuilt = crate::ops::put_tree_entries(&store.pool, id, index)?;
-            Ok(())
+        transactional(&self.pool, || {
+            crate::ops::delete_tree_entries(&self.pool, id)?;
+            rebuilt = crate::ops::put_tree_entries(&self.pool, id, index)?;
+            Ok::<_, IndexError>(())
         })?;
         self.refresh_total(id)?;
         self.refresh_filter(rebuilt, index.iter().map(|(g, _)| g))
@@ -250,12 +212,12 @@ impl IndexStore {
             check_params(index.params(), self.params)?;
         }
         let mut rebuilt = false;
-        self.transactional(|store| {
+        transactional(&self.pool, || {
             for (id, index) in batch {
-                crate::ops::delete_tree_entries(&store.pool, *id)?;
-                rebuilt |= crate::ops::put_tree_entries(&store.pool, *id, index)?;
+                crate::ops::delete_tree_entries(&self.pool, *id)?;
+                rebuilt |= crate::ops::put_tree_entries(&self.pool, *id, index)?;
             }
-            Ok(())
+            Ok::<_, IndexError>(())
         })?;
         for (id, _) in batch {
             self.refresh_total(*id)?;
@@ -269,15 +231,13 @@ impl IndexStore {
     pub fn remove_tree(&mut self, id: TreeId) -> Result<bool> {
         let existed = self.contains_tree(id)?;
         if existed {
-            self.transactional(|store| store.delete_tree_entries(id))?;
+            transactional(&self.pool, || {
+                crate::ops::delete_tree_entries(&self.pool, id)
+            })?;
             // The gram filter stays a superset — deletes never shrink it.
             self.totals.remove(id.0);
         }
         Ok(existed)
-    }
-
-    fn delete_tree_entries(&self, id: TreeId) -> Result<()> {
-        Ok(crate::ops::delete_tree_entries(&self.pool, id)?)
     }
 
     /// True if any gram of `id` is stored (one totals-relation lookup).
@@ -300,8 +260,8 @@ impl IndexStore {
     /// Transactional: on any inconsistency the store is left unchanged.
     pub fn apply_delta(&mut self, id: TreeId, delta: &IndexDelta) -> Result<()> {
         let mut rebuilt = false;
-        self.transactional(|store| {
-            let (failed, filter_rebuilt) = crate::ops::apply_delta_rows(&store.pool, id, delta)?;
+        transactional(&self.pool, || {
+            let (failed, filter_rebuilt) = crate::ops::apply_delta_rows(&self.pool, id, delta)?;
             rebuilt = filter_rebuilt;
             match failed {
                 None => Ok(()),
@@ -359,10 +319,8 @@ impl IndexStore {
         k: usize,
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
         check_params(query.params(), self.params)?;
-        let probe = self.source_probe();
-        Ok(crate::ops::lookup_top_k_with_stats(
-            &self.pool, &probe, query, k,
-        )?)
+        let sources = [self.source()].into_iter();
+        Ok(lookup_top_k_merged(sources, None, query, k)?)
     }
 
     /// [`IndexStore::lookup`] also returning the access-path counters of
@@ -373,43 +331,9 @@ impl IndexStore {
         query: &TreeIndex,
         tau: f64,
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
-        self.lookup_with_stats_threads(query, tau, 1)
-    }
-
-    /// [`IndexStore::lookup_with_stats`] with the exact-distance
-    /// verification phase fanned out over `threads` workers (deterministic:
-    /// the result is identical to the serial plan for any thread count).
-    // analyze: entrypoint
-    pub fn lookup_with_stats_threads(
-        &self,
-        query: &TreeIndex,
-        tau: f64,
-        threads: usize,
-    ) -> Result<(Vec<LookupHit>, LookupStats)> {
         check_params(query.params(), self.params)?;
-        let probe = self.source_probe();
-        Ok(crate::ops::lookup_with_stats(
-            &self.pool, &probe, query, tau, threads, true,
-        )?)
-    }
-
-    /// The candidate merge with every advisory pruning stage disabled —
-    /// the plan exactly as it ran before the lookup planner existed.
-    /// Benchmark-ablation plumbing, not API: results are identical to
-    /// [`IndexStore::lookup_with_stats_threads`], only the work counters
-    /// differ.
-    #[doc(hidden)]
-    pub fn lookup_unpruned_with_stats(
-        &self,
-        query: &TreeIndex,
-        tau: f64,
-        threads: usize,
-    ) -> Result<(Vec<LookupHit>, LookupStats)> {
-        check_params(query.params(), self.params)?;
-        let bare = SourceProbe::default();
-        Ok(crate::ops::lookup_with_stats(
-            &self.pool, &bare, query, tau, threads, false,
-        )?)
+        let sources = [self.source()].into_iter();
+        Ok(lookup_merged(sources, None, query, tau)?)
     }
 
     /// The version-1 lookup plan — one ordered scan of the forward relation
@@ -426,7 +350,7 @@ impl IndexStore {
 
     /// Number of distinct `(tree, gram)` rows (size of the relation).
     pub fn row_count(&self) -> Result<u64> {
-        Ok(self.tree()?.len()?)
+        Ok(BTree::open(&self.pool, SLOT_FWD)?.len()?)
     }
 
     /// Whether the persisted gram filter decoded and validated at open.
@@ -477,23 +401,6 @@ impl IndexStore {
     where
         I: IntoIterator<Item = (TreeId, &'a TreeIndex)>,
     {
-        Self::bulk_create_with_encoding(path, params, forest, vfs, InvertedEncoding::PostingBlocks)
-    }
-
-    /// [`IndexStore::bulk_create_with`] with an explicit inverted-relation
-    /// encoding: [`InvertedEncoding::RowPerPosting`] reproduces the
-    /// row-per-posting footprint of format v2 (the benchmark ablation).
-    // analyze: txn-exempt(bulk bootstrap: loads into a store file created by this call that no reader can have opened yet)
-    pub fn bulk_create_with_encoding<'a, I>(
-        path: &Path,
-        params: PQParams,
-        forest: I,
-        vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
-        encoding: InvertedEncoding,
-    ) -> Result<IndexStore>
-    where
-        I: IntoIterator<Item = (TreeId, &'a TreeIndex)>,
-    {
         let mut rows: Vec<((u64, u64), u32)> = Vec::new();
         for (id, index) in forest {
             check_params(index.params(), params)?;
@@ -502,15 +409,7 @@ impl IndexStore {
             }
         }
         rows.sort_unstable_by_key(|&(k, _)| k);
-        let mut store = IndexStore::create_with(path, params, vfs)?;
-        let compress = encoding == InvertedEncoding::PostingBlocks;
-        crate::ops::bulk_load_relations(&store.pool, &rows, compress)?;
-        // Full durability barrier: the bulk-built state is the baseline
-        // every later transaction's rollback falls back to, so it must
-        // survive any crash that happens after this constructor returns.
-        store.pool.sync()?;
-        store.reload_mirrors()?;
-        Ok(store)
+        Self::bulk_create_rows_with(path, params, vfs, &rows)
     }
 
     /// On-disk footprint of the three relations, in bytes.
@@ -522,29 +421,26 @@ impl IndexStore {
     /// B+-trees, no free pages, ~90% leaf fill) and returns the new store.
     // analyze: txn-exempt(writes only to the fresh target file created by this call; the source store is read-only here)
     pub fn compact_to(&self, target: &Path) -> Result<IndexStore> {
-        let mut compacted = IndexStore::create(target, self.params)?;
-        let src = self.tree()?;
+        let src = BTree::open(&self.pool, SLOT_FWD)?;
         let mut rows: Vec<((u64, u64), u32)> = Vec::new();
         src.for_each_range((0, 0), (u64::MAX, u64::MAX), |k, v| {
             rows.push((k, v));
             true
         })?;
-        crate::ops::bulk_load_relations(&compacted.pool, &rows, true)?;
-        compacted.pool.flush()?;
-        compacted.reload_mirrors()?;
-        Ok(compacted)
+        let vfs = std::sync::Arc::new(crate::vfs::RealVfs);
+        Self::bulk_create_rows_with(target, self.params, vfs, &rows)
     }
 
     /// Read-only access to the underlying pool for sibling modules: the
-    /// segmented engine runs its masked lookup plans and compaction scans
-    /// against the main file's relations directly.
+    /// segmented engine runs its point reads and compaction scans against
+    /// the main file's relations directly.
     pub(crate) fn pool(&self) -> &BufferPool {
         &self.pool
     }
 
-    /// [`IndexStore::bulk_create`] on an explicit vfs from pre-sorted rows,
-    /// ending in a full durability barrier — the segmented engine builds
-    /// main-file generations with this before the manifest references them.
+    /// [`IndexStore::bulk_create`] on an explicit vfs from pre-sorted rows
+    /// — the segmented engine builds main-file generations with this
+    /// before the manifest references them.
     // analyze: txn-exempt(bulk bootstrap: loads into a store file created by this call that no reader has opened yet)
     pub(crate) fn bulk_create_rows_with(
         path: &Path,
@@ -552,11 +448,13 @@ impl IndexStore {
         vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
         rows: &[((u64, u64), u32)],
     ) -> Result<IndexStore> {
-        let mut store = IndexStore::create_with(path, params, vfs)?;
-        crate::ops::bulk_load_relations(&store.pool, rows, true)?;
+        let store = IndexStore::create_with(path, params, vfs)?;
+        crate::ops::bulk_load_relations(&store.pool, rows)?;
+        // Full durability barrier: the bulk-built state is the baseline
+        // every later transaction's rollback falls back to, so it must
+        // survive any crash that happens after this constructor returns.
         store.pool.sync()?;
-        store.reload_mirrors()?;
-        Ok(store)
+        Self::with_mirrors(store.pool, params)
     }
 
     /// Consumes the store into a shareable read-only handle for concurrent
@@ -568,28 +466,6 @@ impl IndexStore {
     pub fn into_reader(self) -> IndexStoreReader {
         IndexStoreReader {
             inner: std::sync::Arc::new(self),
-        }
-    }
-
-    // analyze: txn-boundary
-    fn transactional(&mut self, f: impl FnOnce(&Self) -> Result<()>) -> Result<()> {
-        self.pool.begin()?;
-        match f(self) {
-            Ok(()) => {
-                self.pool.commit()?;
-                // Debug builds audit the full storage invariants after
-                // every committed mutation; release builds pay nothing.
-                #[cfg(debug_assertions)]
-                {
-                    crate::ops::verify_relations(&self.pool)?;
-                    self.pool.validate_pager()?;
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.pool.rollback()?;
-                Err(e)
-            }
         }
     }
 }
@@ -630,16 +506,6 @@ impl IndexStoreReader {
         tau: f64,
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
         self.inner.lookup_with_stats(query, tau)
-    }
-
-    /// [`IndexStore::lookup_with_stats_threads`] through the shared handle.
-    pub fn lookup_with_stats_threads(
-        &self,
-        query: &TreeIndex,
-        tau: f64,
-        threads: usize,
-    ) -> Result<(Vec<LookupHit>, LookupStats)> {
-        self.inner.lookup_with_stats_threads(query, tau, threads)
     }
 
     /// [`IndexStore::lookup_top_k`] through the shared handle.
@@ -686,6 +552,7 @@ impl IndexStoreReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::LookupPlan;
     use pqgram_core::{build_index, pq_distance};
     use pqgram_tree::generate::{random_tree, RandomTreeConfig};
     use pqgram_tree::{record_script, ScriptConfig};
@@ -834,17 +701,11 @@ mod tests {
         let idx = build_index(&t, &lt, params);
         let mut store = IndexStore::create(&tmp("badelta.pqg"), params)?;
         store.put_tree(TreeId(0), &idx)?;
-        // A delta that first adds (visible inside the tx) then removes an
-        // absent gram: the whole transaction must roll back.
+        // A delta that adds one gram and removes an absent one: the whole
+        // transaction must roll back.
         let delta = IndexDelta {
             additions: vec![0xdead_beef],
             removals: vec![0x1234_5678_9abc], // never in the index
-        };
-        // removals are applied first in apply_delta, so reorder to make the
-        // addition land before the failure:
-        let delta = IndexDelta {
-            additions: delta.additions,
-            removals: delta.removals,
         };
         let err = store.apply_delta(TreeId(0), &delta).unwrap_err();
         assert!(matches!(err, IndexError::InconsistentDelta(..)));
@@ -884,9 +745,8 @@ mod tests {
         for tau in [0.2, 0.6, 1.0, 1.5, 2.0] {
             let (inv_hits, inv_stats) = store.lookup_with_stats(&query, tau)?;
             let (scan_hits, scan_stats) = store.lookup_exhaustive_with_stats(&query, tau)?;
-            assert!(inv_stats.used_inverted, "tau={tau}");
-            assert_eq!(inv_stats.plan, crate::ops::LookupPlan::CandidateMerge);
-            assert!(!scan_stats.used_inverted);
+            assert_eq!(inv_stats.plan, LookupPlan::CandidateMerge, "tau={tau}");
+            assert_eq!(scan_stats.plan, LookupPlan::ExhaustiveReference);
             assert_eq!(inv_hits, scan_hits, "tau={tau}");
             assert_eq!(scan_stats.rows_read, store.row_count()?);
             // The merge plan never reads more rows than the full scan did.
@@ -896,16 +756,8 @@ mod tests {
         // zero-overlap trees are enumerated from the totals relation (one
         // row each), not by scanning the forward relation.
         let (all_hits, stats) = store.lookup_with_stats(&query, 1.5)?;
-        assert!(stats.used_inverted);
+        assert_eq!(stats.plan, LookupPlan::CandidateMerge);
         assert_eq!(all_hits.len(), 30);
-        // The unpruned ablation returns identical results at any tau.
-        for tau in [0.2, 0.6, 1.0, 1.5] {
-            let (pruned, pstats) = store.lookup_with_stats(&query, tau)?;
-            let (unpruned, ustats) = store.lookup_unpruned_with_stats(&query, tau, 1)?;
-            assert_eq!(pruned, unpruned, "tau={tau}");
-            assert!(pstats.rows_read <= ustats.rows_read, "tau={tau}");
-            assert!(pstats.verified <= ustats.verified, "tau={tau}");
-        }
         Ok(())
     }
 
@@ -929,7 +781,7 @@ mod tests {
             let (hits, stats) = store.lookup_top_k_with_stats(&query, k)?;
             assert_eq!(hits, oracle[..k.min(oracle.len())], "k={k}");
             assert_eq!(stats.hits, k.min(oracle.len()));
-            assert!(stats.used_inverted);
+            assert_eq!(stats.plan, LookupPlan::CandidateMerge);
         }
         Ok(())
     }
@@ -945,13 +797,8 @@ mod tests {
         let idx1 = build_index(&t1, &lt1, params);
         let idx2 = build_index(&t2, &lt2, params);
         {
-            let pool = BufferPool::new(
-                Pager::create_with(&path, std::sync::Arc::new(crate::vfs::RealVfs))?,
-                DEFAULT_CAPACITY,
-            );
-            pool.set_meta(META_P, 2)?;
-            pool.set_meta(META_Q, 3)?;
-            pool.set_meta(META_KIND, KIND_INDEX_STORE)?;
+            let vfs = std::sync::Arc::new(crate::vfs::RealVfs);
+            let pool = crate::ops::create_file(&path, vfs, params, KIND_INDEX_STORE)?;
             let fwd = BTree::open(&pool, crate::ops::SLOT_FWD)?;
             let mut rows: Vec<((u64, u64), u32)> = Vec::new();
             for (g, c) in idx1.iter() {
@@ -977,7 +824,7 @@ mod tests {
         assert_eq!(store.tree_ids()?, vec![TreeId(1), TreeId(2)]);
         let query = idx1.clone();
         let (hits, stats) = store.lookup_with_stats(&query, 0.5)?;
-        assert!(stats.used_inverted);
+        assert_eq!(stats.plan, LookupPlan::CandidateMerge);
         assert_eq!(hits[0].tree_id, TreeId(1));
         assert_eq!(hits[0].distance, 0.0);
         drop(store);
@@ -998,10 +845,7 @@ mod tests {
         params: PQParams,
         forest: &[(u64, TreeIndex)],
     ) -> TestResult {
-        let pool = BufferPool::new(Pager::create_with(path, vfs)?, DEFAULT_CAPACITY);
-        pool.set_meta(META_P, params.p() as u64)?;
-        pool.set_meta(META_Q, params.q() as u64)?;
-        pool.set_meta(META_KIND, KIND_INDEX_STORE)?;
+        let pool = crate::ops::create_file(path, vfs, params, KIND_INDEX_STORE)?;
         let mut fwd: Vec<((u64, u64), u32)> = Vec::new();
         let mut inv: Vec<((u64, u64), u32)> = Vec::new();
         let mut tot: Vec<((u64, u64), u32)> = Vec::new();
@@ -1052,8 +896,7 @@ mod tests {
             assert_eq!(&store.tree_index(TreeId(*t))?.ok_or("tree missing")?, idx);
         }
         let (hits, stats) = store.lookup_with_stats(&forest[0].1, 0.5)?;
-        assert!(stats.used_inverted);
-        assert_eq!(stats.plan, crate::ops::LookupPlan::CandidateMerge);
+        assert_eq!(stats.plan, LookupPlan::CandidateMerge);
         assert_eq!(hits.len(), 6, "all six identical trees are at distance 0");
         drop(store);
         // The migration was committed: a second open sees format v3 state.
@@ -1062,19 +905,28 @@ mod tests {
         Ok(())
     }
 
-    /// Crash enumeration over the v2 → v3 migration itself: whatever I/O
-    /// event the crash lands on, the reopened file either still holds the
-    /// v2 state (rolled back, migrates again) or the committed v3 state —
-    /// the visible contents never change and verification always passes.
-    #[test]
-    fn version2_migration_recovers_at_every_crash_point() -> TestResult {
+    type WriteLegacyFile = fn(
+        &std::path::Path,
+        std::sync::Arc<dyn crate::vfs::Vfs>,
+        PQParams,
+        &[(u64, TreeIndex)],
+    ) -> TestResult;
+
+    /// Crash enumeration over an open-time migration of the legacy file
+    /// `write_legacy` produces: whatever I/O event the crash lands on, the
+    /// reopened file either still holds the legacy state (rolled back,
+    /// migrates again) or the committed migrated state — the visible
+    /// contents never change and verification always passes.
+    fn migration_recovers_at_every_crash_point(
+        path: &std::path::Path,
+        write_legacy: WriteLegacyFile,
+    ) -> TestResult {
         let params = PQParams::new(2, 3);
-        let path = std::path::Path::new("/fault/migrate-v2.pqg");
         let forest = version2_forest(params);
 
         // Fault-free pass: count the setup I/O and the migration I/O.
         let vfs = crate::vfs::FaultVfs::new();
-        write_version2_file(path, std::sync::Arc::new(vfs.clone()), params, &forest)?;
+        write_legacy(path, std::sync::Arc::new(vfs.clone()), params, &forest)?;
         let setup_events = vfs.io_events();
         let store = IndexStore::open_with(path, std::sync::Arc::new(vfs.clone()))?;
         drop(store);
@@ -1089,7 +941,7 @@ mod tests {
         ] {
             for n in setup_events..total_events {
                 let vfs = crate::vfs::FaultVfs::new();
-                write_version2_file(path, std::sync::Arc::new(vfs.clone()), params, &forest)?;
+                write_legacy(path, std::sync::Arc::new(vfs.clone()), params, &forest)?;
                 assert_eq!(vfs.io_events(), setup_events, "setup is deterministic");
                 vfs.crash_at(n, mode.clone());
                 // The migrating open may fail; the error is the point.
@@ -1110,6 +962,14 @@ mod tests {
             }
         }
         Ok(())
+    }
+
+    /// The v2 → v3 migration (posting-block re-encode) under crash
+    /// enumeration.
+    #[test]
+    fn version2_migration_recovers_at_every_crash_point() -> TestResult {
+        let path = std::path::Path::new("/fault/migrate-v2.pqg");
+        migration_recovers_at_every_crash_point(path, write_version2_file)
     }
 
     /// Demotes a freshly built store to format v3 through `vfs`: frees the
@@ -1152,56 +1012,15 @@ mod tests {
         store.verify()?; // includes the filter-superset audit
         let (hits, stats) = store.lookup_with_stats(&forest[0].1, 0.5)?;
         assert_eq!(hits.len(), 6);
-        assert!(stats.used_inverted);
+        assert_eq!(stats.plan, LookupPlan::CandidateMerge);
         Ok(())
     }
 
-    /// Crash enumeration over the v3 → v4 migration (gram-filter build):
-    /// whatever I/O event the crash lands on, the reopened file either
-    /// still holds v3 (migrates again) or the committed v4 state — the
-    /// visible contents never change and verification always passes.
+    /// The v3 → v4 migration (gram-filter build) under crash enumeration.
     #[test]
     fn version3_migration_recovers_at_every_crash_point() -> TestResult {
-        let params = PQParams::new(2, 3);
         let path = std::path::Path::new("/fault/migrate-v3.pqg");
-        let forest = version2_forest(params);
-
-        let vfs = crate::vfs::FaultVfs::new();
-        write_version3_file(path, std::sync::Arc::new(vfs.clone()), params, &forest)?;
-        let setup_events = vfs.io_events();
-        let store = IndexStore::open_with(path, std::sync::Arc::new(vfs.clone()))?;
-        drop(store);
-        let total_events = vfs.io_events();
-        assert!(total_events > setup_events, "migration must do I/O");
-
-        for mode in [
-            crate::vfs::CrashMode::KeepUnsynced,
-            crate::vfs::CrashMode::DropUnsynced,
-            crate::vfs::CrashMode::DropUnsyncedMatching("-journal".into()),
-            crate::vfs::CrashMode::DropUnsyncedMatching(".pqg".into()),
-        ] {
-            for n in setup_events..total_events {
-                let vfs = crate::vfs::FaultVfs::new();
-                write_version3_file(path, std::sync::Arc::new(vfs.clone()), params, &forest)?;
-                assert_eq!(vfs.io_events(), setup_events, "setup is deterministic");
-                vfs.crash_at(n, mode.clone());
-                let _ = IndexStore::open_with(path, std::sync::Arc::new(vfs.clone()));
-                assert!(vfs.crashed(), "crash point {n} ({mode:?}) never fired");
-                let reopened = IndexStore::open_with(path, std::sync::Arc::new(vfs.surviving()))
-                    .unwrap_or_else(|e| panic!("crash point {n} ({mode:?}): reopen failed: {e}"));
-                reopened
-                    .verify()
-                    .unwrap_or_else(|e| panic!("crash point {n} ({mode:?}): verify: {e}"));
-                for (t, idx) in &forest {
-                    assert_eq!(
-                        reopened.tree_index(TreeId(*t))?.as_ref(),
-                        Some(idx),
-                        "crash point {n} ({mode:?}): tree {t} changed across migration"
-                    );
-                }
-            }
-        }
-        Ok(())
+        migration_recovers_at_every_crash_point(path, write_version3_file)
     }
 
     #[test]
@@ -1212,10 +1031,8 @@ mod tests {
             IndexStore::create(&path, params)?;
         }
         {
-            let pool = BufferPool::new(
-                Pager::open_with(&path, std::sync::Arc::new(crate::vfs::RealVfs))?,
-                DEFAULT_CAPACITY,
-            );
+            let vfs = std::sync::Arc::new(crate::vfs::RealVfs);
+            let (pool, _) = crate::ops::open_file(&path, vfs, KIND_INDEX_STORE)?;
             pool.set_meta(crate::ops::SLOT_VERSION, crate::ops::FORMAT_VERSION + 1)?;
             pool.flush()?;
         }

@@ -237,9 +237,9 @@ pub use btree::BTree;
 pub use document::DocumentStore;
 pub use index_store::{IndexStore, IndexStoreReader};
 pub use ops::{
-    InvertedEncoding, LookupPhases, LookupPlan, LookupStats, RelationBytes, StoreCheck, MAIN_SOURCE,
+    LookupPhases, LookupPlan, LookupStats, RelationBytes, StoreCheck, MAIN_SOURCE, MEMTABLE_SOURCE,
 };
 pub use page::{PageBuf, PageId, PAGE_SIZE};
 pub use pager::{Pager, StoreError};
-pub use segmented::{SegmentedIndexStore, SegmentedReader, MEMTABLE_SOURCE};
+pub use segmented::{SegmentedIndexStore, SegmentedReader};
 pub use vfs::{CrashMode, FaultVfs, RealVfs, Vfs, VfsFile};

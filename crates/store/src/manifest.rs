@@ -7,7 +7,8 @@
 //! therefore always exactly what one committed manifest state says:
 //!
 //! * slot [`SLOT_SEGS`] — B+-tree `(seq, 0) → 1`, the live segment list;
-//! * slots `META_P`/`META_Q` — the forest's pq-gram parameters;
+//! * the shared header slots of [`crate::ops::create_file`] — the forest's
+//!   pq-gram parameters and the manifest kind marker;
 //! * slot [`SLOT_GEN`] — the current main-file generation `g`
 //!   (`<base>.main.<g>`);
 //! * slot [`SLOT_HWM`] — the segment sequence high-water mark: every
@@ -21,16 +22,13 @@
 //! removes files only the losing side referenced.
 
 use crate::btree::BTree;
-use crate::buffer::{BufferPool, DEFAULT_CAPACITY};
-use crate::index_store::{META_KIND, META_P, META_Q};
-use crate::pager::{Pager, Result, StoreError};
+use crate::buffer::BufferPool;
+use crate::ops::KIND_MANIFEST;
+use crate::pager::{Result, StoreError};
 use crate::vfs::Vfs;
 use pqgram_core::PQParams;
 use std::path::Path;
 use std::sync::Arc;
-
-/// Kind marker of a manifest file (slot [`META_KIND`]).
-pub(crate) const KIND_MANIFEST: u64 = 3;
 
 /// Meta slot of the live-segment list root: `(seq, 0) → 1`.
 const SLOT_SEGS: usize = 0;
@@ -55,10 +53,7 @@ impl Manifest {
     /// manifest always implies its main file exists.
     // analyze: txn-exempt(store bootstrap: writes to a file created in this call that no reader can open yet; a failed create is fatal and the file is discarded)
     pub(crate) fn create(path: &Path, params: PQParams, vfs: Arc<dyn Vfs>) -> Result<Manifest> {
-        let pool = BufferPool::new(Pager::create_with(path, vfs)?, DEFAULT_CAPACITY);
-        pool.set_meta(META_P, params.p() as u64)?;
-        pool.set_meta(META_Q, params.q() as u64)?;
-        pool.set_meta(META_KIND, KIND_MANIFEST)?;
+        let pool = crate::ops::create_file(path, vfs, params, KIND_MANIFEST)?;
         pool.set_meta(SLOT_VERSION, MANIFEST_VERSION)?;
         BTree::open(&pool, SLOT_SEGS)?;
         pool.sync()?;
@@ -68,26 +63,13 @@ impl Manifest {
     /// Opens a manifest, running pager crash recovery first.
     // analyze: entrypoint(recovery)
     pub(crate) fn open(path: &Path, vfs: Arc<dyn Vfs>) -> Result<Manifest> {
-        let pool = BufferPool::new(Pager::open_with(path, vfs)?, DEFAULT_CAPACITY);
-        if pool.meta(META_KIND) != KIND_MANIFEST {
-            return Err(StoreError::Corrupt(
-                "not a segmented-store manifest (kind marker mismatch; single-file stores open \
-                 with IndexStore)"
-                    .into(),
-            ));
-        }
+        let (pool, params) = crate::ops::open_file(path, vfs, KIND_MANIFEST)?;
         let version = pool.meta(SLOT_VERSION);
         if version != MANIFEST_VERSION {
             return Err(StoreError::Corrupt(format!(
                 "manifest format version {version} (this build reads {MANIFEST_VERSION})"
             )));
         }
-        let (p, q) = (pool.meta(META_P) as usize, pool.meta(META_Q) as usize);
-        let Some(params) = PQParams::try_new(p, q) else {
-            return Err(StoreError::Corrupt(
-                "missing pq parameters in manifest header".into(),
-            ));
-        };
         Ok(Manifest { pool, params })
     }
 

@@ -1,5 +1,12 @@
-//! Relation-level operations shared by [`crate::index_store::IndexStore`]
-//! and [`crate::document::DocumentStore`].
+//! Relation-level operations shared by every store handle, and the one
+//! read model behind them: a store is an ordered list of [`Source`]s,
+//! newest first, plus an optional memtable, and [`lookup_merged`] /
+//! [`lookup_top_k_merged`] are the only two lookup walks —
+//! [`crate::index_store::IndexStore`] and
+//! [`crate::document::DocumentStore`] pass their one file,
+//! [`crate::segmented::SegmentedIndexStore`] its segments and main file.
+//! The header every file kind shares ([`create_file`] / [`open_file`]) and
+//! the single-file stores' transaction wrapper live here too.
 //!
 //! Since format version 2 a store file holds **three** B+-tree relations,
 //! maintained together inside every transaction:
@@ -42,12 +49,14 @@
 //! migrated in place on open.
 
 use crate::btree::{BTree, BTreeCheck};
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, DEFAULT_CAPACITY};
 use crate::fence::Fence;
 use crate::filter::{self, GramFilter};
+use crate::memtable::Memtable;
 use crate::page::PAGE_SIZE_U64;
-use crate::pager::{Result, StoreError};
+use crate::pager::{Pager, Result, StoreError};
 use crate::postings::{self, DirCursor, DirRow, ProbeCounters};
+use crate::vfs::Vfs;
 use pqgram_core::join::overlap_distance;
 use pqgram_core::maintain::IndexDelta;
 use pqgram_core::plan::LookupPlanner;
@@ -57,6 +66,8 @@ use pqgram_tree::{FxHashMap, FxHashSet};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Meta slot of the forward relation root: `(treeId, pqg) → cnt`.
@@ -87,6 +98,110 @@ fn total_u32(total: u64) -> Result<u32> {
     })
 }
 
+/// Meta slot of the pq-gram parameter `p`.
+pub(crate) const META_P: usize = 1;
+/// Meta slot of the pq-gram parameter `q`.
+pub(crate) const META_Q: usize = 2;
+/// Meta slot of the file-kind marker: every file of the engine carries a
+/// distinct kind, so none can be opened as another by accident.
+pub(crate) const META_KIND: usize = 7;
+pub(crate) const KIND_INDEX_STORE: u64 = 1;
+pub(crate) const KIND_DOCUMENT_STORE: u64 = 2;
+pub(crate) const KIND_MANIFEST: u64 = 3;
+pub(crate) const KIND_SEGMENT: u64 = 4;
+
+fn kind_name(kind: u64) -> &'static str {
+    match kind {
+        KIND_INDEX_STORE => "an index store",
+        KIND_DOCUMENT_STORE => "a document store",
+        KIND_MANIFEST => "a segmented-store manifest",
+        KIND_SEGMENT => "a segment file",
+        _ => "of no known kind",
+    }
+}
+
+/// Creates the file at `path` and stamps the header every kind shares:
+/// the pq-gram parameters and the kind marker.
+pub(crate) fn create_file(
+    path: &Path,
+    vfs: Arc<dyn Vfs>,
+    params: PQParams,
+    kind: u64,
+) -> Result<BufferPool> {
+    let pool = BufferPool::new(Pager::create_with(path, vfs)?, DEFAULT_CAPACITY);
+    pool.set_meta(META_P, u64::try_from(params.p()).unwrap_or(u64::MAX))?;
+    pool.set_meta(META_Q, u64::try_from(params.q()).unwrap_or(u64::MAX))?;
+    pool.set_meta(META_KIND, kind)?;
+    Ok(pool)
+}
+
+/// Opens the file at `path` (running pager crash recovery), rejects it
+/// unless its kind marker is `kind`, and validates the header's pq-gram
+/// parameters.
+pub(crate) fn open_file(
+    path: &Path,
+    vfs: Arc<dyn Vfs>,
+    kind: u64,
+) -> Result<(BufferPool, PQParams)> {
+    let pool = BufferPool::new(Pager::open_with(path, vfs)?, DEFAULT_CAPACITY);
+    let found = pool.meta(META_KIND);
+    if found != kind {
+        return Err(StoreError::Corrupt(format!(
+            "not {} (kind marker mismatch: the file is {})",
+            kind_name(kind),
+            kind_name(found)
+        )));
+    }
+    let p = usize::try_from(pool.meta(META_P)).unwrap_or(0);
+    let q = usize::try_from(pool.meta(META_Q)).unwrap_or(0);
+    match PQParams::try_new(p, q) {
+        Some(params) => Ok((pool, params)),
+        None => Err(StoreError::Corrupt(
+            "missing pq parameters in header".into(),
+        )),
+    }
+}
+
+/// Rejects an index or query built with different `p, q` parameters — a
+/// lookup or update against mismatched grams would be silently wrong.
+pub(crate) fn check_params(got: PQParams, expected: PQParams) -> Result<()> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(StoreError::InvalidArgument(format!(
+            "parameter mismatch: got {got:?}, store built with {expected:?}"
+        )))
+    }
+}
+
+/// Runs `f` inside one journal transaction on a store's relations: commit
+/// on `Ok`, rollback (leaving the previous, mutually consistent state) on
+/// `Err`.
+// analyze: txn-boundary
+pub(crate) fn transactional<E: From<StoreError>>(
+    pool: &BufferPool,
+    f: impl FnOnce() -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    pool.begin()?;
+    match f() {
+        Ok(()) => {
+            pool.commit()?;
+            // Debug builds audit the full storage invariants after
+            // every committed mutation; release builds pay nothing.
+            #[cfg(debug_assertions)]
+            {
+                verify_relations(pool)?;
+                pool.validate_pager()?;
+            }
+            Ok(())
+        }
+        Err(e) => {
+            pool.rollback()?;
+            Err(e)
+        }
+    }
+}
+
 /// Creates the three relation roots and stamps the format version. Called
 /// once per `create` (the pager journals meta slots with the header).
 // analyze: txn-exempt(store bootstrap: runs during create before any reader can open the file; callers treat a failed create as fatal and discard the half-built store)
@@ -110,10 +225,10 @@ pub(crate) fn ensure_format(pool: &BufferPool) -> Result<bool> {
     let version = pool.meta(SLOT_VERSION);
     let migrate: fn(&BufferPool) -> Result<()> = match version {
         FORMAT_VERSION => return Ok(false),
-        0 => |pool| build_secondary_relations(pool, true),
+        0 => build_secondary_relations,
         FORMAT_VERSION_V2 => |pool| {
             crate::btree::free_tree(pool, SLOT_INV)?;
-            rebuild_inverted(pool, true)?;
+            rebuild_inverted(pool)?;
             filter::rebuild_from_forward(pool)
         },
         FORMAT_VERSION_V3 => filter::rebuild_from_forward,
@@ -139,15 +254,9 @@ pub(crate) fn ensure_format(pool: &BufferPool) -> Result<bool> {
 
 /// Bulk-loads all three relations from rows sorted strictly ascending by
 /// `(treeId, pqg)`; the relations must be empty. Returns the row count.
-/// `compress` selects the posting-directory encoding (`true`, the default
-/// path) or row-per-posting inline rows (the ablation path).
-pub(crate) fn bulk_load_relations(
-    pool: &BufferPool,
-    rows: &[((u64, u64), u32)],
-    compress: bool,
-) -> Result<u64> {
+pub(crate) fn bulk_load_relations(pool: &BufferPool, rows: &[((u64, u64), u32)]) -> Result<u64> {
     let n = BTree::open(pool, SLOT_FWD)?.bulk_load(rows.iter().copied())?;
-    build_secondary_relations(pool, compress)?;
+    build_secondary_relations(pool)?;
     Ok(n)
 }
 
@@ -181,18 +290,18 @@ fn forward_derived_rows(pool: &BufferPool) -> Result<(Vec<((u64, u64), u32)>, Ve
 
 /// Rebuilds the inverted directory (which must be empty) from one ordered
 /// scan of the forward relation.
-fn rebuild_inverted(pool: &BufferPool, compress: bool) -> Result<()> {
+fn rebuild_inverted(pool: &BufferPool) -> Result<()> {
     let (inv_rows, _) = forward_derived_rows(pool)?;
     let inv = BTree::open(pool, SLOT_INV)?;
-    postings::bulk_load_inverted(pool, &inv, &inv_rows, compress)
+    postings::bulk_load_inverted(pool, &inv, &inv_rows)
 }
 
 /// Rebuilds the inverted and totals relations (which must be empty) and the
 /// gram filter from one ordered scan of the forward relation.
-fn build_secondary_relations(pool: &BufferPool, compress: bool) -> Result<()> {
+fn build_secondary_relations(pool: &BufferPool) -> Result<()> {
     let (inv_rows, totals) = forward_derived_rows(pool)?;
     let inv = BTree::open(pool, SLOT_INV)?;
-    postings::bulk_load_inverted(pool, &inv, &inv_rows, compress)?;
+    postings::bulk_load_inverted(pool, &inv, &inv_rows)?;
     let mut tot_rows: Vec<((u64, u64), u32)> = Vec::with_capacity(totals.len());
     for (t, total) in totals {
         tot_rows.push(((t, 0), total_u32(total)?));
@@ -373,6 +482,10 @@ pub(crate) fn apply_delta_rows(
 /// Segment sources report their sequence number instead.
 pub const MAIN_SOURCE: u64 = u64::MAX;
 
+/// Source id used in [`LookupStats::by_source`] for the in-memory
+/// memtable (it reads no disk rows, so its row count is always zero).
+pub const MEMTABLE_SOURCE: u64 = u64::MAX - 1;
+
 /// Which access plan a lookup executed.
 ///
 /// Every threshold runs the candidate merge. Thresholds above 1 — where
@@ -388,17 +501,6 @@ pub enum LookupPlan {
     /// Exhaustive forward scan requested explicitly (benchmark reference
     /// and test oracle).
     ExhaustiveReference,
-}
-
-/// How the inverted relation is encoded at bulk-load time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum InvertedEncoding {
-    /// Partitioned Elias-Fano posting blocks (the format-v3 default).
-    #[default]
-    PostingBlocks,
-    /// One directory row per posting (the `--no-compress` ablation; still a
-    /// valid v3 store, matching the v2 footprint).
-    RowPerPosting,
 }
 
 /// On-disk footprint of one store's relations, in bytes (whole pages).
@@ -440,7 +542,9 @@ pub(crate) fn relation_bytes(pool: &BufferPool) -> Result<RelationBytes> {
     })
 }
 
-/// Access-path and work counters of one [`lookup_with_stats`] call.
+/// Access-path and work counters of one lookup: a [`lookup_merged`] or
+/// [`lookup_top_k_merged`] walk over a store's sources, or the reference
+/// scan.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LookupStats {
     /// B+-tree rows read: posting rows, one totals row per candidate (or
@@ -459,10 +563,7 @@ pub struct LookupStats {
     pub verified: usize,
     /// Results admitted by the threshold (or kept by the top-k heap).
     pub hits: usize,
-    /// `true` if the candidate-merge plan ran, `false` for the explicit
-    /// exhaustive reference scan.
-    pub used_inverted: bool,
-    /// Which access plan ran (mirrors [`Self::used_inverted`]).
+    /// Which access plan ran.
     pub plan: LookupPlan,
     /// Sources (memtable, segments, main file) the lookup considered.
     pub sources_considered: usize,
@@ -526,15 +627,15 @@ impl LookupPhases {
 }
 
 /// The lap timer behind [`LookupPhases`].
-pub(crate) struct PhaseClock(Instant);
+struct PhaseClock(Instant);
 
 impl PhaseClock {
-    pub(crate) fn start() -> PhaseClock {
+    fn start() -> PhaseClock {
         PhaseClock(Instant::now())
     }
 
     /// Time since the previous lap (or the start).
-    pub(crate) fn lap(&mut self) -> Duration {
+    fn lap(&mut self) -> Duration {
         let now = Instant::now();
         let lap = now - self.0;
         self.0 = now;
@@ -545,13 +646,13 @@ impl PhaseClock {
 /// The query as the candidate merge consumes it: its `(gram,
 /// multiplicity)` list ascending by gram — sorted once per lookup and
 /// shared by every source — and its bag size.
-pub(crate) struct QueryGrams {
-    pub(crate) grams: Vec<(GramKey, u32)>,
-    pub(crate) total: u64,
+struct QueryGrams {
+    grams: Vec<(GramKey, u32)>,
+    total: u64,
 }
 
 impl QueryGrams {
-    pub(crate) fn of(query: &TreeIndex) -> QueryGrams {
+    fn of(query: &TreeIndex) -> QueryGrams {
         let mut grams: Vec<(GramKey, u32)> = query.iter().collect();
         grams.sort_unstable_by_key(|&(g, _)| g);
         QueryGrams {
@@ -563,7 +664,7 @@ impl QueryGrams {
 
 impl LookupStats {
     /// Folds probe-phase decode counters into the stats.
-    pub(crate) fn absorb(&mut self, counters: &ProbeCounters) {
+    fn absorb(&mut self, counters: &ProbeCounters) {
         self.rows_read += counters.rows;
         self.blocks_decoded += counters.blocks_decoded;
         self.blocks_skipped += counters.blocks_skipped;
@@ -620,11 +721,6 @@ impl TotalsView {
         self.map.get(&t).copied()
     }
 
-    /// Number of trees in the view.
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-
     /// Conservative `(lo, hi)` covering every stored bag size. An empty
     /// view returns an empty range (`lo > hi`).
     pub(crate) fn bounds(&self) -> (u64, u64) {
@@ -654,6 +750,23 @@ pub(crate) struct SourceProbe<'a> {
     /// Totals mirror for emit-time size-window pruning and in-memory
     /// totals reads.
     pub(crate) totals: Option<&'a TotalsView>,
+}
+
+/// One on-disk source of a store. A store *is* an ordered list of these,
+/// newest first, plus an optional memtable: a single-file store has one
+/// (its own file), a segmented store one per live segment and the main
+/// file last.
+pub(crate) struct Source<'a> {
+    /// Key of this source's entry in [`LookupStats::by_source`]: a
+    /// segment's sequence number, or [`MAIN_SOURCE`].
+    pub(crate) id: u64,
+    /// The file holding the source's relations.
+    pub(crate) pool: &'a BufferPool,
+    /// What lookups consult before touching `pool`.
+    pub(crate) probe: SourceProbe<'a>,
+    /// Every tree id this source decides (data and tombstones): masked in
+    /// all older sources.
+    pub(crate) owned: &'a [u64],
 }
 
 /// Budget skipping only pays when a gram's postings dwarf the per-survivor
@@ -698,7 +811,7 @@ const MASKED: u64 = u64::MAX - 1;
 pub(crate) struct Merge<'a> {
     skip: &'a FxHashSet<u64>,
     /// The totals mirror with the planner's inclusive bag-size window,
-    /// derived once per source (pruned plans with a mirror only).
+    /// derived once per source (sources with a mirror only).
     window: Option<(&'a TotalsView, (u64, u64))>,
     /// `treeId → observed overlap`, or [`PRUNED`] / [`MASKED`].
     shared: FxHashMap<u64, u64>,
@@ -752,9 +865,7 @@ impl<'a> Merge<'a> {
 /// The probe phase of the candidate merge against one source: consult the
 /// gram filter, the planner's size window, and the overlap budget, then
 /// probe the remaining query grams and accumulate per-tree bag
-/// intersections. With `prune` false every advisory stage is disabled and
-/// this degrades to the exhaustive probe of every query gram (the
-/// pre-planner plan, kept as the benchmark ablation baseline).
+/// intersections.
 ///
 /// `skip` masks out trees owned by a newer source in a segmented store:
 /// their posting rows are still read (and counted) during the probe, but
@@ -763,47 +874,42 @@ impl<'a> Merge<'a> {
 ///
 /// Charges its planning stage to `stats.phases.plan`; the caller charges
 /// the rest of the call to `probe`.
-#[allow(clippy::too_many_arguments)]
 fn gather_candidates(
-    pool: &BufferPool,
-    src: &SourceProbe<'_>,
+    src: &Source<'_>,
     query: &QueryGrams,
     planner: &LookupPlanner,
     skip: &FxHashSet<u64>,
-    prune: bool,
     stats: &mut LookupStats,
     clock: &mut PhaseClock,
 ) -> Result<Gathered> {
     stats.sources_considered += 1;
     let mut grams: Vec<(GramKey, u32)> = query.grams.clone();
-    if prune {
-        // Membership filter: a rejected gram is definitively absent from
-        // this source — zero overlap, nothing to probe or compensate.
-        if let Some(f) = src.filter {
-            let before = grams.len();
-            grams.retain(|&(g, _)| f.contains(g));
-            stats.grams_skipped_filter += before - grams.len();
-            if before > 0 && grams.is_empty() && !planner.needs_zero_overlap() {
-                stats.sources_skipped_filter += 1;
-                return Ok(Gathered::default());
-            }
+    // Membership filter: a rejected gram is definitively absent from
+    // this source — zero overlap, nothing to probe or compensate.
+    if let Some(f) = src.probe.filter {
+        let before = grams.len();
+        grams.retain(|&(g, _)| f.contains(g));
+        stats.grams_skipped_filter += before - grams.len();
+        if before > 0 && grams.is_empty() && !planner.needs_zero_overlap() {
+            stats.sources_skipped_filter += 1;
+            return Ok(Gathered::default());
         }
-        // Size window: if no bag size this source stores can reach the
-        // bound even at maximal overlap, nothing here is a result. (When
-        // the bound admits distance 1.0 every size is feasible, so this
-        // never conflicts with zero-overlap enumeration.)
-        if let Some(view) = src.totals {
-            let (lo, hi) = view.bounds();
-            if !planner.admits_total_range(lo, hi) && !planner.needs_zero_overlap() {
-                stats.sources_skipped_window += 1;
-                return Ok(Gathered::default());
-            }
+    }
+    // Size window: if no bag size this source stores can reach the
+    // bound even at maximal overlap, nothing here is a result. (When
+    // the bound admits distance 1.0 every size is feasible, so this
+    // never conflicts with zero-overlap enumeration.)
+    if let Some(view) = src.probe.totals {
+        let (lo, hi) = view.bounds();
+        if !planner.admits_total_range(lo, hi) && !planner.needs_zero_overlap() {
+            stats.sources_skipped_window += 1;
+            return Ok(Gathered::default());
         }
     }
     // One directory visit per gram, in ascending order behind a forward
     // cursor; its rows serve the skip-cost estimate and the probe alike
     // (walks are not counted as reads).
-    let mut dir = DirCursor::open(pool, src.fence)?;
+    let mut dir = DirCursor::open(src.pool, src.probe.fence)?;
     let mut rows: Vec<DirRow> = Vec::new();
     let mut probe: Vec<ProbeGram> = Vec::with_capacity(grams.len());
     for (gram, qc) in grams {
@@ -822,7 +928,7 @@ fn gather_candidates(
     // first, by directory row estimates (ties: ascending gram).
     let mut skipped: Vec<(u64, ProbeGram)> = Vec::new();
     let mut skipped_mass = 0u64;
-    let budget = if prune { planner.overlap_budget() } else { 0 };
+    let budget = planner.overlap_budget();
     if budget > 0 {
         let mut est: Vec<(u64, usize, u64)> = (probe.iter().enumerate())
             .map(|(i, p)| {
@@ -847,19 +953,16 @@ fn gather_candidates(
         }
     }
     stats.phases.plan += clock.lap();
-    let window = match src.totals {
-        Some(view) if prune => Some((view, planner.total_window())),
-        _ => None,
-    };
+    let window = src.probe.totals.map(|view| (view, planner.total_window()));
     let mut merge = Merge::new(skip, window);
     let mut counters = ProbeCounters::default();
     let mut cache = postings::BlockCache::default();
-    let count_false_positives = prune && src.filter.is_some();
+    let count_false_positives = src.probe.filter.is_some();
     let mut probe_one = |merge: &mut Merge<'_>, stats: &mut LookupStats, p: &ProbeGram| {
         let before = counters.rows;
         let mut emit = |t: u64, c: u32| merge.emit(p.qc, t, c);
         let dir = dir_rows(&rows, p);
-        postings::for_each_posting(pool, dir, p.gram, &mut cache, &mut counters, &mut emit)?;
+        postings::for_each_posting(src.pool, dir, p.gram, &mut cache, &mut counters, &mut emit)?;
         if count_false_positives && counters.rows == before {
             stats.filter_false_positive_probes += 1;
         }
@@ -896,7 +999,7 @@ fn gather_candidates(
     let mut candidates: Vec<(u64, u64)> = merge
         .shared
         .into_iter()
-        .filter(|&(_, o)| o < MASKED && (!prune || planner.admits_overlap(o + skipped_mass)))
+        .filter(|&(_, o)| o < MASKED && planner.admits_overlap(o + skipped_mass))
         .collect();
     candidates.sort_unstable_by_key(|&(t, _)| t);
     kept.sort_unstable_by_key(|&(g, _)| g);
@@ -914,8 +1017,7 @@ fn gather_candidates(
 /// tree sharing a gram and the union is exactly the stored forest. Each
 /// enumerated tree costs one totals row (from the view when present).
 fn for_each_zero_overlap(
-    pool: &BufferPool,
-    src: &SourceProbe<'_>,
+    src: &Source<'_>,
     skip: &FxHashSet<u64>,
     exclude: &[(u64, u64)],
     stats: &mut LookupStats,
@@ -934,7 +1036,7 @@ fn for_each_zero_overlap(
         stats.verified += 1;
         f(t, m)
     };
-    match src.totals {
+    match src.probe.totals {
         Some(view) => {
             for (t, m) in view.iter() {
                 if !visit(t, m, stats) {
@@ -944,81 +1046,58 @@ fn for_each_zero_overlap(
             Ok(())
         }
         None => {
-            let tot = BTree::open_existing(pool, SLOT_TOT)?;
+            let tot = BTree::open_existing(src.pool, SLOT_TOT)?;
             tot.for_each_range(KEY_MIN, KEY_MAX, |(t, _), m| visit(t, m, stats))
         }
     }
 }
 
 /// The planner-driven candidate merge against one source, appending its
-/// hits (unsorted — the caller sorts once at the end).
-///
-/// The verification phase (one totals read + size window + compensation
-/// point reads + exact distance per candidate) touches disjoint rows per
-/// candidate, so it fans out over `pqgram_core::par` in deterministic
-/// chunk order: the merged hit list is byte-identical to the serial plan
-/// for any thread count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lookup_source_threshold(
-    pool: &BufferPool,
-    src: &SourceProbe<'_>,
+/// hits (unsorted — the caller sorts once at the end). Verification costs
+/// one totals read, the size window, the compensation point reads and one
+/// exact distance per candidate, ascending by tree id.
+fn lookup_source_threshold(
+    src: &Source<'_>,
     query: &QueryGrams,
-    tau: f64,
-    threads: usize,
+    planner: &LookupPlanner,
     skip: &FxHashSet<u64>,
-    prune: bool,
     stats: &mut LookupStats,
     clock: &mut PhaseClock,
     hits: &mut Vec<LookupHit>,
 ) -> Result<()> {
-    let planner = LookupPlanner::threshold(query.total, tau);
-    let gathered = gather_candidates(pool, src, query, &planner, skip, prune, stats, clock)?;
+    let gathered = gather_candidates(src, query, planner, skip, stats, clock)?;
     stats.phases.probe += clock.lap();
-    let fwd = BTree::open_existing(pool, SLOT_FWD)?;
-    let tot = BTree::open_existing(pool, SLOT_TOT)?;
-    let skipped = &gathered.skipped;
-    let view = src.totals;
-    let chunks = pqgram_core::par::map_chunks(&gathered.candidates, threads, |part| {
-        let mut out = Vec::new();
-        let mut rows_read = 0u64;
-        let mut verified = 0usize;
-        for &(t, overlap) in part {
-            let total = match view.and_then(|v| v.get(t)) {
-                Some(m) => m,
-                None => tot.get((t, 0))?.ok_or_else(|| {
-                    StoreError::Corrupt(format!("tree {t} has inverted rows but no totals row"))
-                })?,
-            };
-            rows_read += 1;
-            if !planner.admits_total(u64::from(total)) {
-                continue;
-            }
-            let mut overlap = overlap;
-            for &(g, qc) in skipped {
-                rows_read += 1;
-                if let Some(c) = fwd.get((t, g))? {
-                    overlap += u64::from(qc.min(c));
-                }
-            }
-            verified += 1;
-            let distance = overlap_distance(overlap, query.total, u64::from(total));
-            if planner.admits_distance(distance) {
-                out.push(LookupHit {
-                    tree_id: TreeId(t),
-                    distance,
-                });
+    let fwd = BTree::open_existing(src.pool, SLOT_FWD)?;
+    let tot = BTree::open_existing(src.pool, SLOT_TOT)?;
+    for &(t, overlap) in &gathered.candidates {
+        let total = match src.probe.totals.and_then(|v| v.get(t)) {
+            Some(m) => m,
+            None => tot.get((t, 0))?.ok_or_else(|| {
+                StoreError::Corrupt(format!("tree {t} has inverted rows but no totals row"))
+            })?,
+        };
+        stats.rows_read += 1;
+        if !planner.admits_total(u64::from(total)) {
+            continue;
+        }
+        let mut overlap = overlap;
+        for &(g, qc) in &gathered.skipped {
+            stats.rows_read += 1;
+            if let Some(c) = fwd.get((t, g))? {
+                overlap += u64::from(qc.min(c));
             }
         }
-        Ok::<_, StoreError>((out, rows_read, verified))
-    });
-    for chunk in chunks {
-        let (out, rows_read, verified) = chunk?;
-        hits.extend(out);
-        stats.rows_read += rows_read;
-        stats.verified += verified;
+        stats.verified += 1;
+        let distance = overlap_distance(overlap, query.total, u64::from(total));
+        if planner.admits_distance(distance) {
+            hits.push(LookupHit {
+                tree_id: TreeId(t),
+                distance,
+            });
+        }
     }
     if planner.needs_zero_overlap() {
-        for_each_zero_overlap(pool, src, skip, &gathered.candidates, stats, |t, m| {
+        for_each_zero_overlap(src, skip, &gathered.candidates, stats, |t, m| {
             let distance = overlap_distance(0, query.total, u64::from(m));
             if planner.admits_distance(distance) {
                 hits.push(LookupHit {
@@ -1040,10 +1119,8 @@ pub(crate) fn lookup_source_threshold(
 /// every later one, so the loop breaks. Zero-overlap trees (distance
 /// exactly 1) are enumerated ascending only while the heap still admits
 /// them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lookup_source_top_k(
-    pool: &BufferPool,
-    src: &SourceProbe<'_>,
+fn lookup_source_top_k(
+    src: &Source<'_>,
     query: &QueryGrams,
     planner: &mut LookupPlanner,
     topk: &mut TopK,
@@ -1052,10 +1129,10 @@ pub(crate) fn lookup_source_top_k(
     clock: &mut PhaseClock,
 ) -> Result<()> {
     planner.tighten_to(topk.bound());
-    let gathered = gather_candidates(pool, src, query, planner, skip, true, stats, clock)?;
+    let gathered = gather_candidates(src, query, planner, skip, stats, clock)?;
     stats.phases.probe += clock.lap();
-    let fwd = BTree::open_existing(pool, SLOT_FWD)?;
-    let tot = BTree::open_existing(pool, SLOT_TOT)?;
+    let fwd = BTree::open_existing(src.pool, SLOT_FWD)?;
+    let tot = BTree::open_existing(src.pool, SLOT_TOT)?;
     let mass: u64 = gathered.skipped.iter().map(|&(_, qc)| u64::from(qc)).sum();
     let mut by_overlap = gathered.candidates.clone();
     by_overlap.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -1064,7 +1141,7 @@ pub(crate) fn lookup_source_top_k(
         if !planner.admits_overlap(overlap + mass) {
             break;
         }
-        let total = match src.totals.and_then(|v| v.get(t)) {
+        let total = match src.probe.totals.and_then(|v| v.get(t)) {
             Some(m) => m,
             None => tot.get((t, 0))?.ok_or_else(|| {
                 StoreError::Corrupt(format!("tree {t} has inverted rows but no totals row"))
@@ -1089,7 +1166,7 @@ pub(crate) fn lookup_source_top_k(
     if planner.needs_zero_overlap() {
         // All zero-overlap trees sit at distance exactly 1 and are offered
         // in ascending id order, so the first rejection ends the source.
-        for_each_zero_overlap(pool, src, skip, &gathered.candidates, stats, |t, m| {
+        for_each_zero_overlap(src, skip, &gathered.candidates, stats, |t, m| {
             let distance = overlap_distance(0, query.total, u64::from(m));
             topk.offer(TreeId(t), distance)
         })?;
@@ -1098,79 +1175,138 @@ pub(crate) fn lookup_source_top_k(
     Ok(())
 }
 
-pub(crate) fn merge_stats_base() -> LookupStats {
-    LookupStats {
-        used_inverted: true,
-        plan: LookupPlan::CandidateMerge,
-        ..LookupStats::default()
+/// Shared memtable pass of the two walks: masks every memtable-owned id
+/// and hands each buffered index (with its exact query overlap) to `emit`.
+/// The memtable is in-memory, so it reads no disk rows and probes no filter
+/// — but the callers feed its trees through the same planner arithmetic as
+/// the on-disk sources, keeping merged results bit-identical to a single
+/// file holding the merged forest.
+fn memtable_pass(
+    mt: &Memtable,
+    query: &QueryGrams,
+    skip: &mut FxHashSet<u64>,
+    mut emit: impl FnMut(u64, u64, &TreeIndex),
+) {
+    for (t, entry) in mt.iter() {
+        skip.insert(t);
+        let Some(index) = entry else { continue };
+        let mut overlap = 0u64;
+        for &(g, qc) in &query.grams {
+            overlap += u64::from(qc.min(index.count(g)));
+        }
+        emit(t, overlap, index);
     }
 }
 
-/// The approximate lookup: one planner-driven candidate merge for every
+/// The approximate lookup, behind every store handle: the memtable (if
+/// any), then `sources` newest first, each masked by everything newer.
+/// Every source runs the one planner-driven candidate merge for every
 /// threshold — `τ > 1` enumerates the zero-overlap trees from the totals
-/// relation instead of scanning the forward relation. `threads > 1` fans
-/// the exact-distance verification phase out over that many workers.
-///
-/// With `prune` false (and an empty `src`) every advisory pruning stage
-/// is disabled — no filter consults, no size window, no gram skipping, no
-/// overlap prune: the plan exactly as it ran before the planner existed,
-/// kept as the benchmark ablation baseline so pruning wins are measured
-/// in-binary against identical data.
-pub(crate) fn lookup_with_stats(
-    pool: &BufferPool,
-    src: &SourceProbe<'_>,
+/// relation, there is no exhaustive fallback — so the result is
+/// bit-identical to a single file holding the merged forest, and a
+/// single-file lookup *is* this walk over one source.
+pub(crate) fn lookup_merged<'a>(
+    sources: impl Iterator<Item = Source<'a>>,
+    memtable: Option<&Memtable>,
     query: &TreeIndex,
     tau: f64,
-    threads: usize,
-    prune: bool,
 ) -> Result<(Vec<LookupHit>, LookupStats)> {
-    let skip = FxHashSet::default();
-    let mut stats = merge_stats_base();
+    let mut stats = LookupStats::default();
     let mut clock = PhaseClock::start();
-    let grams = QueryGrams::of(query);
+    let query = QueryGrams::of(query);
     stats.phases.plan += clock.lap();
-    let mut hits = Vec::new();
-    lookup_source_threshold(
-        pool, src, &grams, tau, threads, &skip, prune, &mut stats, &mut clock, &mut hits,
-    )?;
+    let planner = LookupPlanner::threshold(query.total, tau);
+    let mut skip: FxHashSet<u64> = FxHashSet::default();
+    let mut hits: Vec<LookupHit> = Vec::new();
+    if let Some(mt) = memtable.filter(|mt| !mt.is_empty()) {
+        memtable_pass(mt, &query, &mut skip, |t, overlap, index| {
+            // Mirror the candidate-merge plan: trees sharing a gram are
+            // candidates (plus every tree when the bound admits the
+            // zero-overlap distance), size-window survivors get
+            // verified.
+            if overlap == 0 && !planner.needs_zero_overlap() {
+                return;
+            }
+            stats.candidates += 1;
+            if !planner.admits_total(index.total()) {
+                return;
+            }
+            stats.verified += 1;
+            let distance = overlap_distance(overlap, query.total, index.total());
+            if planner.admits_distance(distance) {
+                hits.push(LookupHit {
+                    tree_id: TreeId(t),
+                    distance,
+                });
+            }
+        });
+        stats.by_source.push((MEMTABLE_SOURCE, 0));
+        stats.phases.verify += clock.lap();
+    }
+    for src in sources {
+        let before = stats.rows_read;
+        lookup_source_threshold(
+            &src, &query, &planner, &skip, &mut stats, &mut clock, &mut hits,
+        )?;
+        stats.by_source.push((src.id, stats.rows_read - before));
+        skip.extend(src.owned.iter().copied());
+    }
     sort_hits(&mut hits);
     stats.phases.sort += clock.lap();
     stats.hits = hits.len();
-    stats.by_source = vec![(MAIN_SOURCE, stats.rows_read)];
     Ok((hits, stats))
 }
 
-/// The k-nearest lookup: a candidate merge whose bound starts at distance
-/// 1 (every stored tree qualifies) and tightens to the heap's worst kept
-/// distance as it fills. Returns the hits ascending by `(distance, id)` —
-/// exactly the first `k` of the distance-sorted exhaustive answer.
-pub(crate) fn lookup_top_k_with_stats(
-    pool: &BufferPool,
-    src: &SourceProbe<'_>,
+/// The k-nearest lookup: the same newest-to-oldest masked walk as
+/// [`lookup_merged`], but over one shared max-heap and one planner whose
+/// bound starts at distance 1 (every stored tree qualifies) and tightens
+/// to the heap's worst kept distance as it fills — sources probed later
+/// benefit from every result a newer source already produced. Returns the
+/// hits ascending by `(distance, id)`: exactly the first `k` of the
+/// distance-sorted exhaustive answer.
+pub(crate) fn lookup_top_k_merged<'a>(
+    sources: impl Iterator<Item = Source<'a>>,
+    memtable: Option<&Memtable>,
     query: &TreeIndex,
     k: usize,
 ) -> Result<(Vec<LookupHit>, LookupStats)> {
-    let skip = FxHashSet::default();
-    let mut stats = merge_stats_base();
+    let mut stats = LookupStats::default();
+    if k == 0 {
+        return Ok((Vec::new(), stats));
+    }
     let mut clock = PhaseClock::start();
-    let grams = QueryGrams::of(query);
+    let query = QueryGrams::of(query);
     stats.phases.plan += clock.lap();
-    let mut planner = LookupPlanner::nearest(grams.total);
+    let mut planner = LookupPlanner::nearest(query.total);
     let mut topk = TopK::new(k);
-    lookup_source_top_k(
-        pool,
-        src,
-        &grams,
-        &mut planner,
-        &mut topk,
-        &skip,
-        &mut stats,
-        &mut clock,
-    )?;
+    let mut skip: FxHashSet<u64> = FxHashSet::default();
+    if let Some(mt) = memtable.filter(|mt| !mt.is_empty()) {
+        memtable_pass(mt, &query, &mut skip, |t, overlap, index| {
+            stats.candidates += 1;
+            stats.verified += 1;
+            let distance = overlap_distance(overlap, query.total, index.total());
+            topk.offer(TreeId(t), distance);
+        });
+        stats.by_source.push((MEMTABLE_SOURCE, 0));
+        stats.phases.verify += clock.lap();
+    }
+    for src in sources {
+        let before = stats.rows_read;
+        lookup_source_top_k(
+            &src,
+            &query,
+            &mut planner,
+            &mut topk,
+            &skip,
+            &mut stats,
+            &mut clock,
+        )?;
+        stats.by_source.push((src.id, stats.rows_read - before));
+        skip.extend(src.owned.iter().copied());
+    }
     let hits = topk.into_sorted_hits();
     stats.phases.sort += clock.lap();
     stats.hits = hits.len();
-    stats.by_source = vec![(MAIN_SOURCE, stats.rows_read)];
     Ok((hits, stats))
 }
 
@@ -1182,21 +1318,6 @@ pub(crate) fn lookup_scan_with_stats(
     query: &TreeIndex,
     tau: f64,
 ) -> Result<(Vec<LookupHit>, LookupStats)> {
-    let skip = FxHashSet::default();
-    let (hits, mut stats) = lookup_scan_masked(pool, query, tau, &skip)?;
-    stats.by_source = vec![(MAIN_SOURCE, stats.rows_read)];
-    Ok((hits, stats))
-}
-
-/// The exhaustive forward scan with a mask: rows of trees in `skip` are
-/// read (and counted) but never verified or reported. An empty mask is the
-/// plain single-file scan, byte for byte.
-pub(crate) fn lookup_scan_masked(
-    pool: &BufferPool,
-    query: &TreeIndex,
-    tau: f64,
-    skip: &FxHashSet<u64>,
-) -> Result<(Vec<LookupHit>, LookupStats)> {
     let tree = BTree::open_existing(pool, SLOT_FWD)?;
     let mut stats = LookupStats {
         plan: LookupPlan::ExhaustiveReference,
@@ -1204,7 +1325,6 @@ pub(crate) fn lookup_scan_masked(
     };
     let mut hits = Vec::new();
     let mut cur: Option<u64> = None;
-    let mut cur_skipped = false;
     let mut stored_total = 0u64;
     let mut intersection = 0u64;
     let mut flush = |cur: Option<u64>, stored_total: u64, intersection: u64| {
@@ -1221,14 +1341,9 @@ pub(crate) fn lookup_scan_masked(
     tree.for_each_range(KEY_MIN, KEY_MAX, |(t, gram), count| {
         stats.rows_read += 1;
         if cur != Some(t) {
-            if !cur_skipped {
-                flush(cur, stored_total, intersection);
-            }
+            flush(cur, stored_total, intersection);
             cur = Some(t);
-            cur_skipped = skip.contains(&t);
-            if !cur_skipped {
-                stats.candidates += 1;
-            }
+            stats.candidates += 1;
             stored_total = 0;
             intersection = 0;
         }
@@ -1236,16 +1351,15 @@ pub(crate) fn lookup_scan_masked(
         intersection += u64::from(count.min(query.count(gram)));
         true
     })?;
-    if !cur_skipped {
-        flush(cur, stored_total, intersection);
-    }
+    flush(cur, stored_total, intersection);
     stats.verified = stats.candidates;
     sort_hits(&mut hits);
     stats.hits = hits.len();
+    stats.by_source = vec![(MAIN_SOURCE, stats.rows_read)];
     Ok((hits, stats))
 }
 
-pub(crate) fn sort_hits(hits: &mut [LookupHit]) {
+fn sort_hits(hits: &mut [LookupHit]) {
     hits.sort_by(|a, b| {
         a.distance
             .total_cmp(&b.distance)

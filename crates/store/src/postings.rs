@@ -1222,35 +1222,23 @@ fn free_if_empty(pool: &BufferPool, id: PageId) -> Result<()> {
 // ---------------------------------------------------------------------------
 
 /// Bulk loads the inverted directory from `(gram, treeId) -> count` rows
-/// sorted ascending. With `compress` set, the row sequence is partitioned
-/// into ~[`MAX_BLOCK_ROWS`]-row blocks across gram boundaries; otherwise
-/// every row is inline (the row-per-posting ablation, still a valid v3
-/// store).
-pub(crate) fn bulk_load_inverted(
-    pool: &BufferPool,
-    dir: &BTree<'_>,
-    rows: &[Row],
-    compress: bool,
-) -> Result<()> {
+/// sorted ascending: the row sequence is partitioned into
+/// ~[`MAX_BLOCK_ROWS`]-row blocks across gram boundaries, a tail too short
+/// for a block stays inline.
+pub(crate) fn bulk_load_inverted(pool: &BufferPool, dir: &BTree<'_>, rows: &[Row]) -> Result<()> {
     let mut dir_rows: Vec<((u64, u64), u32)> = Vec::new();
-    if !compress {
-        for &(k, c) in rows {
-            dir_rows.push((k, inline_value(c)?));
+    for group in rows.chunks(MAX_BLOCK_ROWS) {
+        if group.len() < BLOCK_MIN {
+            for &(k, c) in group {
+                dir_rows.push((k, inline_value(c)?));
+            }
+            continue;
         }
-    } else {
-        for group in rows.chunks(MAX_BLOCK_ROWS) {
-            if group.len() < BLOCK_MIN {
-                for &(k, c) in group {
-                    dir_rows.push((k, inline_value(c)?));
-                }
-                continue;
-            }
-            for chunk in chunk_rows(group)? {
-                let last = chunk.last().map(|r| r.0).unwrap_or((0, 0));
-                let bytes = encode_block(chunk)?;
-                let page = place_block(pool, &bytes)?;
-                dir_rows.push((last, block_value(page)?));
-            }
+        for chunk in chunk_rows(group)? {
+            let last = chunk.last().map(|r| r.0).unwrap_or((0, 0));
+            let bytes = encode_block(chunk)?;
+            let page = place_block(pool, &bytes)?;
+            dir_rows.push((last, block_value(page)?));
         }
     }
     dir.bulk_load(dir_rows)?;
@@ -2052,7 +2040,7 @@ mod tests {
         let rows: Vec<Row> = (0..200u64)
             .map(|i| ((7 + i / 150, 10 + i * 3), 1))
             .collect();
-        bulk_load_inverted(&pool, &inv, &rows, true)?;
+        bulk_load_inverted(&pool, &inv, &rows)?;
         let filler: Vec<PageId> = (0..32).map(|_| pool.allocate()).collect::<Result<_>>()?;
         pool.commit()?;
         let mut pack = None;

@@ -14,22 +14,19 @@
 //! without any locking beyond the buffer pool's own shards.
 
 use crate::btree::BTree;
-use crate::buffer::{BufferPool, DEFAULT_CAPACITY};
+use crate::buffer::BufferPool;
 use crate::fence::Fence;
 use crate::filter::{self, GramFilter};
-use crate::index_store::{META_KIND, META_P, META_Q};
-use crate::ops::{SourceProbe, TotalsView, FORMAT_VERSION, FORMAT_VERSION_V3, SLOT_INV, SLOT_VERSION};
-use crate::pager::{Pager, Result, StoreError};
+use crate::ops::{
+    Source, SourceProbe, TotalsView, FORMAT_VERSION, FORMAT_VERSION_V3, KIND_SEGMENT, SLOT_INV,
+    SLOT_VERSION,
+};
+use crate::pager::{Result, StoreError};
 use crate::vfs::Vfs;
 use pqgram_core::{PQParams, TreeIndex};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
-
-/// Kind marker of a segment file (slot [`META_KIND`]). Distinct from the
-/// index-store and document-store kinds so a segment can never be opened
-/// as a store (or vice versa) by accident.
-pub(crate) const KIND_SEGMENT: u64 = 4;
 
 /// Meta slot of the tombstone relation root: `(treeId, 0) → 1`. Slot 3 is
 /// unused by the index-store relation layout (0 forward, 1–2 parameters,
@@ -77,10 +74,7 @@ impl Segment {
         if vfs.exists(path) {
             vfs.delete(path)?;
         }
-        let pool = BufferPool::new(Pager::create_with(path, vfs)?, DEFAULT_CAPACITY);
-        pool.set_meta(META_P, params.p() as u64)?;
-        pool.set_meta(META_Q, params.q() as u64)?;
-        pool.set_meta(META_KIND, KIND_SEGMENT)?;
+        let pool = crate::ops::create_file(path, vfs, params, KIND_SEGMENT)?;
         crate::ops::init_relations(&pool)?;
         let mut rows: Vec<((u64, u64), u32)> = Vec::new();
         let mut owned = Vec::with_capacity(entries.len());
@@ -97,7 +91,7 @@ impl Segment {
             }
         }
         rows.sort_unstable_by_key(|&(k, _)| k);
-        crate::ops::bulk_load_relations(&pool, &rows, true)?;
+        crate::ops::bulk_load_relations(&pool, &rows)?;
         BTree::open(&pool, SLOT_TOMB)?.bulk_load(tombstones.iter().map(|&t| ((t, 0), 1)))?;
         pool.sync()?;
         let fence = Fence::build(&BTree::open_existing(&pool, SLOT_INV)?)?;
@@ -123,12 +117,7 @@ impl Segment {
         params: PQParams,
         seq: u64,
     ) -> Result<Segment> {
-        let pool = BufferPool::new(Pager::open_with(path, vfs)?, DEFAULT_CAPACITY);
-        if pool.meta(META_KIND) != KIND_SEGMENT {
-            return Err(StoreError::Corrupt(
-                "not a segment file (kind marker mismatch)".into(),
-            ));
-        }
+        let (pool, stored) = crate::ops::open_file(path, vfs, KIND_SEGMENT)?;
         let version = pool.meta(SLOT_VERSION);
         // v3 segments (no gram filter) stay readable: segments are
         // immutable, so there is nothing to migrate — the filter is simply
@@ -138,10 +127,9 @@ impl Segment {
                 "segment format version {version} (this build writes {FORMAT_VERSION})"
             )));
         }
-        let (p, q) = (pool.meta(META_P) as usize, pool.meta(META_Q) as usize);
-        if (p, q) != (params.p(), params.q()) {
+        if stored != params {
             return Err(StoreError::Corrupt(format!(
-                "segment parameters ({p}, {q}) disagree with the manifest's {params:?}"
+                "segment parameters {stored:?} disagree with the manifest's {params:?}"
             )));
         }
         let mut tombstones = Vec::new();
@@ -172,13 +160,19 @@ impl Segment {
         self.seq
     }
 
-    /// The probe surface merged lookups use for this segment: its fence,
-    /// its gram filter (if the file carries one), and its totals mirror.
-    pub(crate) fn source_probe(&self) -> SourceProbe<'_> {
-        SourceProbe {
-            fence: Some(&self.fence),
-            filter: self.filter.as_ref(),
-            totals: Some(&self.totals),
+    /// This segment as a lookup source: keyed by its sequence number,
+    /// probed through its fence, its gram filter (if the file carries one)
+    /// and its totals mirror, masking every tree id it owns.
+    pub(crate) fn source(&self) -> Source<'_> {
+        Source {
+            id: self.seq,
+            pool: &self.pool,
+            probe: SourceProbe {
+                fence: Some(&self.fence),
+                filter: self.filter.as_ref(),
+                totals: Some(&self.totals),
+            },
+            owned: &self.owned,
         }
     }
 
@@ -187,20 +181,6 @@ impl Segment {
     /// none).
     pub(crate) fn has_filter(&self) -> bool {
         self.filter.is_some()
-    }
-
-    pub(crate) fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    /// The learned fence over this segment's inverted directory.
-    pub(crate) fn fence(&self) -> &Fence {
-        &self.fence
-    }
-
-    /// On-disk footprint of this segment's relations.
-    pub(crate) fn relation_bytes(&self) -> Result<crate::ops::RelationBytes> {
-        crate::ops::relation_bytes(&self.pool)
     }
 
     /// Every tree id this segment decides, ascending.

@@ -23,12 +23,13 @@
 //! batch order decides duplicates exactly like sequential puts) and
 //! registers them in one transaction.
 //!
-//! **Read path.** Lookups merge newest-to-oldest: memtable, then live
-//! segments by descending sequence, then the main file. Each older source
-//! runs the ordinary single-file plan of [`crate::ops`] with a *mask* of
-//! every tree id a newer source owns — the distance arithmetic is the very
-//! same code path as the single-file store, so merged results are
-//! bit-identical to a store holding the merged forest.
+//! **Read path.** A store is an ordered list of sources: lookups hand the
+//! memtable, the live segments by descending sequence and the main file to
+//! the one walk of [`crate::ops`] (`lookup_merged` / `lookup_top_k_merged`),
+//! which runs the per-source plan with a *mask* of every tree id a newer
+//! source owns. A single-file store takes the same walk over its one
+//! source, so merged results are bit-identical to a store holding the
+//! merged forest.
 //! [`SegmentedReader`] clones share a published snapshot pointer and see
 //! each flush/compaction atomically.
 //!
@@ -39,19 +40,15 @@
 //! swept at the next open if a crash intervenes.
 
 use crate::btree::BTree;
-use crate::buffer::BufferPool;
-use crate::index_store::{check_params, IndexError, IndexStore};
+use crate::index_store::{IndexError, IndexStore};
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
 use crate::ops::{
-    LookupStats, PhaseClock, QueryGrams, SourceProbe, StoreCheck, MAIN_SOURCE, SLOT_FWD,
+    check_params, lookup_merged, lookup_top_k_merged, LookupStats, Source, StoreCheck, SLOT_FWD,
 };
 use crate::segment::Segment;
 use crate::vfs::{RealVfs, Vfs};
 use parking_lot::Mutex;
-use pqgram_core::join::overlap_distance;
-use pqgram_core::plan::LookupPlanner;
-use pqgram_core::topk::TopK;
 use pqgram_core::maintain::{compute_index_delta, IndexDelta, UpdateStats};
 use pqgram_core::{LookupHit, PQParams, TreeId, TreeIndex};
 use pqgram_tree::{EditLog, FxHashSet, LabelTable, Tree};
@@ -65,10 +62,6 @@ fn delete_file(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<()> {
     vfs.delete(path).map_err(crate::pager::StoreError::from)?;
     Ok(())
 }
-
-/// Source id used in [`LookupStats::by_source`] for the in-memory
-/// memtable (it reads no disk rows, so its row count is always zero).
-pub const MEMTABLE_SOURCE: u64 = u64::MAX - 1;
 
 /// Memtable flush threshold: buffered distinct grams (a proxy for the
 /// eventual segment size) beyond which a put triggers an automatic flush.
@@ -110,16 +103,10 @@ pub(crate) struct SourceSet {
 
 impl SourceSet {
     /// The on-disk sources in probe order, newest first and the main file
-    /// last: `(stats id, pool, probe surface, tree ids the source masks
-    /// in every older one)`.
-    fn sources(&self) -> impl Iterator<Item = (u64, &BufferPool, SourceProbe<'_>, &[u64])> {
-        let segments = self
-            .segments
-            .iter()
-            .map(|seg| (seg.seq(), seg.pool(), seg.source_probe(), seg.owned()));
-        let main: (_, _, _, &[u64]) =
-            (MAIN_SOURCE, self.main.pool(), self.main.source_probe(), &[]);
-        segments.chain([main])
+    /// last.
+    fn sources(&self) -> impl Iterator<Item = Source<'_>> {
+        let segments = self.segments.iter().map(|seg| seg.source());
+        segments.chain([self.main.source()])
     }
 }
 
@@ -188,10 +175,10 @@ impl SegmentedIndexStore {
 
     /// [`SegmentedIndexStore::open`] on an explicit vfs.
     ///
-    /// The orphan sweep walks all reserved sequence numbers (`0..hwm`), so
-    /// open cost grows with the store's lifetime flush count — O(hwm)
-    /// existence probes. Acceptable for the forest sizes of the paper; a
-    /// future format bump could add a low-water mark.
+    /// The orphan sweep probes at most the `SWEEP_PROBE_CAP` most recently
+    /// reserved sequence numbers below the high-water mark, so open cost
+    /// is bounded no matter how many flushes the store has lived through
+    /// (or what a corrupt mark claims).
     // analyze: entrypoint(recovery)
     pub fn open_with(base: &Path, vfs: Arc<dyn Vfs>) -> Result<SegmentedIndexStore> {
         let manifest = Manifest::open(base, Arc::clone(&vfs))?;
@@ -475,21 +462,10 @@ impl SegmentedIndexStore {
         query: &TreeIndex,
         tau: f64,
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
-        self.lookup_with_stats_threads(query, tau, 1)
-    }
-
-    /// [`SegmentedIndexStore::lookup_with_stats`] with the verification
-    /// phase of each on-disk source fanned out over `threads` workers
-    /// (deterministic for any thread count).
-    pub fn lookup_with_stats_threads(
-        &self,
-        query: &TreeIndex,
-        tau: f64,
-        threads: usize,
-    ) -> Result<(Vec<LookupHit>, LookupStats)> {
         check_params(query.params(), self.params)?;
         let set = self.snapshot();
-        lookup_merged(&set, Some(&self.memtable), query, tau, threads)
+        let memtable = Some(&self.memtable);
+        Ok(lookup_merged(set.sources(), memtable, query, tau)?)
     }
 
     /// The `k` nearest stored trees of the merged view, ascending by
@@ -508,7 +484,8 @@ impl SegmentedIndexStore {
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
         check_params(query.params(), self.params)?;
         let set = self.snapshot();
-        lookup_top_k_merged(&set, Some(&self.memtable), query, k)
+        let memtable = Some(&self.memtable);
+        Ok(lookup_top_k_merged(set.sources(), memtable, query, k)?)
     }
 
     /// Flushes the memtable into one new immutable segment. No-op when
@@ -559,10 +536,10 @@ impl SegmentedIndexStore {
         }
         let mut claimed: FxHashSet<u64> = FxHashSet::default();
         let mut rows: Vec<((u64, u64), u32)> = Vec::new();
-        for seg in &current.segments {
-            // `claimed` holds ids of strictly newer segments only, so this
-            // segment's own rows pass the filter.
-            let fwd = BTree::open(seg.pool(), SLOT_FWD).map_err(IndexError::Store)?;
+        for src in current.sources() {
+            // `claimed` holds ids of strictly newer sources only, so this
+            // source's own rows pass the filter.
+            let fwd = BTree::open(src.pool, SLOT_FWD).map_err(IndexError::Store)?;
             fwd.for_each_range((0, 0), (u64::MAX, u64::MAX), |(t, g), c| {
                 if !claimed.contains(&t) {
                     rows.push(((t, g), c));
@@ -570,17 +547,8 @@ impl SegmentedIndexStore {
                 true
             })
             .map_err(IndexError::Store)?;
-            claimed.extend(seg.owned().iter().copied());
+            claimed.extend(src.owned.iter().copied());
         }
-        let main_fwd = BTree::open(current.main.pool(), SLOT_FWD).map_err(IndexError::Store)?;
-        main_fwd
-            .for_each_range((0, 0), (u64::MAX, u64::MAX), |(t, g), c| {
-                if !claimed.contains(&t) {
-                    rows.push(((t, g), c));
-                }
-                true
-            })
-            .map_err(IndexError::Store)?;
         rows.sort_unstable_by_key(|&(k, _)| k);
         let old_gen = self.manifest.generation();
         if old_gen >= u64::MAX - 1 {
@@ -653,14 +621,13 @@ impl SegmentedIndexStore {
 
     /// On-disk footprint of every live source, newest first: one
     /// `(source, bytes)` entry per segment (keyed by sequence number) and
-    /// one for the main file (keyed by [`MAIN_SOURCE`]).
+    /// one for the main file (keyed by [`crate::ops::MAIN_SOURCE`]).
     pub fn relation_bytes(&self) -> Result<Vec<(u64, crate::ops::RelationBytes)>> {
         let set = self.snapshot();
         let mut out = Vec::with_capacity(set.segments.len() + 1);
-        for seg in &set.segments {
-            out.push((seg.seq(), seg.relation_bytes().map_err(IndexError::Store)?));
+        for src in set.sources() {
+            out.push((src.id, crate::ops::relation_bytes(src.pool)?));
         }
-        out.push((MAIN_SOURCE, set.main.relation_bytes()?));
         Ok(out)
     }
 }
@@ -704,19 +671,9 @@ impl SegmentedReader {
         query: &TreeIndex,
         tau: f64,
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
-        self.lookup_with_stats_threads(query, tau, 1)
-    }
-
-    /// [`SegmentedReader::lookup_with_stats`] with parallel verification.
-    pub fn lookup_with_stats_threads(
-        &self,
-        query: &TreeIndex,
-        tau: f64,
-        threads: usize,
-    ) -> Result<(Vec<LookupHit>, LookupStats)> {
         check_params(query.params(), self.params)?;
         let set = self.snapshot();
-        lookup_merged(&set, None, query, tau, threads)
+        Ok(lookup_merged(set.sources(), None, query, tau)?)
     }
 
     /// The `k` nearest stored trees of the published snapshot, ascending
@@ -733,7 +690,7 @@ impl SegmentedReader {
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
         check_params(query.params(), self.params)?;
         let set = self.snapshot();
-        lookup_top_k_merged(&set, None, query, k)
+        Ok(lookup_top_k_merged(set.sources(), None, query, k)?)
     }
 
     /// True if `id` is stored in the current published snapshot.
@@ -753,142 +710,6 @@ impl SegmentedReader {
         let set = self.snapshot();
         tree_ids_merged(&set, None)
     }
-}
-
-/// Shared memtable pass of the merged lookups: masks every
-/// memtable-owned id and hands each buffered index (with its exact query
-/// overlap) to `emit`. The memtable is in-memory, so it reads no disk
-/// rows and probes no filter — but the callers feed its trees through the
-/// same planner arithmetic as the on-disk sources, keeping merged results
-/// bit-identical to a single-file store holding the merged forest.
-fn memtable_pass(
-    mt: &Memtable,
-    query: &QueryGrams,
-    skip: &mut FxHashSet<u64>,
-    mut emit: impl FnMut(u64, u64, &TreeIndex),
-) {
-    for (t, entry) in mt.iter() {
-        skip.insert(t);
-        let Some(index) = entry else { continue };
-        let mut overlap = 0u64;
-        for &(g, qc) in &query.grams {
-            overlap += u64::from(qc.min(index.count(g)));
-        }
-        emit(t, overlap, index);
-    }
-}
-
-/// The merged lookup: memtable (if any), then segments newest-first, then
-/// the main file, each masked by everything newer. Runs the identical
-/// per-source candidate-merge plan of [`crate::ops`] — every τ, no
-/// exhaustive fallback — so the merged result is bit-identical to a
-/// single-file store holding the merged forest.
-fn lookup_merged(
-    set: &SourceSet,
-    memtable: Option<&Memtable>,
-    query: &TreeIndex,
-    tau: f64,
-    threads: usize,
-) -> Result<(Vec<LookupHit>, LookupStats)> {
-    let mut stats = crate::ops::merge_stats_base();
-    let mut clock = PhaseClock::start();
-    let query = QueryGrams::of(query);
-    stats.phases.plan += clock.lap();
-    let planner = LookupPlanner::threshold(query.total, tau);
-    let mut skip: FxHashSet<u64> = FxHashSet::default();
-    let mut hits: Vec<LookupHit> = Vec::new();
-    if let Some(mt) = memtable {
-        if !mt.is_empty() {
-            memtable_pass(mt, &query, &mut skip, |t, overlap, index| {
-                // Mirror the candidate-merge plan: trees sharing a gram are
-                // candidates (plus every tree when the bound admits the
-                // zero-overlap distance), size-window survivors get
-                // verified.
-                if overlap == 0 && !planner.needs_zero_overlap() {
-                    return;
-                }
-                stats.candidates += 1;
-                if !planner.admits_total(index.total()) {
-                    return;
-                }
-                stats.verified += 1;
-                let distance = overlap_distance(overlap, query.total, index.total());
-                if planner.admits_distance(distance) {
-                    hits.push(LookupHit {
-                        tree_id: TreeId(t),
-                        distance,
-                    });
-                }
-            });
-            stats.by_source.push((MEMTABLE_SOURCE, 0));
-            stats.phases.verify += clock.lap();
-        }
-    }
-    for (id, pool, probe, owned) in set.sources() {
-        let before = stats.rows_read;
-        crate::ops::lookup_source_threshold(
-            pool, &probe, &query, tau, threads, &skip, true, &mut stats, &mut clock, &mut hits,
-        )?;
-        stats.by_source.push((id, stats.rows_read - before));
-        skip.extend(owned.iter().copied());
-    }
-    crate::ops::sort_hits(&mut hits);
-    stats.phases.sort += clock.lap();
-    stats.hits = hits.len();
-    Ok((hits, stats))
-}
-
-/// The merged top-k lookup: the same newest-to-oldest masked walk as
-/// [`lookup_merged`], but over one shared max-heap and one planner whose
-/// bound tightens as the heap fills — sources probed later benefit from
-/// every result a newer source already produced.
-fn lookup_top_k_merged(
-    set: &SourceSet,
-    memtable: Option<&Memtable>,
-    query: &TreeIndex,
-    k: usize,
-) -> Result<(Vec<LookupHit>, LookupStats)> {
-    let mut stats = crate::ops::merge_stats_base();
-    if k == 0 {
-        return Ok((Vec::new(), stats));
-    }
-    let mut clock = PhaseClock::start();
-    let query = QueryGrams::of(query);
-    stats.phases.plan += clock.lap();
-    let mut planner = LookupPlanner::nearest(query.total);
-    let mut topk = TopK::new(k);
-    let mut skip: FxHashSet<u64> = FxHashSet::default();
-    if let Some(mt) = memtable {
-        if !mt.is_empty() {
-            memtable_pass(mt, &query, &mut skip, |t, overlap, index| {
-                stats.candidates += 1;
-                stats.verified += 1;
-                let distance = overlap_distance(overlap, query.total, index.total());
-                topk.offer(TreeId(t), distance);
-            });
-            stats.by_source.push((MEMTABLE_SOURCE, 0));
-            stats.phases.verify += clock.lap();
-        }
-    }
-    for (id, pool, probe, owned) in set.sources() {
-        let before = stats.rows_read;
-        crate::ops::lookup_source_top_k(
-            pool,
-            &probe,
-            &query,
-            &mut planner,
-            &mut topk,
-            &skip,
-            &mut stats,
-            &mut clock,
-        )?;
-        stats.by_source.push((id, stats.rows_read - before));
-        skip.extend(owned.iter().copied());
-    }
-    let hits = topk.into_sorted_hits();
-    stats.phases.sort += clock.lap();
-    stats.hits = hits.len();
-    Ok((hits, stats))
 }
 
 fn contains_on_disk(set: &SourceSet, id: TreeId) -> Result<bool> {
@@ -939,6 +760,7 @@ fn tree_ids_merged(set: &SourceSet, memtable: Option<&Memtable>) -> Result<Vec<T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{MAIN_SOURCE, MEMTABLE_SOURCE};
     use crate::vfs::FaultVfs;
     use pqgram_core::build_index;
     use pqgram_tree::generate::{random_tree, RandomTreeConfig};
@@ -946,7 +768,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
+    type TestResult<T = ()> = std::result::Result<T, Box<dyn std::error::Error>>;
 
     fn mem_vfs() -> Arc<dyn Vfs> {
         Arc::new(FaultVfs::new())
@@ -970,7 +792,7 @@ mod tests {
         v: &Arc<dyn Vfs>,
         params: PQParams,
         idxs: &[TreeIndex],
-    ) -> TestResult2<(SegmentedIndexStore, IndexStore)> {
+    ) -> TestResult<(SegmentedIndexStore, IndexStore)> {
         let mut seg =
             SegmentedIndexStore::create_with(Path::new("/seg/db"), params, Arc::clone(v))?;
         seg.set_flush_threshold(u64::MAX);
@@ -990,8 +812,6 @@ mod tests {
         }
         Ok((seg, single))
     }
-
-    type TestResult2<T> = std::result::Result<T, Box<dyn std::error::Error>>;
 
     #[test]
     fn merged_reads_equal_single_file() -> TestResult {
@@ -1018,7 +838,7 @@ mod tests {
                 let (mh, ms) = seg.lookup_with_stats(q, tau)?;
                 let (sh, ss) = single.lookup_with_stats(q, tau)?;
                 assert_eq!(mh, sh, "tau {tau}");
-                assert_eq!(ms.used_inverted, ss.used_inverted);
+                assert_eq!(ms.plan, ss.plan);
                 assert_eq!(ms.hits, ss.hits);
             }
         }

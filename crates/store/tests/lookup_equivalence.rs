@@ -29,8 +29,7 @@
 
 use pqgram_core::{build_index, ForestIndex, PQParams, TreeId, TreeIndex};
 use pqgram_store::{
-    FaultVfs, IndexStore, InvertedEncoding, LookupPlan, SegmentedIndexStore, MAIN_SOURCE,
-    MEMTABLE_SOURCE,
+    FaultVfs, IndexStore, LookupPlan, SegmentedIndexStore, MAIN_SOURCE, MEMTABLE_SOURCE,
 };
 use pqgram_tree::generate::{random_tree, RandomTreeConfig};
 use pqgram_tree::LabelTable;
@@ -93,9 +92,7 @@ proptest! {
         let (inverted, inv_stats) = store.lookup_with_stats(&query, tau).unwrap();
         let (scanned, scan_stats) = store.lookup_exhaustive_with_stats(&query, tau).unwrap();
         // Every threshold — τ > 1 included — runs the candidate merge.
-        prop_assert!(inv_stats.used_inverted);
         prop_assert_eq!(inv_stats.plan, LookupPlan::CandidateMerge);
-        prop_assert!(!scan_stats.used_inverted);
         prop_assert_eq!(scan_stats.plan, LookupPlan::ExhaustiveReference);
         prop_assert_eq!(&inverted, &expected);
         prop_assert_eq!(&scanned, &expected);
@@ -217,12 +214,11 @@ proptest! {
     }
 
     /// A bulk-created posting-block store must answer every lookup
-    /// **bit-identically** to a row-per-posting store (the format-v2
-    /// encoding, kept as the benchmark ablation) and to the in-memory
-    /// oracle — through arbitrary point mutations, which rewrite, split,
-    /// shrink and collapse blocks in place.
+    /// **bit-identically** to the in-memory oracle — through arbitrary
+    /// point mutations, which rewrite, split, shrink and collapse blocks
+    /// in place.
     #[test]
-    fn posting_block_stores_match_row_per_posting_and_the_oracle(
+    fn posting_block_stores_match_the_oracle(
         members in proptest::collection::vec((0usize..40, any::<u64>()), 1..12),
         // Each member is cloned under this many ids: ≥ 4 clones push every
         // shared gram over the block threshold, so real blocks form.
@@ -257,19 +253,11 @@ proptest! {
             }
         }
         latest.sort_unstable_by_key(|&(id, _)| id);
-        let mut blocked = IndexStore::bulk_create_with_encoding(
+        let mut blocked = IndexStore::bulk_create_with(
             Path::new("/equiv/blocked"),
             params,
             latest.iter().map(|(id, ix)| (*id, ix)),
             Arc::clone(&vfs),
-            InvertedEncoding::PostingBlocks,
-        ).unwrap();
-        let mut raw = IndexStore::bulk_create_with_encoding(
-            Path::new("/equiv/raw"),
-            params,
-            latest.iter().map(|(id, ix)| (*id, ix)),
-            Arc::clone(&vfs),
-            InvertedEncoding::RowPerPosting,
         ).unwrap();
         if clones >= 4 && members.iter().any(|&(nodes, _)| nodes > 0) {
             prop_assert!(
@@ -277,28 +265,23 @@ proptest! {
                 "≥ 4 clones of a non-empty member must produce blocks"
             );
         }
-        prop_assert_eq!(raw.verify().unwrap().blocks, 0);
 
-        // The same point mutations against both encodings: overwrites and
-        // removals hit a clone of a random member, exercising block
-        // rewrite/split/shrink on `blocked` and plain rows on `raw`.
+        // Point mutations: overwrites and removals hit a clone of a random
+        // member, exercising block rewrite/split/shrink.
         for (pick, seed) in &overwrites {
             let i = pick.index(latest.len());
             let id = latest[i].0;
             let index = mk(&mut lt, members[pick.index(members.len())].0 / 2 + 1, *seed);
             blocked.put_tree(id, &index).unwrap();
-            raw.put_tree(id, &index).unwrap();
             latest[i].1 = index;
         }
         for pick in &removals {
             let i = pick.index(latest.len());
             let id = latest[i].0;
             blocked.remove_tree(id).unwrap();
-            raw.remove_tree(id).unwrap();
             latest[i].1 = TreeIndex::empty(params);
         }
         blocked.verify().unwrap();
-        raw.verify().unwrap();
 
         let mut oracle = ForestIndex::new();
         for (id, index) in &latest {
@@ -312,17 +295,9 @@ proptest! {
 
         let expected = oracle.lookup(&query, tau).unwrap();
         let (blocked_hits, blocked_stats) = blocked.lookup_with_stats(&query, tau).unwrap();
-        let (raw_hits, raw_stats) = raw.lookup_with_stats(&query, tau).unwrap();
         prop_assert_eq!(&blocked_hits, &expected);
-        prop_assert_eq!(&raw_hits, &expected);
         // The candidate merge is the only plan, for every threshold.
-        prop_assert!(blocked_stats.used_inverted);
-        prop_assert!(raw_stats.used_inverted);
         prop_assert_eq!(blocked_stats.plan, LookupPlan::CandidateMerge);
-        prop_assert_eq!(raw_stats.plan, LookupPlan::CandidateMerge);
-        // A row-per-posting store never touches a block.
-        prop_assert_eq!(raw_stats.blocks_decoded, 0);
-        prop_assert_eq!(raw_stats.bytes_decoded, 0);
     }
 
     /// `top_k(K)` on a single-file store must equal the first `K` entries
@@ -361,7 +336,7 @@ proptest! {
             let (top, stats) = store.lookup_top_k_with_stats(&query, k).unwrap();
             prop_assert_eq!(&top[..], &all_sorted[..k.min(all_sorted.len())]);
             prop_assert_eq!(stats.hits, top.len());
-            prop_assert!(stats.used_inverted);
+            prop_assert_eq!(stats.plan, LookupPlan::CandidateMerge);
         }
         std::fs::remove_file(&path).ok();
     }

@@ -8,11 +8,11 @@
 //!    boundaries — everything the on-disk layout depends on — are fixed.
 //!
 //! 2. **Concurrent lookups** — any number of [`IndexStoreReader`] clones
-//!    may run lookups at once (including multi-threaded verification
-//!    phases), and every one of them returns exactly the serial answer.
+//!    may run lookups at once, and every one of them returns exactly the
+//!    serial answer.
 
 use pqgram_core::{build_index, PQParams, TreeId, TreeIndex};
-use pqgram_store::{IndexStore, IndexStoreReader};
+use pqgram_store::{IndexStore, IndexStoreReader, LookupPlan};
 use pqgram_tree::generate::{random_tree, RandomTreeConfig};
 use pqgram_tree::{LabelTable, Tree};
 use rand::rngs::StdRng;
@@ -113,20 +113,16 @@ fn concurrent_readers_agree_with_serial_lookup() {
     let reader = store.into_reader();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
-            .map(|worker| {
+            .map(|_| {
                 let reader: IndexStoreReader = reader.clone();
                 let queries = &queries;
                 let expected = &expected;
                 scope.spawn(move || {
                     for _ in 0..5 {
                         for (q, want) in queries.iter().zip(expected) {
-                            // Odd workers also fan out the verification
-                            // phase, mixing thread counts under load.
-                            let threads = 1 + (worker % 2) * 3;
-                            let (hits, stats) = reader
-                                .lookup_with_stats_threads(q, tau, threads)
-                                .expect("concurrent lookup");
-                            assert!(stats.used_inverted);
+                            let (hits, stats) =
+                                reader.lookup_with_stats(q, tau).expect("concurrent lookup");
+                            assert_eq!(stats.plan, LookupPlan::CandidateMerge);
                             assert_eq!(&hits, want);
                         }
                     }
@@ -148,8 +144,8 @@ fn concurrent_readers_agree_with_serial_lookup() {
 
 /// Reader storm across ingest rounds: between `put_trees` batches the
 /// store flips into a shared reader, and a pack of threads hammers every
-/// read surface at once (lookups, multi-threaded verification phases,
-/// id scans) while asserting each read sees **exactly** the committed
+/// read surface at once (lookups, id scans, containment probes) while
+/// asserting each read sees **exactly** the committed
 /// post-batch snapshot — never a partially applied batch, never a stale
 /// page resurrected by the buffer pool's eviction. Reads racing a write
 /// are ruled out in the type system (`into_reader` consumes the store),
@@ -192,10 +188,7 @@ fn reader_storm_sees_exact_post_batch_snapshots() {
                     let (queries, expected, ids) = (&queries, &expected, &ids);
                     scope.spawn(move || {
                         for (q, want) in queries.iter().zip(expected) {
-                            let threads = 1 + worker % 3;
-                            let (hits, _) = reader
-                                .lookup_with_stats_threads(q, tau, threads)
-                                .expect("storm lookup");
+                            let (hits, _) = reader.lookup_with_stats(q, tau).expect("storm lookup");
                             assert_eq!(&hits, want, "lookup drifted from the snapshot");
                         }
                         assert_eq!(&reader.tree_ids().expect("ids"), ids);
