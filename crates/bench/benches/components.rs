@@ -1,8 +1,8 @@
 //! Criterion benchmarks for the extension components: approximate join,
 //! tree diff, streaming XML indexing, the blob store, and the stages of
-//! the store lookup's probe phase.
+//! the store's lookup probe phase and of its bulk-build write path.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pqgram_core::join::{join, join_nested_loop};
 use pqgram_core::{build_index, ForestIndex, PQParams, TreeId};
 use pqgram_tree::generate::{dblp, random_tree, RandomTreeConfig};
@@ -161,12 +161,119 @@ fn bench_probe_pipeline(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The stages of a bulk build, one number each: ns/row for a B+-tree bulk
+/// load and for posting-block encoding, and per row of the files written
+/// for a memtable flush (one `Segment::build` of ~64 Ki rows between its
+/// two manifest commits) and for a compaction of a main file plus four
+/// segments.
+fn bench_write_pipeline(c: &mut Criterion) {
+    use pqgram_store::buffer::BufferPool;
+    use pqgram_store::{BTree, Pager, SegmentedIndexStore};
+    let params = PQParams::default();
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut labels = LabelTable::new();
+    let mut indexes = Vec::new();
+    let mut rows = 0usize;
+    while rows < 5 * 64 * 1024 {
+        let t = random_tree(&mut rng, &mut labels, &RandomTreeConfig::new(300, 6));
+        let index = build_index(&t, &labels, params);
+        rows += index.distinct();
+        indexes.push(index);
+    }
+    let fifth = indexes.len() / 5;
+    let rows_of =
+        |part: &[pqgram_core::TreeIndex]| part.iter().map(|ix| ix.distinct() as u64).sum();
+    let mut forward: Vec<((u64, u64), u32)> = Vec::new();
+    for (index, t) in indexes[..fifth].iter().zip(0u64..) {
+        forward.extend(index.iter().map(|(g, n)| ((t, g), n)));
+    }
+    forward.sort_unstable_by_key(|&(k, _)| k);
+    let mut inverted: Vec<((u64, u64), u32)> =
+        forward.iter().map(|&((t, g), n)| ((g, t), n)).collect();
+    inverted.sort_unstable_by_key(|&(k, _)| k);
+
+    let dir = std::env::temp_dir().join(format!("pqgram-bench-write-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut fresh = 0u64;
+    let mut fresh_path = |stem: &str| {
+        fresh += 1;
+        dir.join(format!("{stem}-{fresh}"))
+    };
+    // A store holding `parts[0]` compacted into main and every further part
+    // in a segment of its own, with `last` still in the memtable.
+    let store = |base: &std::path::Path, parts: &[&[pqgram_core::TreeIndex]]| {
+        let mut store = SegmentedIndexStore::create(base, params).unwrap();
+        store.set_flush_threshold(u64::MAX);
+        let mut id = 0u64;
+        for (i, part) in parts.iter().enumerate() {
+            for index in part.iter() {
+                store.put_tree(TreeId(id), index).unwrap();
+                id += 1;
+            }
+            match i {
+                0 if parts.len() > 1 => store.compact().unwrap(),
+                i if i + 1 < parts.len() => store.flush().unwrap(),
+                _ => {}
+            }
+        }
+        store
+    };
+
+    let mut group = c.benchmark_group("write_pipeline");
+    group.sample_size(10);
+    group.throughput(criterion::Throughput::Elements(forward.len() as u64));
+    group.bench_function("btree_bulk_load", |b| {
+        b.iter_batched(
+            || BufferPool::new(Pager::create(&fresh_path("bulk")).unwrap(), 1024),
+            |pool| {
+                let tree = BTree::open(&pool, 0).unwrap();
+                tree.bulk_load(black_box(&forward).iter().copied()).unwrap()
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("encode_block", |b| {
+        b.iter(|| {
+            let mut bytes = 0usize;
+            for chunk in black_box(&inverted).chunks(pqgram_store::fuzz::MAX_BLOCK_ROWS) {
+                bytes += pqgram_store::fuzz::encode_block(chunk).unwrap().len();
+            }
+            bytes
+        })
+    });
+    group.throughput(criterion::Throughput::Elements(rows_of(&indexes[..fifth])));
+    group.bench_function("segment_build_64Ki_rows", |b| {
+        b.iter_batched(
+            || store(&fresh_path("flush"), &[&indexes[..fifth]]),
+            |mut store| store.flush().unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
+    group.throughput(criterion::Throughput::Elements(rows_of(&indexes)));
+    group.bench_function("compact_main_plus_4_segments", |b| {
+        b.iter_batched(
+            || {
+                let parts: Vec<&[_]> = indexes.chunks(fifth).take(5).collect();
+                let mut store = store(&fresh_path("compact"), &parts);
+                store.flush().unwrap();
+                assert_eq!(store.segment_count(), 4);
+                store
+            },
+            |mut store| store.compact().unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 criterion_group!(
     benches,
     bench_join,
     bench_diff,
     bench_stream_vs_dom,
     bench_blob_store,
-    bench_probe_pipeline
+    bench_probe_pipeline,
+    bench_write_pipeline
 );
 criterion_main!(benches);

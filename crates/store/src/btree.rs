@@ -20,7 +20,7 @@
 //! deletes only what it re-inserts later; space is reclaimed when a tree is
 //! dropped wholesale).
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, RunWriter};
 use crate::page::{PageBuf, PageId};
 use crate::pager::{Result, StoreError};
 use std::sync::Arc;
@@ -1206,6 +1206,13 @@ impl<'p> BTree<'p> {
     /// `O(n)` page writes with ~90%-full leaves, versus `O(n log n)` descent
     /// costs and half-full splits for repeated inserts.
     ///
+    /// The node count follows from the row count, so every page but the
+    /// existing root leaf comes from one `BufferPool::allocate_run`; each
+    /// node is filled in a private buffer and handed over once, finished
+    /// (the root leaf to its cached frame, the rest through a
+    /// `RunWriter`). An input whose `size_hint` is not exact is collected
+    /// first.
+    ///
     /// Errors if the tree is not empty or the input is not strictly
     /// ascending.
     pub fn bulk_load<I>(&self, entries: I) -> Result<u64>
@@ -1215,92 +1222,115 @@ impl<'p> BTree<'p> {
         if !self.is_empty()? {
             return Err(corrupt("bulk_load requires an empty tree"));
         }
+        let entries = entries.into_iter();
+        match entries.size_hint() {
+            (lo, Some(hi)) if lo == hi => self.bulk_load_sized(lo, entries),
+            _ => {
+                let rows: Vec<(Key, u32)> = entries.collect();
+                self.bulk_load_sized(rows.len(), rows.into_iter())
+            }
+        }
+    }
+
+    /// [`BTree::bulk_load`] of exactly `n` entries.
+    fn bulk_load_sized(&self, n: usize, entries: impl Iterator<Item = (Key, u32)>) -> Result<u64> {
         // Fill factor: leave some slack for future inserts.
         let leaf_cap = NODE_CAPACITY * 9 / 10;
-        let mut total = 0u64;
+        let fan = leaf_cap + 1;
+        let leaves = n.div_ceil(leaf_cap);
+        // Nodes above the leaves: every level until one node remains.
+        let (mut internal, mut width) = (0usize, leaves);
+        while width > 1 {
+            width = width.div_ceil(fan);
+            internal += width;
+        }
+        // Leaves first (the first one is the existing root leaf), then the
+        // internal levels bottom-up.
+        let root_leaf = self.root();
+        let ids = self
+            .pool
+            .allocate_run(leaves.saturating_sub(1) + internal)?;
+        let mut fresh = ids.iter().copied();
+        let mut next_id = || {
+            fresh
+                .next()
+                .ok_or_else(|| corrupt("bulk_load ran out of pages"))
+        };
+        let mut out = RunWriter::new(self.pool);
+        let mut page = PageBuf::zeroed();
+
+        // (first key, page) of every leaf, for the upper levels.
+        let mut level: Vec<(Key, PageId)> = Vec::with_capacity(leaves);
         let mut last_key: Option<Key> = None;
-
-        // Current leaf being filled.
-        let first_leaf = self.root();
-        let mut cur_leaf = first_leaf;
-        let mut cur_count = 0usize;
-        // (first key, page) of every completed leaf, for the upper levels.
-        let mut level: Vec<(Key, PageId)> = Vec::new();
-        let mut first_key_of_cur: Option<Key> = None;
-
+        let mut cur_leaf = root_leaf;
+        let (mut fill, mut total) = (0usize, 0usize);
         for (key, value) in entries {
-            if let Some(prev) = last_key {
-                if prev >= key {
-                    return Err(corrupt("bulk_load input not strictly ascending"));
-                }
+            if last_key.is_some_and(|prev| prev >= key) {
+                return Err(corrupt("bulk_load input not strictly ascending"));
             }
             last_key = Some(key);
-            if cur_count == leaf_cap {
-                // Seal this leaf, start a new one.
-                let next = self.pool.allocate()?;
-                self.pool
-                    .with_page_mut(cur_leaf, |p| p.put_page_id(OFF_NEXT, next))?;
-                self.pool.with_page_mut(next, init_leaf)?;
-                let Some(first) = first_key_of_cur.take() else {
-                    return Err(corrupt("bulk_load sealed a leaf without a first key"));
-                };
-                level.push((first, cur_leaf));
-                cur_leaf = next;
-                cur_count = 0;
+            if total == n {
+                return Err(corrupt("bulk_load input longer than its size hint"));
             }
-            self.pool.with_page_mut(cur_leaf, |p| {
-                leaf_write_at(p, cur_count, key, value);
-                set_count(p, cur_count + 1);
-            })?;
-            if cur_count == 0 {
-                first_key_of_cur = Some(key);
+            if fill == 0 {
+                init_leaf(&mut page);
+                level.push((key, cur_leaf));
             }
-            cur_count += 1;
+            leaf_write_at(&mut page, fill, key, value);
+            fill += 1;
             total += 1;
+            if fill == leaf_cap || total == n {
+                // Seal this leaf and hand it over.
+                set_count(&mut page, fill);
+                let sealed = cur_leaf;
+                if total < n {
+                    cur_leaf = next_id()?;
+                    page.put_page_id(OFF_NEXT, cur_leaf);
+                }
+                if sealed == root_leaf {
+                    self.pool
+                        .with_page_mut(sealed, |p| *p.as_bytes_mut() = *page.as_bytes())?;
+                } else {
+                    out.push(sealed, &page)?;
+                }
+                fill = 0;
+            }
         }
-        if let Some(fk) = first_key_of_cur {
-            level.push((fk, cur_leaf));
-        } else if total == 0 {
-            return Ok(0); // empty input: the empty root leaf stands
-        } else if cur_count == 0 {
-            // The last allocated leaf stayed empty; it is harmless (searches
-            // and scans tolerate empty leaves), keep it in the chain.
-            let Some(lk) = last_key else {
-                return Err(corrupt("bulk_load lost track of the last key"));
-            };
-            level.push((lk, cur_leaf));
+        if total != n {
+            return Err(corrupt("bulk_load input shorter than its size hint"));
         }
 
         // Build internal levels until one node remains.
-        let int_cap = NODE_CAPACITY * 9 / 10;
         let mut current = level;
         while current.len() > 1 {
-            let mut next_level: Vec<(Key, PageId)> = Vec::new();
-            let mut i = 0usize;
-            while i < current.len() {
-                let take = group_len(current.len() - i, int_cap + 1);
-                let node = self.pool.allocate()?;
-                let group = current.get(i..i + take).unwrap_or(&[]);
+            let mut next_level: Vec<(Key, PageId)> =
+                Vec::with_capacity(current.len().div_ceil(fan));
+            let mut rest = current.as_slice();
+            while !rest.is_empty() {
+                let Some((group, tail)) = rest.split_at_checked(group_len(rest.len(), fan)) else {
+                    return Err(corrupt("bulk_load level grouping out of range"));
+                };
                 let Some(&(group_key, group_child)) = group.first() else {
                     return Err(corrupt("bulk_load built an empty internal group"));
                 };
-                self.pool.with_page_mut(node, |p| {
-                    init_internal(p, group_child);
-                    for (j, &(sep, child)) in group.iter().skip(1).enumerate() {
-                        internal_write_at(p, j, sep, child);
-                    }
-                    set_count(p, group.len() - 1);
-                })?;
+                init_internal(&mut page, group_child);
+                for (j, &(sep, child)) in group.iter().skip(1).enumerate() {
+                    internal_write_at(&mut page, j, sep, child);
+                }
+                set_count(&mut page, group.len() - 1);
+                let node = next_id()?;
+                out.push(node, &page)?;
                 next_level.push((group_key, node));
-                i += take;
+                rest = tail;
             }
             current = next_level;
         }
-        let Some(&(_, root)) = current.first() else {
-            return Err(corrupt("bulk_load produced no root"));
-        };
-        self.set_root(root)?;
-        Ok(total)
+        out.end_run()?;
+        // Empty input: the empty root leaf stands.
+        if let Some(&(_, root)) = current.first() {
+            self.set_root(root)?;
+        }
+        Ok(u64::try_from(total).unwrap_or(u64::MAX))
     }
 }
 

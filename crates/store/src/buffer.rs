@@ -40,6 +40,17 @@
 //! shared read-only handles ([`crate::IndexStoreReader`]) provably never
 //! reach the pager's mutating surface.
 //!
+//! # Bulk builds
+//!
+//! A bulk build produces every page once, finished, and more pages than
+//! the pool holds — caching them would only evict them again. Builders
+//! take their pages with `BufferPool::allocate_run`, which installs no
+//! frames, and hand each one over through a `RunWriter`, which writes
+//! stretches of consecutive pages straight to the file under the pager
+//! lock alone (never a shard lock, so the shard → pager order is not in
+//! play). Such pages are unreachable until the builder links them in, and
+//! enter the cache the ordinary way when first read.
+//!
 //! # Concurrency contract
 //!
 //! The pool is internally synchronized (callers use `&self`); the engine's
@@ -47,7 +58,7 @@
 //! exclusively-owned store before an `IndexStoreReader` is split off), but
 //! read-only lookups may share the pool across any number of threads.
 
-use crate::page::{PageBuf, PageId};
+use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::pager::{Pager, Result, StoreError};
 use parking_lot::Mutex;
 use pqgram_tree::FxHashMap;
@@ -263,6 +274,25 @@ impl BufferPool {
         let mut guard = shard.lock();
         self.install(&mut guard, id, Arc::new(PageBuf::zeroed()), true)?;
         Ok(id)
+    }
+
+    /// Allocates `n` pages in one pager call ([`Pager::allocate_run`]: one
+    /// header write, one growth of the file) and caches a frame for none
+    /// of them. For bulk builders, which fill every page of the run
+    /// privately and hand it over once through a `RunWriter`; a page the
+    /// builder leaves out reads back as zeros if it came from the end of
+    /// the file.
+    pub(crate) fn allocate_run(&self, n: usize) -> Result<Vec<PageId>> {
+        let mut pager = self.pager.lock();
+        pager.allocate_run(n)
+    }
+
+    /// Writes the images of consecutive pages straight to the file
+    /// ([`Pager::write_run`]), under the pager lock alone. Only for pages no
+    /// frame is cached for — see [`RunWriter`].
+    fn write_run(&self, first: PageId, images: &[u8]) -> Result<()> {
+        let mut pager = self.pager.lock();
+        pager.write_run(first, images)
     }
 
     /// Frees a page, dropping any cached frame.
@@ -508,6 +538,24 @@ impl BufferPool {
 
     // analyze: txn-exempt(drains frames dirtied under the currently open transaction — or pre-transaction bootstrap writes on a store no reader has opened yet)
     fn flush_dirty(&self) -> Result<()> {
+        // Inside a transaction every original goes to the journal first,
+        // under one journal sync; the write-backs below then find their
+        // pages captured. (A mid-transaction eviction still records, syncs
+        // and writes its one page.)
+        let mut dirty = Vec::new();
+        for shard in self.shards.iter() {
+            let guard = shard.lock();
+            let frames = guard.frames.iter();
+            dirty.extend(
+                frames
+                    .filter(|f| f.dirty && f.id != PageId::NONE)
+                    .map(|f| f.id),
+            );
+        }
+        if !dirty.is_empty() {
+            let mut pager = self.pager.lock();
+            pager.journal_pages(dirty)?;
+        }
         for shard in self.shards.iter() {
             let mut guard = shard.lock();
             let mut pager = self.pager.lock();
@@ -517,6 +565,58 @@ impl BufferPool {
                     frame.dirty = false;
                 }
             }
+        }
+        Ok(())
+    }
+}
+
+/// Longest stretch a [`RunWriter`] gathers before writing it: 1 MiB.
+const RUN_PAGES: usize = 256;
+
+/// The pages a bulk build has finished, on their way to the file behind
+/// the pool's back: consecutive page ids are gathered and written with one
+/// file write per stretch, through the pager lock only. The pages must
+/// come from [`BufferPool::allocate_run`] — the pool caches no frame for
+/// them, and none may be read before [`RunWriter::end_run`].
+#[must_use = "pages still gathered are lost unless `end_run` writes them"]
+pub(crate) struct RunWriter<'p> {
+    pool: &'p BufferPool,
+    first: PageId,
+    images: Vec<u8>,
+}
+
+impl<'p> RunWriter<'p> {
+    pub(crate) fn new(pool: &'p BufferPool) -> RunWriter<'p> {
+        RunWriter {
+            pool,
+            first: PageId::NONE,
+            images: Vec::new(),
+        }
+    }
+
+    /// Takes the finished image of page `id`.
+    pub(crate) fn push(&mut self, id: PageId, page: &PageBuf) -> Result<()> {
+        let gathered = self.images.len() / PAGE_SIZE;
+        let next = u32::try_from(gathered)
+            .ok()
+            .and_then(|g| self.first.0.checked_add(g));
+        if gathered >= RUN_PAGES || next != Some(id.0) {
+            self.write()?;
+            self.first = id;
+        }
+        self.images.extend_from_slice(page.as_bytes());
+        Ok(())
+    }
+
+    /// Writes what is still gathered.
+    pub(crate) fn end_run(mut self) -> Result<()> {
+        self.write()
+    }
+
+    fn write(&mut self) -> Result<()> {
+        if !self.images.is_empty() {
+            self.pool.write_run(self.first, &self.images)?;
+            self.images.clear();
         }
         Ok(())
     }

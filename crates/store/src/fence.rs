@@ -58,7 +58,16 @@ impl Fence {
         Ok(Fence::from_rows(grams, tids, vals))
     }
 
-    /// Builds a fence from already-materialised directory rows.
+    /// Builds a fence over directory rows already in hand, ascending.
+    pub fn from_directory(rows: &[DirRow]) -> Fence {
+        Fence::from_rows(
+            rows.iter().map(|&((g, _), _)| g).collect(),
+            rows.iter().map(|&((_, t), _)| t).collect(),
+            rows.iter().map(|&(_, v)| v).collect(),
+        )
+    }
+
+    /// Builds a fence from already-materialised directory columns.
     pub fn from_rows(grams: Vec<u64>, tids: Vec<u64>, vals: Vec<u32>) -> Fence {
         let segs = fit_pla(&grams);
         Fence {

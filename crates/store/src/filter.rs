@@ -42,12 +42,16 @@
 //! a superset at the price of stale false positives. Inserts set bits in
 //! place and bump `count` for grams that were new; once `count` exceeds
 //! `capacity` the filter is rebuilt from a forward-relation scan at twice
-//! the distinct-gram count, inside the same transaction.
+//! the distinct-gram count, inside the same transaction. A build sets its
+//! bits in RAM and then lays the words out on private pages that take one
+//! page run and are written once ([`build`]); a bulk load hands it the
+//! distinct grams it already has in order and keeps the RAM filter as the
+//! open store's mirror.
 
 use crate::btree::BTree;
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, RunWriter};
 use crate::crc::crc32;
-use crate::page::{PageId, PAGE_SIZE};
+use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::pager::Result;
 use pqgram_tree::FxHashSet;
 
@@ -345,53 +349,86 @@ pub(crate) fn load(pool: &BufferPool) -> Result<Option<GramFilter>> {
 /// [`SLOT_FILTER`] at it. Any existing filter must be freed first.
 pub(crate) fn create(pool: &BufferPool, capacity: u64) -> Result<()> {
     let capacity = capacity.max(DEFAULT_CAPACITY);
-    let nblocks = blocks_for_capacity(capacity);
-    let npages = usize::try_from(pages_for_blocks(nblocks)).unwrap_or(usize::MAX);
-    let mut pages = Vec::with_capacity(npages);
-    let zero_crc = crc32(&[0u8; DATA_PAYLOAD]);
-    for _ in 0..npages {
-        let id = pool.allocate()?;
-        pool.with_page_mut(id, |p| {
-            p.put_u32(OFF_MAGIC, MAGIC_DATA);
-            p.put_u32(OFF_PAGE_CRC, zero_crc);
-        })?;
-        pages.push(id);
+    let empty = GramFilter::empty(blocks_for_capacity(capacity));
+    persist(pool, &empty, capacity, 0)
+}
+
+/// Builds the filter of exactly `grams` — ascending and distinct — sized
+/// at twice their count (floored at [`DEFAULT_CAPACITY`]), replacing any
+/// existing one. Returns the RAM filter; the persisted words are its
+/// byte image.
+pub(crate) fn build(pool: &BufferPool, grams: &[u64]) -> Result<GramFilter> {
+    free_filter(pool)?;
+    let distinct = u64::try_from(grams.len()).unwrap_or(u64::MAX);
+    let capacity = distinct.saturating_mul(2).max(DEFAULT_CAPACITY);
+    let mut filter = GramFilter::empty(blocks_for_capacity(capacity));
+    let mut fresh = 0u64;
+    for &g in grams {
+        fresh += u64::from(filter.insert(g));
     }
-    let mut indirect = Vec::new();
-    for chunk in pages
-        .get(MAX_DIRECT.min(pages.len())..)
-        .unwrap_or(&[])
-        .chunks(IDS_PER_INDIRECT)
-    {
-        let id = pool.allocate()?;
-        pool.with_page_mut(id, |p| {
-            p.put_u32(OFF_MAGIC, MAGIC_INDIRECT);
-            for (i, page) in chunk.iter().enumerate() {
-                p.put_u32(OFF_PAYLOAD + 4 * i, page.0);
-            }
-            let crc = crc32(p.slice(OFF_PAYLOAD, PAGE_SIZE - OFF_PAYLOAD));
-            p.put_u32(OFF_PAGE_CRC, crc);
-        })?;
-        indirect.push(id);
+    persist(pool, &filter, capacity, fresh)?;
+    Ok(filter)
+}
+
+/// Lays `filter` out on private pages — data pages, then indirect pages,
+/// then the header — takes one page run for them, hands every page over
+/// once and points [`SLOT_FILTER`] at the header.
+fn persist(pool: &BufferPool, filter: &GramFilter, capacity: u64, count: u64) -> Result<()> {
+    let data_pages = pages_for_blocks(filter.nblocks);
+    let npages = usize::try_from(data_pages).unwrap_or(usize::MAX);
+    let nindirect = usize::try_from(indirect_for_pages(data_pages)).unwrap_or(usize::MAX);
+    let ids = pool.allocate_run(npages.saturating_add(nindirect).saturating_add(1))?;
+    let (Some(pages), Some(indirect), Some(&header)) = (
+        ids.get(..npages),
+        ids.get(npages..npages.saturating_add(nindirect)),
+        ids.last(),
+    ) else {
+        return Err(crate::pager::StoreError::Corrupt(
+            "gram filter page run too short".into(),
+        ));
+    };
+    let mut out = RunWriter::new(pool);
+    let mut page = PageBuf::zeroed();
+    let mut words = filter.words.chunks(BLOCKS_PER_PAGE * BLOCK_WORDS);
+    for &id in pages {
+        page.as_bytes_mut().fill(0);
+        page.put_u32(OFF_MAGIC, MAGIC_DATA);
+        for (i, &w) in words.next().unwrap_or(&[]).iter().enumerate() {
+            page.put_u64(OFF_PAYLOAD + 8 * i, w);
+        }
+        let crc = crc32(page.slice(OFF_PAYLOAD, DATA_PAYLOAD));
+        page.put_u32(OFF_PAGE_CRC, crc);
+        out.push(id, &page)?;
     }
-    let header = pool.allocate()?;
-    pool.with_page_mut(header, |p| {
-        p.put_u32(OFF_MAGIC, MAGIC_HEADER);
-        p.put_u32(OFF_VERSION, FILTER_VERSION);
-        p.put_u64(OFF_NBLOCKS, nblocks);
-        p.put_u64(OFF_CAPACITY, capacity);
-        p.put_u64(OFF_COUNT, 0);
-        p.put_u32(OFF_NPAGES, u32::try_from(pages.len()).unwrap_or(u32::MAX));
-        p.put_u32(OFF_NINDIRECT, u32::try_from(indirect.len()).unwrap_or(u32::MAX));
-        for (i, page) in pages.iter().take(MAX_DIRECT).enumerate() {
-            p.put_u32(OFF_DIRECT + 4 * i, page.0);
+    let spilled = pages.get(MAX_DIRECT.min(npages)..).unwrap_or(&[]);
+    for (&id, chunk) in indirect.iter().zip(spilled.chunks(IDS_PER_INDIRECT)) {
+        page.as_bytes_mut().fill(0);
+        page.put_u32(OFF_MAGIC, MAGIC_INDIRECT);
+        for (i, data) in chunk.iter().enumerate() {
+            page.put_u32(OFF_PAYLOAD + 4 * i, data.0);
         }
-        for (i, page) in indirect.iter().enumerate() {
-            p.put_u32(OFF_INDIRECT + 4 * i, page.0);
-        }
-        let crc = crc32(p.slice(0, OFF_HEADER_CRC));
-        p.put_u32(OFF_HEADER_CRC, crc);
-    })?;
+        let crc = crc32(page.slice(OFF_PAYLOAD, PAGE_SIZE - OFF_PAYLOAD));
+        page.put_u32(OFF_PAGE_CRC, crc);
+        out.push(id, &page)?;
+    }
+    page.as_bytes_mut().fill(0);
+    page.put_u32(OFF_MAGIC, MAGIC_HEADER);
+    page.put_u32(OFF_VERSION, FILTER_VERSION);
+    page.put_u64(OFF_NBLOCKS, filter.nblocks);
+    page.put_u64(OFF_CAPACITY, capacity);
+    page.put_u64(OFF_COUNT, count);
+    page.put_u32(OFF_NPAGES, u32::try_from(npages).unwrap_or(u32::MAX));
+    page.put_u32(OFF_NINDIRECT, u32::try_from(nindirect).unwrap_or(u32::MAX));
+    for (i, data) in pages.iter().take(MAX_DIRECT).enumerate() {
+        page.put_u32(OFF_DIRECT + 4 * i, data.0);
+    }
+    for (i, id) in indirect.iter().enumerate() {
+        page.put_u32(OFF_INDIRECT + 4 * i, id.0);
+    }
+    let crc = crc32(page.slice(0, OFF_HEADER_CRC));
+    page.put_u32(OFF_HEADER_CRC, crc);
+    out.push(header, &page)?;
+    out.end_run()?;
     pool.set_meta(SLOT_FILTER, u64::from(header.0))
 }
 
@@ -501,7 +538,7 @@ fn write_grams(pool: &BufferPool, layout: &Layout, grams: &[u64]) -> Result<Opti
 
 /// Builds (or rebuilds) the filter from the distinct grams of the forward
 /// relation, sized at twice the current distinct-gram count. Runs inside
-/// the caller's transaction: on migration, bulk load, and saturation.
+/// the caller's transaction: on migration and saturation.
 pub(crate) fn rebuild_from_forward(pool: &BufferPool) -> Result<()> {
     let fwd = BTree::open(pool, crate::ops::SLOT_FWD)?;
     let mut distinct: FxHashSet<u64> = FxHashSet::default();
@@ -510,29 +547,8 @@ pub(crate) fn rebuild_from_forward(pool: &BufferPool) -> Result<()> {
         true
     })?;
     let mut grams: Vec<u64> = distinct.into_iter().collect();
-    rebuild_from_grams(pool, &mut grams)
-}
-
-/// Builds (or rebuilds) the filter to hold exactly `grams`, sized at twice
-/// their count (floored at [`DEFAULT_CAPACITY`]).
-pub(crate) fn rebuild_from_grams(pool: &BufferPool, grams: &mut Vec<u64>) -> Result<()> {
     grams.sort_unstable();
-    grams.dedup();
-    free_filter(pool)?;
-    let distinct = u64::try_from(grams.len()).unwrap_or(u64::MAX);
-    create(pool, distinct.saturating_mul(2))?;
-    let Some(layout) = read_layout(pool)? else {
-        // Unreachable in practice: the filter was just created.
-        return Ok(());
-    };
-    let Some(fresh) = write_grams(pool, &layout, grams)? else {
-        return free_filter(pool);
-    };
-    pool.with_page_mut(layout.header, |p| {
-        p.put_u64(OFF_COUNT, fresh);
-        let crc = crc32(p.slice(0, OFF_HEADER_CRC));
-        p.put_u32(OFF_HEADER_CRC, crc);
-    })
+    build(pool, &grams).map(|_| ())
 }
 
 #[cfg(test)]

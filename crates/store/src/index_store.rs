@@ -404,10 +404,10 @@ impl IndexStore {
         let mut rows: Vec<((u64, u64), u32)> = Vec::new();
         for (id, index) in forest {
             check_params(index.params(), params)?;
-            for (gram, count) in index.iter() {
-                rows.push(((id.0, gram), count));
-            }
+            crate::ops::push_tree_rows(&mut rows, id.0, index);
         }
+        // Each tree's rows are in order already; this pass only has work to
+        // do when the forest did not arrive in id order.
         rows.sort_unstable_by_key(|&(k, _)| k);
         Self::bulk_create_rows_with(path, params, vfs, &rows)
     }
@@ -448,13 +448,19 @@ impl IndexStore {
         vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
         rows: &[((u64, u64), u32)],
     ) -> Result<IndexStore> {
-        let store = IndexStore::create_with(path, params, vfs)?;
-        crate::ops::bulk_load_relations(&store.pool, rows)?;
+        let pool = crate::ops::create_file(path, vfs, params, KIND_INDEX_STORE)?;
+        crate::ops::init_relations(&pool)?;
+        let built = crate::ops::bulk_load_relations(&pool, rows)?;
         // Full durability barrier: the bulk-built state is the baseline
         // every later transaction's rollback falls back to, so it must
         // survive any crash that happens after this constructor returns.
-        store.pool.sync()?;
-        Self::with_mirrors(store.pool, params)
+        pool.sync()?;
+        Ok(IndexStore {
+            pool,
+            params,
+            filter: Some(built.filter),
+            totals: built.totals,
+        })
     }
 
     /// Consumes the store into a shareable read-only handle for concurrent

@@ -38,8 +38,10 @@ impl Memtable {
         self.entries.is_empty()
     }
 
-    /// Distinct grams buffered across all puts since the last clear — the
-    /// flush-threshold heuristic (a proxy for the eventual segment size).
+    /// Distinct grams buffered, summed over the entries the map holds now
+    /// (an entry a later put or removal replaced no longer counts) — the
+    /// flush-threshold heuristic: the row count of the segment a flush
+    /// would write.
     pub(crate) fn grams(&self) -> u64 {
         self.grams
     }
@@ -48,14 +50,20 @@ impl Memtable {
     /// tombstone, matching the single-file semantics where empty trees are
     /// not representable in the relation.
     pub(crate) fn put(&mut self, id: TreeId, index: TreeIndex) {
-        self.grams += u64::try_from(index.distinct()).unwrap_or(u64::MAX);
-        let entry = (index.total() > 0).then_some(index);
-        self.entries.insert(id.0, entry);
+        self.set(id, (index.total() > 0).then_some(index));
     }
 
     /// Buffers a removal of `id` (a tombstone).
     pub(crate) fn remove(&mut self, id: TreeId) {
-        self.entries.insert(id.0, None);
+        self.set(id, None);
+    }
+
+    fn set(&mut self, id: TreeId, entry: Option<TreeIndex>) {
+        let distinct = |index: &TreeIndex| u64::try_from(index.distinct()).unwrap_or(u64::MAX);
+        self.grams += entry.as_ref().map_or(0, distinct);
+        if let Some(Some(replaced)) = self.entries.insert(id.0, entry) {
+            self.grams -= distinct(&replaced);
+        }
     }
 
     /// The buffered entry of `id`: `None` if the memtable holds nothing
@@ -102,5 +110,41 @@ mod tests {
         mt.clear();
         assert!(mt.is_empty());
         assert_eq!(mt.grams(), 0);
+    }
+
+    /// `grams()` is the distinct-gram count of what the map holds, whatever
+    /// sequence of puts, re-puts and removals led there.
+    #[test]
+    fn grams_counts_only_the_entries_still_buffered() {
+        let params = PQParams::default();
+        let index = |grams: std::ops::Range<u64>| {
+            let mut idx = TreeIndex::empty(params);
+            for g in grams {
+                idx.add(g);
+                idx.add(g); // multiplicity does not count, distinct grams do
+            }
+            idx
+        };
+        let buffered = |mt: &Memtable| -> usize {
+            mt.iter()
+                .map(|(_, e)| e.as_ref().map_or(0, TreeIndex::distinct))
+                .sum()
+        };
+        let mut mt = Memtable::new();
+        mt.put(TreeId(1), index(0..10));
+        mt.put(TreeId(2), index(5..25));
+        assert_eq!(mt.grams(), 30);
+        mt.put(TreeId(1), index(0..12)); // re-put: 10 leave, 12 enter
+        assert_eq!(mt.grams(), 32);
+        mt.put(TreeId(1), index(0..12)); // the same bag again: no growth
+        assert_eq!(mt.grams(), 32);
+        mt.remove(TreeId(2)); // a buffered tree turns into a tombstone
+        assert_eq!(mt.grams(), 12);
+        mt.remove(TreeId(3)); // a tombstone for a tree never buffered
+        mt.put(TreeId(3), index(0..4)); // a put over a tombstone
+        assert_eq!(mt.grams(), 16);
+        mt.put(TreeId(1), TreeIndex::empty(params)); // empty bag = tombstone
+        assert_eq!(mt.grams(), 4);
+        assert_eq!(usize::try_from(mt.grams()), Ok(buffered(&mt)));
     }
 }

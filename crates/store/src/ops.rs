@@ -225,7 +225,7 @@ pub(crate) fn ensure_format(pool: &BufferPool) -> Result<bool> {
     let version = pool.meta(SLOT_VERSION);
     let migrate: fn(&BufferPool) -> Result<()> = match version {
         FORMAT_VERSION => return Ok(false),
-        0 => build_secondary_relations,
+        0 => |pool| build_secondary_relations(pool, forward_rows(pool)?.into_iter()).map(|_| ()),
         FORMAT_VERSION_V2 => |pool| {
             crate::btree::free_tree(pool, SLOT_INV)?;
             rebuild_inverted(pool)?;
@@ -252,63 +252,98 @@ pub(crate) fn ensure_format(pool: &BufferPool) -> Result<bool> {
     }
 }
 
-/// Bulk-loads all three relations from rows sorted strictly ascending by
-/// `(treeId, pqg)`; the relations must be empty. Returns the row count.
-pub(crate) fn bulk_load_relations(pool: &BufferPool, rows: &[((u64, u64), u32)]) -> Result<u64> {
-    let n = BTree::open(pool, SLOT_FWD)?.bulk_load(rows.iter().copied())?;
-    build_secondary_relations(pool)?;
-    Ok(n)
+/// What one bulk build wrote, kept for the handle that opens on top of it:
+/// the mirrors [`TotalsView::load`], [`crate::filter::load`] and
+/// [`Fence::build`] would otherwise read back from the pages just written.
+pub(crate) struct Built {
+    /// Mirror of the totals relation.
+    pub(crate) totals: TotalsView,
+    /// The gram filter that was persisted.
+    pub(crate) filter: GramFilter,
+    /// The rows of the inverted directory, ascending.
+    pub(crate) directory: Vec<DirRow>,
 }
 
-/// One ordered scan of the forward relation yielding the inverted rows
-/// (sorted by `(pqg, treeId)`) and per-tree totals.
-#[allow(clippy::type_complexity)]
-fn forward_derived_rows(pool: &BufferPool) -> Result<(Vec<((u64, u64), u32)>, Vec<(u64, u64)>)> {
-    let fwd = BTree::open(pool, SLOT_FWD)?;
-    let mut inv_rows: Vec<((u64, u64), u32)> = Vec::new();
+/// Appends the forward rows of tree `t`, ascending by gram.
+pub(crate) fn push_tree_rows(rows: &mut Vec<((u64, u64), u32)>, t: u64, index: &TreeIndex) {
+    let start = rows.len();
+    rows.extend(index.iter().map(|(gram, count)| ((t, gram), count)));
+    if let Some(own) = rows.get_mut(start..) {
+        own.sort_unstable_by_key(|&(k, _)| k);
+    }
+}
+
+/// Bulk-loads all three relations and the gram filter from rows sorted
+/// strictly ascending by `(treeId, pqg)`; the relations must be empty.
+/// Everything is derived from `rows` in one pass — nothing is read back.
+pub(crate) fn bulk_load_relations(pool: &BufferPool, rows: &[((u64, u64), u32)]) -> Result<Built> {
+    BTree::open(pool, SLOT_FWD)?.bulk_load(rows.iter().copied())?;
+    build_secondary_relations(pool, rows.iter().copied())
+}
+
+/// Builds the inverted and totals relations (which must be empty) and the
+/// gram filter from the forward rows, given ascending by `(treeId, pqg)`.
+fn build_secondary_relations(
+    pool: &BufferPool,
+    forward: impl Iterator<Item = ((u64, u64), u32)>,
+) -> Result<Built> {
+    let mut inv_rows: Vec<((u64, u64), u32)> = Vec::with_capacity(forward.size_hint().0);
     let mut totals: Vec<(u64, u64)> = Vec::new();
-    let mut cur: Option<u64> = None;
-    let mut acc = 0u64;
-    fwd.for_each_range(KEY_MIN, KEY_MAX, |(t, g), c| {
-        if cur != Some(t) {
-            if let Some(done) = cur {
-                totals.push((done, acc));
-            }
-            cur = Some(t);
-            acc = 0;
+    for ((t, g), c) in forward {
+        match totals.last_mut() {
+            Some((last, total)) if *last == t => *total += u64::from(c),
+            _ => totals.push((t, u64::from(c))),
         }
-        acc += u64::from(c);
         inv_rows.push(((g, t), c));
-        true
-    })?;
-    if let Some(done) = cur {
-        totals.push((done, acc));
     }
     inv_rows.sort_unstable_by_key(|&(k, _)| k);
-    Ok((inv_rows, totals))
+    let inv = BTree::open(pool, SLOT_INV)?;
+    let directory = postings::bulk_load_inverted(pool, &inv, &inv_rows)?;
+    let mut view = TotalsView::empty();
+    let mut tot_rows: Vec<((u64, u64), u32)> = Vec::with_capacity(totals.len());
+    for (t, total) in totals {
+        let total = total_u32(total)?;
+        view.set(t, total);
+        tot_rows.push(((t, 0), total));
+    }
+    BTree::open(pool, SLOT_TOT)?.bulk_load(tot_rows)?;
+    // The sorted inverted rows hold every gram's postings side by side.
+    let mut grams: Vec<u64> = Vec::new();
+    for &((g, _), _) in &inv_rows {
+        if grams.last() != Some(&g) {
+            grams.push(g);
+        }
+    }
+    let filter = filter::build(pool, &grams)?;
+    Ok(Built {
+        totals: view,
+        filter,
+        directory,
+    })
 }
 
 /// Rebuilds the inverted directory (which must be empty) from one ordered
 /// scan of the forward relation.
 fn rebuild_inverted(pool: &BufferPool) -> Result<()> {
-    let (inv_rows, _) = forward_derived_rows(pool)?;
-    let inv = BTree::open(pool, SLOT_INV)?;
-    postings::bulk_load_inverted(pool, &inv, &inv_rows)
-}
-
-/// Rebuilds the inverted and totals relations (which must be empty) and the
-/// gram filter from one ordered scan of the forward relation.
-fn build_secondary_relations(pool: &BufferPool) -> Result<()> {
-    let (inv_rows, totals) = forward_derived_rows(pool)?;
+    let mut inv_rows = forward_rows(pool)?;
+    for ((t, g), _) in &mut inv_rows {
+        std::mem::swap(t, g);
+    }
+    inv_rows.sort_unstable_by_key(|&(k, _)| k);
     let inv = BTree::open(pool, SLOT_INV)?;
     postings::bulk_load_inverted(pool, &inv, &inv_rows)?;
-    let mut tot_rows: Vec<((u64, u64), u32)> = Vec::with_capacity(totals.len());
-    for (t, total) in totals {
-        tot_rows.push(((t, 0), total_u32(total)?));
-    }
-    BTree::open(pool, SLOT_TOT)?.bulk_load(tot_rows)?;
-    let mut grams: Vec<u64> = inv_rows.iter().map(|&((g, _), _)| g).collect();
-    filter::rebuild_from_grams(pool, &mut grams)
+    Ok(())
+}
+
+/// The forward relation in key order, for the migrations that rebuild the
+/// other relations from it.
+fn forward_rows(pool: &BufferPool) -> Result<Vec<((u64, u64), u32)>> {
+    let mut rows = Vec::new();
+    BTree::open(pool, SLOT_FWD)?.for_each_range(KEY_MIN, KEY_MAX, |k, c| {
+        rows.push((k, c));
+        true
+    })?;
+    Ok(rows)
 }
 
 /// Deletes every row of `id` from all three relations.

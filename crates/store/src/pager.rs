@@ -18,6 +18,13 @@
 //! transaction is journaled (and synced) before its first overwrite. Opening
 //! a store with a hot journal rolls the incomplete transaction back.
 //!
+//! Pages are allocated in runs ([`Pager::allocate_run`]; a single
+//! [`Pager::allocate`] is a run of one): one header write and one
+//! zero-filling growth of the file per run, after which the header is on
+//! disk and every fresh page reads back as zeros — so a bulk builder
+//! writes each page it fills exactly once (`Pager::write_run`) and
+//! nothing else.
+//!
 //! All file access is routed through a [`Vfs`] handle. [`Pager::create`] and
 //! [`Pager::open`] use the real file system ([`crate::vfs::RealVfs`]);
 //! [`Pager::create_with`]/[`Pager::open_with`] accept any implementation —
@@ -202,40 +209,94 @@ impl Pager {
     /// transaction.
     // analyze: txn-sink
     pub fn write_page(&mut self, id: PageId, page: &PageBuf) -> Result<()> {
-        self.check_id(id)?;
-        if id == PageId(0) {
+        self.write_run(id, page.as_bytes())
+    }
+
+    /// Writes the images of the consecutive pages `first, first + 1, …`
+    /// (`images` is a whole number of pages) with one file write. Inside a
+    /// transaction the original of every page in the run is journaled and
+    /// the journal synced — once for the run — before the write.
+    // analyze: txn-sink
+    pub(crate) fn write_run(&mut self, first: PageId, images: &[u8]) -> Result<()> {
+        if images.is_empty() || !images.len().is_multiple_of(PAGE_SIZE) {
+            return Err(StoreError::InvalidArgument(
+                "a run is a whole number of pages".into(),
+            ));
+        }
+        let pages = u32::try_from(images.len() / PAGE_SIZE).unwrap_or(u32::MAX);
+        if first == PageId(0) {
             return Err(StoreError::InvalidArgument(
                 "header is written via set_meta".into(),
             ));
         }
-        self.journal_page(id)?;
+        self.check_id(first)?;
+        self.check_id(PageId(first.0.saturating_add(pages - 1)))?;
+        self.journal_pages((first.0..first.0.saturating_add(pages)).map(PageId))?;
+        self.file.write_all_at(first.offset(), images)?;
+        Ok(())
+    }
+
+    /// Records the original image of every page of `ids` the open
+    /// transaction has not captured yet, then syncs the journal once: from
+    /// here on those pages may be overwritten without another journal
+    /// sync. A no-op outside a transaction.
+    pub(crate) fn journal_pages(&mut self, ids: impl IntoIterator<Item = PageId>) -> Result<()> {
+        for id in ids {
+            self.journal_page(id)?;
+        }
         if let Some(j) = &mut self.journal {
             j.sync()?;
         }
-        self.file.write_all_at(id.offset(), page.as_bytes())?;
         Ok(())
     }
 
     /// Allocates a page (reusing the free list when possible).
     // analyze: txn-sink
     pub fn allocate(&mut self) -> Result<PageId> {
-        let head = self.header.get_page_id(OFF_FREELIST);
-        if head != PageId::NONE {
-            let page = self.read_page(head)?;
-            let next = page.get_page_id(0);
-            self.journal_page(PageId(0))?;
-            self.header.put_page_id(OFF_FREELIST, next);
-            self.flush_header()?;
-            return Ok(head);
+        self.allocate_run(1)?
+            .pop()
+            .ok_or_else(|| StoreError::Corrupt("allocate_run(1) returned no page".into()))
+    }
+
+    /// Allocates `n` pages with one header write: free-list pages first
+    /// (exactly the ids `n` calls of [`Pager::allocate`] would return, in
+    /// that order), the rest by one zero-filling growth of the file. When
+    /// this returns the header is on disk and every page taken from the end
+    /// of the file reads back as zeros, so a caller may write only the
+    /// pages it fills. Inside a transaction the header is journaled first,
+    /// as for any other header change.
+    // analyze: txn-sink
+    pub fn allocate_run(&mut self, n: usize) -> Result<Vec<PageId>> {
+        let mut ids = Vec::with_capacity(n);
+        if n == 0 {
+            return Ok(ids);
         }
-        let id = PageId(self.page_count());
+        let mut head = self.header.get_page_id(OFF_FREELIST);
+        while head != PageId::NONE && ids.len() < n {
+            ids.push(head);
+            head = self.read_page(head)?.get_page_id(0);
+        }
+        let old_count = self.page_count();
+        let new_count = u32::try_from(n - ids.len())
+            .ok()
+            .and_then(|grow| old_count.checked_add(grow))
+            .filter(|&count| count < PageId::NONE.0)
+            .ok_or_else(|| StoreError::InvalidArgument("page id space exhausted".into()))?;
+        if new_count > old_count {
+            // `open` tolerates a file longer than its page count; cut such
+            // a tail off first so it cannot leak into the new pages.
+            let old_len = PageId(old_count).offset();
+            if self.file.size()? > old_len {
+                self.file.truncate(old_len)?;
+            }
+            self.file.truncate(PageId(new_count).offset())?;
+        }
         self.journal_page(PageId(0))?;
-        self.header.put_u32(OFF_PAGE_COUNT, id.0 + 1);
+        self.header.put_page_id(OFF_FREELIST, head);
+        self.header.put_u32(OFF_PAGE_COUNT, new_count);
         self.flush_header()?;
-        // Extend the file with a zero page.
-        self.file
-            .write_all_at(id.offset(), PageBuf::zeroed().as_bytes())?;
-        Ok(id)
+        ids.extend((old_count..new_count).map(PageId));
+        Ok(ids)
     }
 
     /// Returns a page to the free list.
@@ -464,6 +525,112 @@ mod tests {
         let d = pager.allocate()?;
         let e = pager.allocate()?;
         assert_eq!((d, e), (c, b), "LIFO free list");
+        Ok(())
+    }
+
+    /// `allocate_run(n)` hands out exactly what `n` calls of `allocate`
+    /// would: the free list first, LIFO, then fresh pages off the end.
+    #[test]
+    fn allocate_run_returns_the_ids_of_repeated_allocate() -> Result<()> {
+        let prepare = |name: &str| -> Result<Pager> {
+            let mut pager = Pager::create(&tmp(name))?;
+            let ids: Vec<PageId> = (0..4).map(|_| pager.allocate()).collect::<Result<_>>()?;
+            pager.free(ids[1])?;
+            pager.free(ids[3])?;
+            Ok(pager)
+        };
+        let mut one_by_one = prepare("run-single.db")?;
+        let mut in_a_run = prepare("run-batch.db")?;
+        let want: Vec<PageId> = (0..5)
+            .map(|_| one_by_one.allocate())
+            .collect::<Result<_>>()?;
+        let got = in_a_run.allocate_run(5)?;
+        assert_eq!(got, want);
+        assert_eq!(got, [4, 2, 5, 6, 7].map(PageId), "free list first, LIFO");
+        assert_eq!(in_a_run.page_count(), one_by_one.page_count());
+        assert_eq!(in_a_run.validate()?, 0, "the free list is used up");
+        assert!(in_a_run.allocate_run(0)?.is_empty());
+        assert_eq!(in_a_run.page_count(), 8);
+        Ok(())
+    }
+
+    /// The contract bulk builders rely on: when `allocate_run` returns,
+    /// the header is on disk (no sync needed for a reopen to see the
+    /// pages) and the fresh pages read back as zeros, even over a stale
+    /// tail the file carried beyond its page count.
+    #[test]
+    fn allocated_runs_read_as_zeros_and_survive_reopen() -> Result<()> {
+        let path = tmp("run-zeros.db");
+        {
+            let mut pager = Pager::create(&path)?;
+            pager.allocate()?;
+            // A stale tail past the page count, as `open` tolerates.
+            let mut f = OpenOptions::new().append(true).open(&path)?;
+            std::io::Write::write_all(&mut f, &[0xee; 100])?;
+            drop(f);
+            let ids = pager.allocate_run(300)?;
+            assert_eq!(ids.first(), Some(&PageId(2)));
+            assert_eq!(ids.last(), Some(&PageId(301)));
+            for &id in &ids {
+                assert_eq!(pager.read_page(id)?, PageBuf::zeroed(), "{id:?}");
+            }
+            pager.write_run(PageId(3), &[page_with(7).as_bytes().as_slice(); 2].concat())?;
+        }
+        let mut pager = Pager::open(&path)?;
+        assert_eq!(pager.page_count(), 302);
+        assert_eq!(pager.read_page(PageId(2))?, PageBuf::zeroed());
+        assert_eq!(pager.read_page(PageId(3))?, page_with(7));
+        assert_eq!(pager.read_page(PageId(4))?, page_with(7));
+        assert_eq!(pager.read_page(PageId(5))?, PageBuf::zeroed());
+        assert_eq!(pager.validate()?, 0);
+        Ok(())
+    }
+
+    #[test]
+    fn write_run_rejects_what_is_not_a_run_of_allocated_pages() -> Result<()> {
+        let mut pager = Pager::create(&tmp("run-reject.db"))?;
+        pager.allocate_run(2)?;
+        let page = page_with(1);
+        let two = [page.as_bytes().as_slice(); 2].concat();
+        assert!(pager.write_run(PageId(1), &[]).is_err());
+        assert!(pager.write_run(PageId(1), &two[..PAGE_SIZE + 1]).is_err());
+        assert!(
+            pager.write_run(PageId(0), &two).is_err(),
+            "never the header"
+        );
+        assert!(
+            pager.write_run(PageId(2), &two).is_err(),
+            "past the last page"
+        );
+        pager.write_run(PageId(1), &two)?;
+        assert_eq!(pager.read_page(PageId(2))?, page);
+        Ok(())
+    }
+
+    /// A run inside a transaction — free-list pages journaled before their
+    /// overwrite, fresh ones cut off again — rolls back without a trace.
+    #[test]
+    fn rolled_back_run_leaves_the_page_count_where_it_started() -> Result<()> {
+        let mut pager = Pager::create(&tmp("run-rollback.db"))?;
+        let ids = pager.allocate_run(3)?;
+        pager.write_page(ids[0], &page_with(1))?;
+        pager.free(ids[1])?;
+        let link = pager.read_page(ids[1])?;
+
+        pager.begin()?;
+        let run = pager.allocate_run(40)?;
+        assert_eq!(run[0], ids[1], "the freed page leads the run");
+        assert_eq!(pager.page_count(), 43);
+        pager.write_run(run[0], page_with(9).as_bytes())?;
+        let fresh: Vec<u8> = (0..39).flat_map(|_| *page_with(8).as_bytes()).collect();
+        pager.write_run(run[1], &fresh)?;
+        pager.rollback()?;
+
+        assert_eq!(pager.page_count(), 4);
+        assert_eq!(pager.validate()?, 1, "the freed page is free again");
+        assert_eq!(pager.read_page(ids[0])?, page_with(1));
+        assert_eq!(pager.read_page(ids[1])?, link);
+        assert_eq!(pager.allocate_run(2)?, vec![ids[1], PageId(4)]);
         Ok(())
     }
 

@@ -28,7 +28,7 @@
 //! [`StoreError::Corrupt`] — this module must never panic on disk bytes.
 
 use crate::btree::{BTree, LeafCursor};
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, RunWriter};
 use crate::crc::crc32;
 use crate::fence::{Fence, FenceCursor};
 use crate::ops::SLOT_INV;
@@ -130,47 +130,29 @@ fn corrupt(msg: &str) -> StoreError {
 // Bit-level encoding
 // ---------------------------------------------------------------------------
 
-/// LSB-first bit writer over a byte vector.
-struct BitWriter {
-    bytes: Vec<u8>,
-    bit: usize,
-}
-
-impl BitWriter {
-    fn with_bits(bits: usize) -> Self {
-        BitWriter {
-            bytes: vec![0u8; bits.div_ceil(8)],
-            bit: 0,
-        }
+/// ORs the low `width` bits of `value` into `bytes` at absolute bit
+/// position `pos` (LSB-first). The target bits must still be zero: the
+/// encoder writes every position once into a zeroed buffer.
+fn put_bits(bytes: &mut [u8], pos: usize, value: u64, width: u8) -> Result<()> {
+    if width == 0 {
+        return Ok(());
     }
-
-    /// Sets the bit at an absolute position (used for unary high bits).
-    fn set(&mut self, pos: usize) -> Result<()> {
-        let byte = self
-            .bytes
-            .get_mut(pos / 8)
-            .ok_or_else(|| corrupt("bit position out of range while encoding"))?;
-        *byte |= 1u8 << (pos % 8);
-        Ok(())
+    let value = if width >= 64 {
+        value
+    } else {
+        value & ((1u64 << width) - 1)
+    };
+    let shift = pos % 8;
+    let need = (shift + usize::from(width)).div_ceil(8);
+    let dst = (pos / 8)
+        .checked_add(need)
+        .and_then(|end| bytes.get_mut(pos / 8..end))
+        .ok_or_else(|| corrupt("bit position out of range while encoding"))?;
+    let word = (u128::from(value) << shift).to_le_bytes();
+    for (d, s) in dst.iter_mut().zip(word) {
+        *d |= s;
     }
-
-    /// Appends the low `width` bits of `value` at the write cursor.
-    fn push(&mut self, value: u64, width: u8) -> Result<()> {
-        for i in 0..width {
-            if value >> i & 1 != 0 {
-                let pos = self
-                    .bit
-                    .checked_add(usize::from(i))
-                    .ok_or_else(|| corrupt("bit cursor overflow while encoding"))?;
-                self.set(pos)?;
-            }
-        }
-        self.bit = self
-            .bit
-            .checked_add(usize::from(width))
-            .ok_or_else(|| corrupt("bit cursor overflow while encoding"))?;
-        Ok(())
-    }
+    Ok(())
 }
 
 /// LSB-first bit reader over a byte slice.
@@ -292,12 +274,12 @@ fn low_width(u: u64, n: u64) -> u8 {
 // Block encode / decode
 // ---------------------------------------------------------------------------
 
-/// The size plan of one block encoding: section widths plus the total
-/// entry length. Shared between the encoder and the chunker so "will it
-/// fit a pack page" is answered without encoding.
-struct Plan {
-    grams: Vec<u64>,
-    runs: Vec<usize>,
+/// The size plan of one block encoding: the distinct-gram count, section
+/// widths and the total entry length. Made once per block and shared by
+/// the chunker and the encoder, so "will it fit a pack page" is answered
+/// without encoding and never asked twice.
+pub(crate) struct Plan {
+    grams: usize,
     gw: u8,
     rw: u8,
     tw: u8,
@@ -306,57 +288,55 @@ struct Plan {
     total: usize,
 }
 
+/// Byte length of `n` values of `width` bits each.
+fn section_bytes(n: usize, width: u8) -> usize {
+    (n * usize::from(width)).div_ceil(8)
+}
+
 /// Validates `rows` (non-empty, ≤ [`MAX_BLOCK_ROWS`], strictly ascending
-/// `(gram, treeId)` pairs, positive counts) and computes the size plan.
+/// `(gram, treeId)` pairs, positive counts) and computes the size plan, in
+/// one pass.
 fn plan_block(rows: &[Row]) -> Result<Plan> {
     let n = rows.len();
-    if n == 0 || n > MAX_BLOCK_ROWS {
+    let (Some(first), Some(last)) = (rows.first(), rows.last()) else {
+        return Err(corrupt("row count out of range while encoding"));
+    };
+    if n > MAX_BLOCK_ROWS {
         return Err(corrupt("row count out of range while encoding"));
     }
-    for (a, b) in rows.iter().zip(rows.iter().skip(1)) {
-        if a.0 >= b.0 {
+    let mut prev: Option<(u64, u64)> = None;
+    let (mut grams, mut max_tid, mut max_count) = (0usize, 0u64, 0u32);
+    for &(key, c) in rows {
+        if prev.is_some_and(|p| p >= key) {
             return Err(corrupt("rows not strictly ascending while encoding"));
         }
-    }
-    if rows.iter().any(|&(_, c)| c == 0) {
-        return Err(corrupt("zero posting count while encoding"));
-    }
-    let mut grams: Vec<u64> = Vec::new();
-    let mut runs: Vec<usize> = Vec::new();
-    for &((g, _), _) in rows {
-        if grams.last() == Some(&g) {
-            if let Some(r) = runs.last_mut() {
-                *r += 1;
-            }
-        } else {
-            grams.push(g);
-            runs.push(1);
+        if c == 0 {
+            return Err(corrupt("zero posting count while encoding"));
         }
+        if prev.map(|p| p.0) != Some(key.0) {
+            grams += 1;
+        }
+        max_tid = max_tid.max(key.1);
+        max_count = max_count.max(c - 1);
+        prev = Some(key);
     }
-    let g_count = u64::try_from(grams.len()).map_err(|_| corrupt("gram count too large"))?;
-    let first_gram = grams.first().copied().unwrap_or(0);
-    let last_gram = grams.last().copied().unwrap_or(0);
-    let u_g = last_gram - first_gram;
+    let g_count = u64::try_from(grams).map_err(|_| corrupt("gram count too large"))?;
+    let u_g = last.0 .0 - first.0 .0;
     let gw = low_width(u_g, g_count);
     let n64 = u64::try_from(n).map_err(|_| corrupt("row count too large"))?;
     let rw = bit_width(n64 - 1);
-    let tw = bit_width(rows.iter().map(|&((_, t), _)| t).max().unwrap_or(0));
-    let cw = bit_width(u64::from(
-        rows.iter().map(|&(_, c)| c - 1).max().unwrap_or(0),
-    ));
+    let tw = bit_width(max_tid);
+    let cw = bit_width(u64::from(max_count));
     let gram_high_bits = grams
-        .len()
         .checked_add(usize::try_from(u_g >> gw).map_err(|_| corrupt("gram universe too large"))?)
         .and_then(|v| v.checked_add(1))
         .ok_or_else(|| corrupt("gram universe too large"))?;
     let sections = gram_high_bits
         .div_ceil(8)
-        .checked_add(
-            grams.len() * usize::from(gw) / 8 + usize::from(grams.len() * usize::from(gw) % 8 != 0),
-        )
-        .and_then(|v| v.checked_add((grams.len() * usize::from(rw)).div_ceil(8)))
-        .and_then(|v| v.checked_add((n * usize::from(tw)).div_ceil(8)))
-        .and_then(|v| v.checked_add((n * usize::from(cw)).div_ceil(8)))
+        .checked_add(section_bytes(grams, gw))
+        .and_then(|v| v.checked_add(section_bytes(grams, rw)))
+        .and_then(|v| v.checked_add(section_bytes(n, tw)))
+        .and_then(|v| v.checked_add(section_bytes(n, cw)))
         .ok_or_else(|| corrupt("payload too large"))?;
     let total = ENTRY_HDR
         .checked_add(PREFIX)
@@ -365,7 +345,6 @@ fn plan_block(rows: &[Row]) -> Result<Plan> {
         .ok_or_else(|| corrupt("payload too large"))?;
     Ok(Plan {
         grams,
-        runs,
         gw,
         rw,
         tw,
@@ -393,6 +372,14 @@ pub(crate) struct Decoded {
 /// must fit a pack page — use [`chunk_rows`] to pre-split.
 pub(crate) fn encode_block(rows: &[Row]) -> Result<Vec<u8>> {
     let plan = plan_block(rows)?;
+    let mut out = Vec::with_capacity(plan.total);
+    encode_planned(rows, &plan, &mut out)?;
+    Ok(out)
+}
+
+/// Appends the block entry of `rows` to `out`, laid out by `plan` — the
+/// plan [`plan_block`] made for exactly these rows.
+fn encode_planned(rows: &[Row], plan: &Plan, out: &mut Vec<u8>) -> Result<()> {
     if plan.total > PACK_CAPACITY {
         return Err(corrupt("encoded block exceeds pack page capacity"));
     }
@@ -401,47 +388,11 @@ pub(crate) fn encode_block(rows: &[Row]) -> Result<Vec<u8>> {
         (Some(f), Some(l)) => (f.0, l.0),
         _ => return Err(corrupt("row count out of range while encoding")),
     };
-    let first_gram = first.0;
-
-    let mut gram_high = BitWriter::with_bits(plan.gram_high_bits);
-    let mut gram_low = BitWriter::with_bits(plan.grams.len() * usize::from(plan.gw));
-    let mut run_bits = BitWriter::with_bits(plan.grams.len() * usize::from(plan.rw));
-    let mut cum = 0usize;
-    for (i, (&g, &r)) in plan.grams.iter().zip(plan.runs.iter()).enumerate() {
-        let delta = g - first_gram;
-        let pos = usize::try_from(delta >> plan.gw)
-            .ok()
-            .and_then(|p| p.checked_add(i))
-            .ok_or_else(|| corrupt("gram universe too large"))?;
-        gram_high.set(pos)?;
-        if plan.gw > 0 {
-            gram_low.push(delta & ((1u64 << plan.gw) - 1), plan.gw)?;
-        }
-        // Cumulative row count through this gram, biased by one: probes
-        // read any gram's row prefix and run length in O(1).
-        cum += r;
-        let cum64 = u64::try_from(cum).map_err(|_| corrupt("row count too large"))?;
-        if plan.rw > 0 {
-            run_bits.push(cum64 - 1, plan.rw)?;
-        }
-    }
-    let mut tids = BitWriter::with_bits(n * usize::from(plan.tw));
-    let mut counts = BitWriter::with_bits(n * usize::from(plan.cw));
-    for &((_, t), c) in rows {
-        if plan.tw > 0 {
-            tids.push(t, plan.tw)?;
-        }
-        if plan.cw > 0 {
-            counts.push(u64::from(c - 1), plan.cw)?;
-        }
-    }
-
-    let len = plan.total - ENTRY_HDR;
-    let len16 = u16::try_from(len).map_err(|_| corrupt("payload too large"))?;
+    let len16 = u16::try_from(plan.total - ENTRY_HDR).map_err(|_| corrupt("payload too large"))?;
     let n16 = u16::try_from(n).map_err(|_| corrupt("row count too large"))?;
-    let g16 = u16::try_from(plan.grams.len()).map_err(|_| corrupt("gram count too large"))?;
+    let g16 = u16::try_from(plan.grams).map_err(|_| corrupt("gram count too large"))?;
 
-    let mut out = Vec::with_capacity(plan.total);
+    let start = out.len();
     out.extend_from_slice(&last.0.to_le_bytes());
     out.extend_from_slice(&last.1.to_le_bytes());
     out.extend_from_slice(&first.0.to_le_bytes());
@@ -449,27 +400,66 @@ pub(crate) fn encode_block(rows: &[Row]) -> Result<Vec<u8>> {
     out.extend_from_slice(&n16.to_le_bytes());
     out.extend_from_slice(&len16.to_le_bytes());
     out.extend_from_slice(&g16.to_le_bytes());
-    out.push(plan.gw);
-    out.push(plan.rw);
-    out.push(plan.tw);
-    out.push(plan.cw);
-    out.extend_from_slice(&gram_high.bytes);
-    out.extend_from_slice(&gram_low.bytes);
-    out.extend_from_slice(&run_bits.bytes);
-    out.extend_from_slice(&tids.bytes);
-    out.extend_from_slice(&counts.bytes);
-    let crc = crc32(&out);
+    out.extend_from_slice(&[plan.gw, plan.rw, plan.tw, plan.cw]);
+
+    // The five bit sections, each starting on a byte: gram high bits
+    // (unary), gram low bits, cumulative run lengths, treeIds, counts.
+    let sections_at = out.len();
+    out.resize(start + plan.total - 4, 0);
+    let sections = out.get_mut(sections_at..).unwrap_or(&mut []);
+    let low_at = 8 * plan.gram_high_bits.div_ceil(8);
+    let run_at = low_at + 8 * section_bytes(plan.grams, plan.gw);
+    let tid_at = run_at + 8 * section_bytes(plan.grams, plan.rw);
+    let count_at = tid_at + 8 * section_bytes(n, plan.tw);
+    let mut gram_index = 0usize;
+    for (i, &((gram, t), c)) in rows.iter().enumerate() {
+        put_bits(sections, tid_at + i * usize::from(plan.tw), t, plan.tw)?;
+        put_bits(
+            sections,
+            count_at + i * usize::from(plan.cw),
+            u64::from(c - 1),
+            plan.cw,
+        )?;
+        if rows.get(i + 1).is_some_and(|next| next.0 .0 == gram) {
+            continue;
+        }
+        // Last row of this gram's run.
+        let delta = gram - first.0;
+        let high = usize::try_from(delta >> plan.gw)
+            .ok()
+            .and_then(|p| p.checked_add(gram_index))
+            .filter(|&p| p < plan.gram_high_bits)
+            .ok_or_else(|| corrupt("gram universe too large"))?;
+        put_bits(sections, high, 1, 1)?;
+        put_bits(
+            sections,
+            low_at + gram_index * usize::from(plan.gw),
+            delta,
+            plan.gw,
+        )?;
+        // Cumulative row count through this gram, biased by one: probes
+        // read any gram's row prefix and run length in O(1).
+        let cum = u64::try_from(i).map_err(|_| corrupt("row count too large"))?;
+        put_bits(
+            sections,
+            run_at + gram_index * usize::from(plan.rw),
+            cum,
+            plan.rw,
+        )?;
+        gram_index += 1;
+    }
+    let crc = crc32(out.get(start..).unwrap_or(&[]));
     out.extend_from_slice(&crc.to_le_bytes());
-    if out.len() != plan.total {
+    if out.len() - start != plan.total || gram_index != plan.grams {
         return Err(corrupt("encoder produced an inconsistent length"));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Splits `rows` into consecutive chunks that each satisfy the block
-/// limits (row count and pack-page capacity). Concatenating the chunks in
-/// order reproduces `rows`.
-pub(crate) fn chunk_rows(rows: &[Row]) -> Result<Vec<&[Row]>> {
+/// limits (row count and pack-page capacity), each with the plan that says
+/// so. Concatenating the chunks in order reproduces `rows`.
+pub(crate) fn chunk_rows(rows: &[Row]) -> Result<Vec<(&[Row], Plan)>> {
     let mut out = Vec::new();
     if rows.is_empty() {
         return Ok(out);
@@ -484,9 +474,12 @@ pub(crate) fn chunk_rows(rows: &[Row]) -> Result<Vec<&[Row]>> {
         let chunk = rows
             .get(start..end)
             .ok_or_else(|| corrupt("block chunking range out of bounds"))?;
-        if chunk.len() <= MAX_BLOCK_ROWS && plan_block(chunk)?.total <= PACK_CAPACITY {
-            out.push(chunk);
-            continue;
+        if chunk.len() <= MAX_BLOCK_ROWS {
+            let plan = plan_block(chunk)?;
+            if plan.total <= PACK_CAPACITY {
+                out.push((chunk, plan));
+                continue;
+            }
         }
         if chunk.len() < 2 {
             return Err(corrupt("single row exceeds pack page capacity"));
@@ -1224,9 +1217,20 @@ fn free_if_empty(pool: &BufferPool, id: PageId) -> Result<()> {
 /// Bulk loads the inverted directory from `(gram, treeId) -> count` rows
 /// sorted ascending: the row sequence is partitioned into
 /// ~[`MAX_BLOCK_ROWS`]-row blocks across gram boundaries, a tail too short
-/// for a block stays inline.
-pub(crate) fn bulk_load_inverted(pool: &BufferPool, dir: &BTree<'_>, rows: &[Row]) -> Result<()> {
-    let mut dir_rows: Vec<((u64, u64), u32)> = Vec::new();
+/// for a block stays inline. Blocks fill private pack pages front to back;
+/// the finished pages take one page run and go to the file once. Returns
+/// the directory rows it loaded, for callers that mirror the directory in
+/// memory.
+pub(crate) fn bulk_load_inverted(
+    pool: &BufferPool,
+    dir: &BTree<'_>,
+    rows: &[Row],
+) -> Result<Vec<DirRow>> {
+    // Until the run is allocated a block row carries the index of its
+    // pack page in `packs` where the page id will go.
+    let mut dir_rows: Vec<DirRow> = Vec::new();
+    let mut packs: Vec<PageBuf> = Vec::new();
+    let mut bytes = Vec::new();
     for group in rows.chunks(MAX_BLOCK_ROWS) {
         if group.len() < BLOCK_MIN {
             for &(k, c) in group {
@@ -1234,15 +1238,44 @@ pub(crate) fn bulk_load_inverted(pool: &BufferPool, dir: &BTree<'_>, rows: &[Row
             }
             continue;
         }
-        for chunk in chunk_rows(group)? {
+        for (chunk, plan) in chunk_rows(group)? {
             let last = chunk.last().map(|r| r.0).unwrap_or((0, 0));
-            let bytes = encode_block(chunk)?;
-            let page = place_block(pool, &bytes)?;
-            dir_rows.push((last, block_value(page)?));
+            bytes.clear();
+            encode_planned(chunk, &plan, &mut bytes)?;
+            let fits = match packs.last_mut() {
+                Some(fill) => pack_try_add(fill, &bytes)?,
+                None => false,
+            };
+            if !fits {
+                let mut fresh = PageBuf::zeroed();
+                pack_init(&mut fresh);
+                if !pack_try_add(&mut fresh, &bytes)? {
+                    return Err(corrupt("encoded block exceeds pack page capacity"));
+                }
+                packs.push(fresh);
+            }
+            let index = u32::try_from(packs.len() - 1)
+                .map_err(|_| corrupt("pack page count out of range"))?;
+            dir_rows.push((last, block_value(PageId(index))?));
         }
     }
-    dir.bulk_load(dir_rows)?;
-    Ok(())
+    let ids = pool.allocate_run(packs.len())?;
+    let mut out = RunWriter::new(pool);
+    for (&id, pack) in ids.iter().zip(&packs) {
+        out.push(id, pack)?;
+    }
+    out.end_run()?;
+    if let Some(fill) = ids.last() {
+        pool.set_meta(SLOT_FILL, u64::from(fill.0) + 1)?;
+    }
+    for row in &mut dir_rows {
+        if let DirValue::Block(PageId(index)) = dir_value(row.1) {
+            let id = usize::try_from(index).ok().and_then(|i| ids.get(i));
+            row.1 = block_value(*id.ok_or_else(|| corrupt("pack page run too short"))?)?;
+        }
+    }
+    dir.bulk_load(dir_rows.iter().copied())?;
+    Ok(dir_rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -1585,13 +1618,21 @@ fn reinsert_chunks(
 ) -> Result<()> {
     pool.with_page_mut(old_page, |p| pack_remove(p, old_key))??;
     dir.delete(old_key)?;
-    for chunk in chunk_rows(rows)? {
+    insert_blocks(pool, dir, rows)?;
+    free_if_empty(pool, old_page)?;
+    Ok(())
+}
+
+/// Chunks `rows`, places one block per chunk and inserts its directory row.
+fn insert_blocks(pool: &BufferPool, dir: &BTree<'_>, rows: &[Row]) -> Result<()> {
+    let mut bytes = Vec::new();
+    for (chunk, plan) in chunk_rows(rows)? {
         let last = chunk.last().map(|r| r.0).unwrap_or((0, 0));
-        let bytes = encode_block(chunk)?;
+        bytes.clear();
+        encode_planned(chunk, &plan, &mut bytes)?;
         let page = place_block(pool, &bytes)?;
         dir.insert(last, block_value(page)?)?;
     }
-    free_if_empty(pool, old_page)?;
     Ok(())
 }
 
@@ -1605,11 +1646,17 @@ fn rewrite_block(
     old_page: PageId,
     rows: &[Row],
 ) -> Result<()> {
-    if rows.len() > MAX_BLOCK_ROWS || plan_block(rows)?.total > PACK_CAPACITY {
+    let plan = if rows.len() <= MAX_BLOCK_ROWS {
+        Some(plan_block(rows)?).filter(|plan| plan.total <= PACK_CAPACITY)
+    } else {
+        None
+    };
+    let Some(plan) = plan else {
         return reinsert_chunks(pool, dir, old_key, old_page, rows);
-    }
+    };
     let new_key = rows.last().map(|r| r.0).unwrap_or((0, 0));
-    let bytes = encode_block(rows)?;
+    let mut bytes = Vec::with_capacity(plan.total);
+    encode_planned(rows, &plan, &mut bytes)?;
     // Try to reuse the slot on the same page: remove then re-add.
     let readded = pool.with_page_mut(old_page, |p| {
         pack_remove(p, old_key)?;
@@ -1754,13 +1801,7 @@ fn maybe_collapse(pool: &BufferPool, dir: &BTree<'_>, gram: u64) -> Result<()> {
     // blocks stay disjoint from their neighbours).
     let ops: Vec<((u64, u64), Option<u32>)> = rows.iter().map(|&(k, _)| (k, None)).collect();
     dir.apply_batch_sorted(ops)?;
-    for chunk in chunk_rows(&rows)? {
-        let last = chunk.last().map(|r| r.0).unwrap_or((0, 0));
-        let bytes = encode_block(chunk)?;
-        let page = place_block(pool, &bytes)?;
-        dir.insert(last, block_value(page)?)?;
-    }
-    Ok(())
+    insert_blocks(pool, dir, &rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -2000,7 +2041,7 @@ mod tests {
         let chunks = chunk_rows(&rows).unwrap();
         assert!(chunks.len() >= 2, "adversarial rows must split");
         let mut rejoined = Vec::new();
-        for chunk in chunks {
+        for (chunk, _) in chunks {
             let bytes = encode_block(chunk).unwrap();
             assert!(bytes.len() <= PACK_CAPACITY, "len {}", bytes.len());
             rejoined.extend(decode_block(&bytes).unwrap().rows);

@@ -76,35 +76,29 @@ impl Segment {
         }
         let pool = crate::ops::create_file(path, vfs, params, KIND_SEGMENT)?;
         crate::ops::init_relations(&pool)?;
+        // The map yields tree ids ascending, so sorting each tree's rows
+        // by gram leaves the whole relation in key order.
         let mut rows: Vec<((u64, u64), u32)> = Vec::new();
         let mut owned = Vec::with_capacity(entries.len());
         let mut tombstones = Vec::new();
         for (&t, entry) in entries {
             owned.push(t);
             match entry {
-                Some(index) if index.total() > 0 => {
-                    for (gram, count) in index.iter() {
-                        rows.push(((t, gram), count));
-                    }
-                }
+                Some(index) if index.total() > 0 => crate::ops::push_tree_rows(&mut rows, t, index),
                 _ => tombstones.push(t),
             }
         }
-        rows.sort_unstable_by_key(|&(k, _)| k);
-        crate::ops::bulk_load_relations(&pool, &rows)?;
+        let built = crate::ops::bulk_load_relations(&pool, &rows)?;
         BTree::open(&pool, SLOT_TOMB)?.bulk_load(tombstones.iter().map(|&t| ((t, 0), 1)))?;
         pool.sync()?;
-        let fence = Fence::build(&BTree::open_existing(&pool, SLOT_INV)?)?;
-        let filter = filter::load(&pool)?;
-        let totals = TotalsView::load(&pool)?;
         Ok(Segment {
             pool,
             seq,
             owned,
             tombstones,
-            fence,
-            filter,
-            totals,
+            fence: Fence::from_directory(&built.directory),
+            filter: Some(built.filter),
+            totals: built.totals,
         })
     }
 

@@ -34,7 +34,9 @@
 //! each flush/compaction atomically.
 //!
 //! **Compaction.** Folds all live segments into a fresh
-//! `<base>.main.<g+1>` (newest-wins, tombstones erased), then commits the
+//! `<base>.main.<g+1>` (newest-wins, tombstones erased) — a k-way merge by
+//! tree id over the sources' forward relations, which arrives in key order
+//! and reads no row of a shadowed tree — then commits the
 //! generation bump and the emptied segment list in one manifest
 //! transaction; superseded files are deleted best-effort afterwards and
 //! swept at the next open if a crash intervenes.
@@ -44,7 +46,8 @@ use crate::index_store::{IndexError, IndexStore};
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
 use crate::ops::{
-    check_params, lookup_merged, lookup_top_k_merged, LookupStats, Source, StoreCheck, SLOT_FWD,
+    check_params, lookup_merged, lookup_top_k_merged, LookupStats, Source, StoreCheck, MAIN_SOURCE,
+    SLOT_FWD,
 };
 use crate::segment::Segment;
 use crate::vfs::{RealVfs, Vfs};
@@ -534,22 +537,55 @@ impl SegmentedIndexStore {
         if current.segments.is_empty() {
             return Ok(());
         }
-        let mut claimed: FxHashSet<u64> = FxHashSet::default();
-        let mut rows: Vec<((u64, u64), u32)> = Vec::new();
+        // A k-way merge by tree id. Every source lists the ids it decides
+        // in ascending order, its forward relation is ascending by
+        // `(tree, gram)`, and a tree belongs wholesale to the newest source
+        // deciding it — so taking the smallest pending id, copying its rows
+        // from the first source that lists it (none, for a tombstone) and
+        // stepping every source past it yields the merged relation in key
+        // order.
+        let main_ids: Vec<u64> = crate::ops::tree_ids(current.main.pool())?
+            .iter()
+            .map(|id| id.0)
+            .collect();
+        let mut streams = Vec::with_capacity(current.segments.len() + 1);
         for src in current.sources() {
-            // `claimed` holds ids of strictly newer sources only, so this
-            // source's own rows pass the filter.
-            let fwd = BTree::open(src.pool, SLOT_FWD).map_err(IndexError::Store)?;
-            fwd.for_each_range((0, 0), (u64::MAX, u64::MAX), |(t, g), c| {
-                if !claimed.contains(&t) {
-                    rows.push(((t, g), c));
-                }
-                true
-            })
-            .map_err(IndexError::Store)?;
-            claimed.extend(src.owned.iter().copied());
+            // The main file masks nothing, so it lists nothing as owned: it
+            // decides the trees it stores.
+            let ids = if src.id == MAIN_SOURCE {
+                main_ids.as_slice()
+            } else {
+                src.owned
+            };
+            let fwd = BTree::open_existing(src.pool, SLOT_FWD).map_err(IndexError::Store)?;
+            streams.push((ids, fwd.cursor()));
         }
-        rows.sort_unstable_by_key(|&(k, _)| k);
+        let mut rows: Vec<((u64, u64), u32)> = Vec::new();
+        while let Some(t) = streams
+            .iter()
+            .filter_map(|(ids, _)| ids.first())
+            .min()
+            .copied()
+        {
+            let mut decided = false;
+            for (ids, fwd) in &mut streams {
+                if ids.first() != Some(&t) {
+                    continue;
+                }
+                *ids = ids.get(1..).unwrap_or(&[]);
+                if !decided {
+                    decided = true;
+                    fwd.seek((t, 0), |k, c| {
+                        let own = k.0 == t;
+                        if own {
+                            rows.push((k, c));
+                        }
+                        own
+                    })
+                    .map_err(IndexError::Store)?;
+                }
+            }
+        }
         let old_gen = self.manifest.generation();
         if old_gen >= u64::MAX - 1 {
             return Err(IndexError::Store(crate::pager::StoreError::Corrupt(

@@ -534,3 +534,153 @@ fn segmented_store_recovers_at_every_crash_point() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Page runs: grown, not yet written
+// ---------------------------------------------------------------------------
+
+use pqgram_store::{Vfs, PAGE_SIZE};
+
+/// How many pages of the file at `path` are inside its header's page count
+/// and hold nothing but zeros (0 if the file is missing or has no readable
+/// header): the trace a bulk build leaves when it dies between the growth
+/// of a page run and the write of its content.
+fn zero_filled_pages(vfs: &FaultVfs, path: &Path) -> usize {
+    let Ok(mut file) = vfs.open(path) else {
+        return 0;
+    };
+    let mut count = [0u8; 4];
+    if file.read_exact_at(12, &mut count).is_err() {
+        return 0;
+    }
+    let mut page = vec![0u8; PAGE_SIZE];
+    (1..u64::from(u32::from_le_bytes(count)))
+        .filter(|id| {
+            let read = file.read_exact_at(id * PAGE_SIZE as u64, &mut page);
+            read.is_ok() && page.iter().all(|&b| b == 0)
+        })
+        .count()
+}
+
+/// A tree big enough that its relations span several leaves and pack
+/// pages, so the build takes multi-page runs.
+fn wide_index(fx: &IndexFixtures) -> TreeIndex {
+    let mut lt = LabelTable::new();
+    build_index(&sample_tree(&mut lt, "w", 900), &lt, fx.params)
+}
+
+/// Bulk builds allocate their pages in runs: one growth of the file, then
+/// the content. A crash in between leaves allocated pages full of zeros —
+/// in a segment the manifest never registered. Reopening must sweep that
+/// orphan (and answer from the pre-flush state), never open it.
+#[test]
+fn a_flush_that_dies_between_growth_and_content_leaves_a_swept_orphan() {
+    let fx = index_fixtures();
+    let wide = wide_index(&fx);
+    let flush = |s: &mut SegmentedIndexStore| {
+        s.put_tree(TreeId(1), &fx.a2)?;
+        s.put_tree(TreeId(3), &wide)?;
+        s.flush()
+    };
+
+    let vfs = FaultVfs::new();
+    let mut store = seg_setup(&vfs, &fx);
+    let before = seg_contents(&store);
+    let start = vfs.io_events();
+    flush(&mut store).unwrap();
+    let after = seg_contents(&store);
+    drop(store);
+    let end = vfs.io_events();
+    // `seg_setup` flushed segment 0; this flush builds segment 1.
+    let orphan = Path::new("/fault/crash.db.seg.1");
+    assert!(vfs.exists(orphan), "the fault-free flush builds {orphan:?}");
+    assert_eq!(
+        zero_filled_pages(&vfs, orphan),
+        0,
+        "a finished build writes every page"
+    );
+
+    let mut grown_not_written = 0;
+    for n in start..end {
+        let vfs = FaultVfs::new();
+        let mut store = seg_setup(&vfs, &fx);
+        vfs.crash_at(n, CrashMode::KeepUnsynced);
+        assert!(flush(&mut store).is_err(), "crash point {n} never fired");
+        drop(store);
+        let survived = vfs.surviving();
+        let zeros = zero_filled_pages(&survived, orphan);
+
+        let reopened = SegmentedIndexStore::open_with(Path::new(DB), Arc::new(survived.clone()))
+            .unwrap_or_else(|e| panic!("crash point {n}: reopen failed: {e}"));
+        reopened
+            .verify()
+            .unwrap_or_else(|e| panic!("crash point {n}: verify failed: {e}"));
+        let recovered = seg_contents(&reopened);
+        if zeros > 0 {
+            grown_not_written += 1;
+            assert!(
+                recovered == before,
+                "crash point {n}: a half-written segment went live"
+            );
+        }
+        if recovered == before {
+            assert!(
+                !survived.exists(orphan),
+                "crash point {n}: orphan not swept"
+            );
+        } else {
+            assert!(recovered == after, "crash point {n}: hybrid state");
+        }
+    }
+    assert!(
+        grown_not_written > 0,
+        "no crash point fell between a run's growth and its content write"
+    );
+}
+
+/// The same window in a single-file bulk build, where nothing sweeps: the
+/// file is the caller's to discard, but if it is opened anyway a
+/// zero-filled page is rejected (no node type, no pack tag, no filter
+/// magic), never served — what opens and passes the audit holds the whole
+/// forest, or nothing (a crash before the relations were even rooted).
+#[test]
+fn a_bulk_create_that_dies_mid_run_is_rejected_not_served() {
+    let fx = index_fixtures();
+    let wide = wide_index(&fx);
+    let forest = [(TreeId(1), &fx.a), (TreeId(2), &wide), (TreeId(3), &fx.c)];
+    let create = |vfs: &FaultVfs| {
+        IndexStore::bulk_create_with(Path::new(DB), fx.params, forest, Arc::new(vfs.clone()))
+    };
+
+    let vfs = FaultVfs::new();
+    let full = index_contents(&create(&vfs).unwrap());
+    let total = vfs.io_events();
+    assert_eq!(zero_filled_pages(&vfs, Path::new(DB)), 0);
+
+    let (mut grown_not_written, mut rejected) = (0, 0);
+    for n in 0..total {
+        let vfs = FaultVfs::new();
+        vfs.crash_at(n, CrashMode::KeepUnsynced);
+        assert!(create(&vfs).is_err(), "crash point {n} never fired");
+        let survived = vfs.surviving();
+        let zeros = zero_filled_pages(&survived, Path::new(DB));
+        grown_not_written += usize::from(zeros > 0);
+        let audited = IndexStore::open_with(Path::new(DB), Arc::new(survived))
+            .and_then(|store| store.verify().map(|_| store));
+        match audited {
+            Ok(store) => {
+                assert_eq!(
+                    zeros, 0,
+                    "crash point {n}: audit passed over zero-filled pages"
+                );
+                let recovered = index_contents(&store);
+                assert!(
+                    recovered == full || recovered.is_empty(),
+                    "crash point {n}: partial store"
+                );
+            }
+            Err(_) => rejected += 1,
+        }
+    }
+    assert!(grown_not_written > 0 && rejected >= grown_not_written);
+}
