@@ -1,12 +1,13 @@
 //! Criterion benchmarks for the extension components: approximate join,
 //! tree diff, streaming XML indexing, the blob store, and the stages of
-//! the store's lookup probe phase and of its bulk-build write path.
+//! profile construction, of the store's lookup probe phase and of its
+//! bulk-build write path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pqgram_core::join::{join, join_nested_loop};
 use pqgram_core::{build_index, ForestIndex, PQParams, TreeId};
-use pqgram_tree::generate::{dblp, random_tree, RandomTreeConfig};
-use pqgram_tree::{record_script, LabelTable, ScriptConfig};
+use pqgram_tree::generate::{dblp, random_tree, xmark, RandomTreeConfig};
+use pqgram_tree::{record_script, LabelTable, ScriptConfig, Tree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -267,12 +268,76 @@ fn bench_write_pipeline(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The stages of `build_index`, one by one, on the three shapes where a
+/// per-anchor / per-child / per-gram cost split could differ: a deep chain
+/// (every anchor has one child, paths are long), a wide star (one anchor,
+/// every gram a window slide) and an XMark-like document. `enumerate` is
+/// the node-level walk (`for_each_gram`, counting only); `fold_reference`
+/// adds the definition's `combine` fold over all `p + q` labels of every
+/// gram; `keys` is the shared kernel walk (`for_each_key`) with no bag;
+/// `build_index` adds the bag.
+fn bench_profile_pipeline(c: &mut Criterion) {
+    use pqgram_core::gram::label_tuple_fingerprint;
+    use pqgram_core::{for_each_gram, for_each_key};
+    const NODES: usize = 20_000;
+    let params = PQParams::default();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut labels = LabelTable::new();
+    let syms: Vec<_> = (0..16).map(|i| labels.intern(&format!("l{i}"))).collect();
+    let label_of = |i: usize| syms[i % syms.len()];
+    let mut chain = Tree::with_root(label_of(0));
+    let mut tip = chain.root();
+    for i in 1..NODES {
+        tip = chain.add_child(tip, label_of(i));
+    }
+    let mut star = Tree::with_root(label_of(0));
+    for i in 1..NODES {
+        star.add_child(star.root(), label_of(i));
+    }
+    let document = xmark(&mut rng, &mut labels, NODES);
+
+    let mut group = c.benchmark_group("profile_pipeline");
+    group.sample_size(20);
+    for (shape, tree) in [("chain", &chain), ("star", &star), ("xmark", &document)] {
+        group.throughput(criterion::Throughput::Elements(tree.node_count() as u64));
+        group.bench_function(format!("enumerate/{shape}"), |b| {
+            b.iter(|| {
+                let mut grams = 0u64;
+                for_each_gram(black_box(tree), params, |_, _| grams += 1);
+                grams
+            })
+        });
+        group.bench_function(format!("fold_reference/{shape}"), |b| {
+            b.iter(|| {
+                let mut sum = 0u64;
+                for_each_gram(black_box(tree), params, |ppart, qpart| {
+                    let tuple = ppart.iter().chain(qpart).map(|e| e.label());
+                    sum ^= label_tuple_fingerprint(tuple, &labels);
+                });
+                sum
+            })
+        });
+        group.bench_function(format!("keys/{shape}"), |b| {
+            b.iter(|| {
+                let mut sum = 0u64;
+                for_each_key(black_box(tree), &labels, params, |key| sum ^= key);
+                sum
+            })
+        });
+        group.bench_function(format!("build_index/{shape}"), |b| {
+            b.iter(|| build_index(black_box(tree), &labels, params))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_join,
     bench_diff,
     bench_stream_vs_dom,
     bench_blob_store,
+    bench_profile_pipeline,
     bench_probe_pipeline,
     bench_write_pipeline
 );

@@ -8,8 +8,8 @@
 
 use crate::gram::label_tuple_fingerprint;
 use crate::params::PQParams;
-use crate::profile::for_each_gram;
-use pqgram_tree::fingerprint::{combine, Fingerprint, TUPLE_SEED};
+use crate::profile::for_each_key;
+use pqgram_tree::fingerprint::Fingerprint;
 use pqgram_tree::{FxHashMap, LabelTable, Tree};
 use std::fmt;
 
@@ -40,6 +40,15 @@ impl TreeIndex {
         TreeIndex {
             params,
             counts: FxHashMap::default(),
+            total: 0,
+        }
+    }
+
+    /// An empty index with room for `distinct` different grams.
+    fn with_capacity(params: PQParams, distinct: usize) -> Self {
+        TreeIndex {
+            params,
+            counts: FxHashMap::with_capacity_and_hasher(distinct, Default::default()),
             total: 0,
         }
     }
@@ -185,17 +194,12 @@ impl fmt::Debug for TreeIndex {
     }
 }
 
-/// Builds the pq-gram index of `tree` in one streaming pass (no profile is
-/// materialized).
+/// Builds the pq-gram index of `tree` in one depth-first pass
+/// ([`for_each_key`]); no profile and no node-level gram is materialized.
 pub fn build_index(tree: &Tree, labels: &LabelTable, params: PQParams) -> TreeIndex {
-    let mut index = TreeIndex::empty(params);
-    for_each_gram(tree, params, |ppart, qpart| {
-        let mut acc = TUPLE_SEED;
-        for e in ppart.iter().chain(qpart) {
-            acc = combine(acc, labels.fingerprint(e.label()));
-        }
-        index.add(acc);
-    });
+    // A tree has between n and q·n grams; most documents repeat few of them.
+    let mut index = TreeIndex::with_capacity(params, tree.node_count());
+    for_each_key(tree, labels, params, |key| index.add(key));
     index
 }
 

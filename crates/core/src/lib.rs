@@ -88,5 +88,5 @@ pub use join::{join, join_parallel, overlap_distance, InvertedIndex, JoinPair, J
 pub use maintain::{update_index, IndexDelta, MaintainError, UpdateOutcome, UpdateStats};
 pub use params::PQParams;
 pub use plan::{Bound, LookupPlanner};
-pub use profile::{compute_profile, for_each_gram, Profile};
+pub use profile::{compute_profile, for_each_gram, for_each_key, GramKernel, Profile};
 pub use topk::TopK;

@@ -181,7 +181,7 @@ pub fn compute_index_delta(
 
     // I⁺ = λ(Δₙ⁺).
     let t = Instant::now();
-    let additions = tables.lambda(labels);
+    let additions = tables.lambda(labels)?;
     stats.lambda_plus = t.elapsed();
     stats.plus_grams = additions.len();
 
@@ -194,7 +194,7 @@ pub fn compute_index_delta(
 
     // I⁻ = λ(Δₙ⁻).
     let t = Instant::now();
-    let removals = tables.lambda(labels);
+    let removals = tables.lambda(labels)?;
     stats.lambda_minus = t.elapsed();
     stats.minus_grams = removals.len();
 

@@ -1,19 +1,30 @@
-//! pq-gram profiles (Definition 2) and streaming gram enumeration.
+//! pq-gram profiles (Definition 2), gram enumeration and the gram
+//! fingerprint kernel.
 //!
 //! [`for_each_gram`] walks the tree once and emits every pq-gram of the
-//! null-extended tree `T'` without materializing anything per gram — the
-//! index builder folds each gram straight into a fingerprint. For a tree
-//! with `n` nodes there are exactly `1 + Σ_non-leaf (f + q − 1) + #leaves − …`
-//! grams; more usefully: every node anchors `max(f + q − 1, 1)` grams, so
-//! the total is `Σ_a max(f_a + q − 1, 1)`.
+//! null-extended tree `T'` at node level, without materializing anything per
+//! gram. Every node `a` with fanout `f_a` anchors `max(f_a + q − 1, 1)`
+//! grams, so a tree has `Σ_a max(f_a + q − 1, 1)` of them.
 //!
 //! [`compute_profile`] materializes the profile as a set of node-level
 //! [`PQGram`]s; it is used by the reference implementations and tests (the
 //! incremental machinery never needs a full profile).
+//!
+//! [`GramKernel`] is the one place where "the grams of an anchor" become
+//! index keys: [`for_each_key`] (the walk behind [`crate::build_index`])
+//! and `pqgram_xml::stream_index` both feed it an ancestor path and the
+//! anchor's child fingerprints. It shares
+//! the work the anchor's `f + q − 1` label tuples have in common instead of
+//! folding each tuple from scratch; `for_each_gram` + `combine` stays the
+//! independent definition it is tested against (DESIGN.md §18).
 
 use crate::gram::{GramNode, PQGram};
+use crate::index::GramKey;
 use crate::params::PQParams;
-use pqgram_tree::{FxHashSet, NodeId, Tree};
+use pqgram_tree::fingerprint::{
+    add, base_power, combine, scale, term, Fingerprint, NULL_FINGERPRINT, TUPLE_SEED,
+};
+use pqgram_tree::{FxHashSet, LabelTable, NodeId, Tree};
 
 /// The pq-gram profile of a tree: the set of all its pq-grams.
 pub type Profile = FxHashSet<PQGram>;
@@ -87,6 +98,144 @@ where
         for &c in children.iter().rev() {
             stack.push(Step::Enter(c));
         }
+    }
+}
+
+/// Fingerprints all pq-grams of one anchor at a time.
+///
+/// [`combine`] is Horner's rule, so the key of the gram with p-part
+/// `a_{p−1} … a_0` and q-part `w_0 … w_{q−1}` is the polynomial
+///
+/// ```text
+/// stem(a_{p−1} … a_0) · B^q  +  Σ_j term(w_j) · B^(q−1−j)
+/// ```
+///
+/// whose first summand is the same for every gram of the anchor and whose
+/// other summands each depend on one child (or `•`) and its window slot.
+/// The kernel folds the stem once per anchor, multiplies each child's term
+/// by `B^0 … B^(q−1)` once, and completes every gram by additions — the
+/// same residue, hence the same bits, as folding the `p + q` labels.
+#[derive(Clone, Debug)]
+pub struct GramKernel {
+    p: usize,
+    /// `B^q`: lifts the stem over the q-part.
+    lift: Fingerprint,
+    /// `B^i`: weight of a window entry with `i` entries after it.
+    weights: Vec<Fingerprint>,
+    /// `leading[i]`: what the `q − 1 − i` leading nulls of the `i`-th
+    /// window of an anchor add up to.
+    leading: Vec<Fingerprint>,
+    /// `trailing[k − 1] = Σ_{i<k} B^i`: what `k = 1 … q − 1` trailing nulls
+    /// add up to.
+    trailing: Vec<Fingerprint>,
+    /// The all-null window of a leaf.
+    all_null: Fingerprint,
+    /// Scratch: the `q` windows the next child falls into, oldest first.
+    windows: Vec<Fingerprint>,
+}
+
+impl GramKernel {
+    /// The kernel for one `(p, q)` shape. Reusable across anchors and trees.
+    pub fn new(params: PQParams) -> Self {
+        let q = params.q();
+        let weights: Vec<Fingerprint> = (0..q).map(base_power).collect();
+        // `•` has fingerprint 0, hence term 1: a null weighs exactly what
+        // its slot does, and a run of nulls is a sum of weights.
+        debug_assert_eq!(
+            term(NULL_FINGERPRINT),
+            1,
+            "a null's term is its slot's weight"
+        );
+        fn nulls<'a>(slots: impl Iterator<Item = &'a Fingerprint>) -> Fingerprint {
+            slots.fold(0, |sum, &w| add(sum, w))
+        }
+        GramKernel {
+            p: params.p(),
+            lift: base_power(q),
+            // Window `i` opens with nulls at the weights `B^(q−1) … B^(i+1)`.
+            leading: (0..q).map(|i| nulls(weights.iter().skip(i + 1))).collect(),
+            trailing: (1..q).map(|k| nulls(weights.iter().take(k))).collect(),
+            all_null: nulls(weights.iter()),
+            weights,
+            windows: Vec::with_capacity(q),
+        }
+    }
+
+    /// The p-part accumulator of the anchor at the end of `path` (label
+    /// fingerprints root first, anchor last): the last `p` entries,
+    /// null-padded at the front, folded from [`TUPLE_SEED`].
+    fn stem(&self, path: &[Fingerprint]) -> Fingerprint {
+        let pad = self.p.saturating_sub(path.len());
+        let nulls = (0..pad).fold(TUPLE_SEED, |acc, _| combine(acc, NULL_FINGERPRINT));
+        path.iter()
+            .skip(path.len().saturating_sub(self.p))
+            .fold(nulls, |acc, &a| combine(acc, a))
+    }
+
+    /// Calls `emit` with the key of every gram anchored at the last node of
+    /// `path` (label fingerprints root first, anchor last; never empty for
+    /// a real anchor) whose children carry the label fingerprints
+    /// `children`, in sibling order: `f + q − 1` keys, or one for a leaf.
+    pub fn anchor<I, F>(&mut self, path: &[Fingerprint], children: I, mut emit: F)
+    where
+        I: IntoIterator<Item = Fingerprint>,
+        F: FnMut(GramKey),
+    {
+        let head = scale(self.stem(path), self.lift);
+        // The q windows the first child falls into: window `i` takes it at
+        // slot `q − 1 − i`, after its leading nulls.
+        self.windows.clear();
+        self.windows
+            .extend(self.leading.iter().map(|&nulls| add(head, nulls)));
+        let mut leaf = true;
+        for child in children {
+            leaf = false;
+            let t = term(child);
+            for (window, &weight) in self.windows.iter_mut().zip(&self.weights) {
+                *window = add(*window, scale(t, weight));
+            }
+            // The oldest window just received its last entry; the window
+            // opening after this child takes its place at the young end.
+            if let Some(oldest) = self.windows.first_mut() {
+                emit(*oldest);
+                *oldest = head;
+            }
+            self.windows.rotate_left(1);
+        }
+        if leaf {
+            // A leaf anchors the single all-null window.
+            emit(add(head, self.all_null));
+            return;
+        }
+        // The windows still open run out into 1, 2, … trailing nulls; the
+        // youngest holds no child at all and is not a gram (`trailing` is
+        // one short, so the zip leaves it out).
+        for (&window, &nulls) in self.windows.iter().zip(&self.trailing) {
+            emit(add(window, nulls));
+        }
+    }
+}
+
+/// Calls `emit` with the index key (label-tuple fingerprint) of every
+/// pq-gram of `tree` — the keys `for_each_gram` + [`combine`] would produce,
+/// as a bag, without visiting a gram twice: one depth-first walk carries the
+/// label fingerprints of the current node's ancestors and hands each node,
+/// with its children's fingerprints, to a [`GramKernel`].
+pub fn for_each_key<F>(tree: &Tree, labels: &LabelTable, params: PQParams, mut emit: F)
+where
+    F: FnMut(GramKey),
+{
+    let fp = |node| labels.fingerprint(tree.label(node));
+    let mut kernel = GramKernel::new(params);
+    // Label fingerprints from the root down to the current node.
+    let mut path: Vec<Fingerprint> = Vec::new();
+    let mut stack = vec![(tree.root(), 0)];
+    while let Some((node, depth)) = stack.pop() {
+        path.truncate(depth);
+        path.push(fp(node));
+        let children = tree.children(node);
+        kernel.anchor(&path, children.iter().map(|&c| fp(c)), &mut emit);
+        stack.extend(children.iter().rev().map(|&c| (c, depth + 1)));
     }
 }
 

@@ -7,12 +7,14 @@
 //! * `Δₙ⁺ = Pₙ \ Cₙ` and `Δₙ⁻ = P₀ \ Cₙ` with `Cₙ = P₀ ∩ … ∩ Pₙ`
 //!   (Definition 6);
 //! * `δ(T_j, ē) = P_j \ P_i` (Definition 4);
-//! * the updated index by full recomputation.
+//! * the updated index by full recomputation;
+//! * the index itself, gram by gram and label by label
+//!   ([`index_by_definition`]) — the oracle for the fingerprint kernel.
 
-use crate::gram::PQGram;
-use crate::index::GramKey;
+use crate::gram::{label_tuple_fingerprint, PQGram};
+use crate::index::{GramKey, TreeIndex};
 use crate::params::PQParams;
-use crate::profile::{compute_profile, Profile};
+use crate::profile::{compute_profile, for_each_gram, Profile};
 use pqgram_tree::{EditLog, EditOp, LabelTable, Tree};
 
 /// Reconstructs all intermediate versions `[T₀, T₁, …, Tₙ]` from the final
@@ -69,6 +71,18 @@ pub fn delta_by_definition(tree: &Tree, op: EditOp, params: PQParams) -> Option<
     let mut delta = compute_profile(tree, params);
     delta.retain(|g| !older_profile.contains(g));
     Some(delta)
+}
+
+/// `I(T)` by definition (Definition 3): enumerate every pq-gram at node
+/// level and fold its `p + q` labels, one `combine` each, into its key.
+/// [`crate::build_index`] must produce exactly this bag, bit for bit.
+pub fn index_by_definition(tree: &Tree, labels: &LabelTable, params: PQParams) -> TreeIndex {
+    let mut index = TreeIndex::empty(params);
+    for_each_gram(tree, params, |ppart, qpart| {
+        let tuple = ppart.iter().chain(qpart).map(|e| e.label());
+        index.add(label_tuple_fingerprint(tuple, labels));
+    });
+    index
 }
 
 /// Projects a profile to the sorted bag of label-tuple fingerprints — the

@@ -245,14 +245,7 @@ impl DeltaTables {
         let Some(rows) = self.q.get_mut(&anchor) else {
             return;
         };
-        let moved: Vec<(u32, QRow)> = rows
-            .range(after + 1..)
-            .map(|(&r, _)| r)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|r| (r, rows.remove(&r).expect("row present")))
-            .collect();
-        for (r, qrow) in moved {
+        for (r, qrow) in rows.split_off(&(after + 1)) {
             let new_row = (r as i64 + delta) as u32;
             let prev = rows.insert(new_row, qrow);
             debug_assert!(prev.is_none(), "row shift collided at {new_row}");
@@ -261,44 +254,53 @@ impl DeltaTables {
 
     /// Shifts `sib_pos` of every `P` anchor whose parent is `parent` and
     /// whose position is strictly greater than `after` by `delta`.
-    pub fn shift_sib_pos(&mut self, parent: NodeId, after: u32, delta: i64) {
+    pub fn shift_sib_pos(
+        &mut self,
+        parent: NodeId,
+        after: u32,
+        delta: i64,
+    ) -> Result<(), TableError> {
         if delta == 0 {
-            return;
+            return Ok(());
         }
         let Some(anchors) = self.children.get(&parent) else {
-            return;
+            return Ok(());
         };
-        for anchor in anchors.clone() {
-            let entry = self.p.get_mut(&anchor).expect("children index out of sync");
+        for anchor in anchors {
+            let entry = self
+                .p
+                .get_mut(anchor)
+                .ok_or(TableError::MissingPEntry(*anchor))?;
             if entry.sib_pos > after {
                 entry.sib_pos = (entry.sib_pos as i64 + delta) as u32;
             }
         }
+        Ok(())
     }
 
     /// Enumerates the stored pq-grams as `(anchor, row, label-tuple)` —
-    /// the join `P ⋈ Q` of Equation 31.
-    pub fn enumerate(&self) -> impl Iterator<Item = (NodeId, u32, Vec<LabelSym>)> + '_ {
+    /// the join `P ⋈ Q` of Equation 31. A `Q` anchor without its `P` entry
+    /// (tables out of sync) yields [`TableError::MissingPEntry`].
+    pub fn enumerate(
+        &self,
+    ) -> impl Iterator<Item = Result<(NodeId, u32, Vec<LabelSym>), TableError>> + '_ {
         self.q.iter().flat_map(move |(&anchor, rows)| {
-            let ppart = &self
-                .p
-                .get(&anchor)
-                .expect("Q row without P entry — tables out of sync")
-                .ppart;
+            let entry = self.p_entry_required(anchor);
             rows.iter().map(move |(&row, qrow)| {
+                let ppart = &entry.clone()?.ppart;
                 let mut tuple = Vec::with_capacity(ppart.len() + qrow.len());
                 tuple.extend_from_slice(ppart);
                 tuple.extend_from_slice(qrow);
-                (anchor, row, tuple)
+                Ok((anchor, row, tuple))
             })
         })
     }
 
     /// `λ(P, Q)`: the bag of label-tuple fingerprints of the stored
     /// pq-grams (Equation 31).
-    pub fn lambda(&self, labels: &LabelTable) -> Vec<GramKey> {
+    pub fn lambda(&self, labels: &LabelTable) -> Result<Vec<GramKey>, TableError> {
         self.enumerate()
-            .map(|(_, _, tuple)| label_tuple_fingerprint(tuple, labels))
+            .map(|gram| gram.map(|(_, _, tuple)| label_tuple_fingerprint(tuple, labels)))
             .collect()
     }
 
@@ -498,10 +500,28 @@ mod tests {
             t.insert_p(nid(i), entry(&mut lt, Some(0), pos, &["a", "x"]))
                 .unwrap();
         }
-        t.shift_sib_pos(nid(0), 1, 1);
+        assert_eq!(t.shift_sib_pos(nid(0), 1, 1), Ok(()));
         assert_eq!(t.p_entry(nid(1)).unwrap().sib_pos, 1);
         assert_eq!(t.p_entry(nid(2)).unwrap().sib_pos, 3);
         assert_eq!(t.p_entry(nid(3)).unwrap().sib_pos, 5);
+    }
+
+    #[test]
+    fn out_of_sync_tables_are_errors_not_panics() {
+        let mut lt = LabelTable::new();
+        let mut t = DeltaTables::new();
+        // A q-row whose anchor never got its p-part: the join has no left side.
+        assert_eq!(t.insert_q_row(nid(7), 1, vec![lt.intern("x")]), Ok(()));
+        assert_eq!(t.lambda(&lt), Err(TableError::MissingPEntry(nid(7))));
+        assert!(t.enumerate().all(|gram| gram.is_err()));
+        // A children-index entry whose anchor left P behind its back.
+        let orphan = entry(&mut lt, Some(0), 2, &["a", "x"]);
+        assert_eq!(t.insert_p(nid(1), orphan), Ok(()));
+        t.p.remove(&nid(1));
+        assert_eq!(
+            t.shift_sib_pos(nid(0), 1, 1),
+            Err(TableError::MissingPEntry(nid(1)))
+        );
     }
 
     #[test]
@@ -520,11 +540,16 @@ mod tests {
         .unwrap();
         t.insert_q_row(nid(1), 1, vec![LabelSym::NULL, b]).unwrap();
         t.insert_q_row(nid(1), 2, vec![b, c]).unwrap();
-        let grams = t.lambda(&lt);
-        assert_eq!(grams.len(), 2);
-        let expected1 = label_tuple_fingerprint([LabelSym::NULL, a, LabelSym::NULL, b], &lt);
-        let expected2 = label_tuple_fingerprint([LabelSym::NULL, a, b, c], &lt);
-        assert!(grams.contains(&expected1) && grams.contains(&expected2));
+        let mut expected = vec![
+            label_tuple_fingerprint([LabelSym::NULL, a, LabelSym::NULL, b], &lt),
+            label_tuple_fingerprint([LabelSym::NULL, a, b, c], &lt),
+        ];
+        expected.sort_unstable();
+        let grams = t.lambda(&lt).map(|mut grams| {
+            grams.sort_unstable();
+            grams
+        });
+        assert_eq!(grams, Ok(expected));
         t.validate().unwrap();
     }
 

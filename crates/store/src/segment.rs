@@ -78,7 +78,10 @@ impl Segment {
         crate::ops::init_relations(&pool)?;
         // The map yields tree ids ascending, so sorting each tree's rows
         // by gram leaves the whole relation in key order.
-        let mut rows: Vec<((u64, u64), u32)> = Vec::new();
+        // One row per distinct gram of each live tree — the number the
+        // flush threshold counted.
+        let distinct = entries.values().flatten().map(TreeIndex::distinct).sum();
+        let mut rows: Vec<((u64, u64), u32)> = Vec::with_capacity(distinct);
         let mut owned = Vec::with_capacity(entries.len());
         let mut tombstones = Vec::new();
         for (&t, entry) in entries {

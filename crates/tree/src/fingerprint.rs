@@ -15,6 +15,7 @@ pub type Fingerprint = u64;
 
 /// Mersenne prime `2^61 - 1`; fits products of two 61-bit residues in `u128`.
 const P: u128 = (1 << 61) - 1;
+const P64: u64 = P as u64;
 /// Evaluation point for the Karp–Rabin polynomial (a fixed random odd value).
 const BASE: u128 = 0x2d35_8dcc_aa6c_78a5 % P;
 
@@ -28,24 +29,16 @@ pub const NULL_FINGERPRINT: Fingerprint = 0;
 /// [`NULL_FINGERPRINT`]; real labels and the null node are always
 /// distinguishable.
 pub fn karp_rabin(label: &str) -> Fingerprint {
-    let mut acc: u128 = 0;
-    for &b in label.as_bytes() {
-        // Horner evaluation: acc = acc * BASE + (b + 1)  (mod P).
-        // `b + 1` keeps leading NUL bytes significant.
-        acc = mul_mod(acc, BASE) + (b as u128 + 1);
-        if acc >= P {
-            acc -= P;
-        }
-    }
+    // Horner evaluation over the bytes: acc = acc * BASE + (b + 1)  (mod P),
+    // which is one `combine` step per byte; `b + 1` keeps leading NUL bytes
+    // significant.
+    let bytes = label.bytes().fold(0, |acc, b| combine(acc, u64::from(b)));
     // Mix in the length so that e.g. "a" and "a\0" (after the +1 shift: labels
     // that are prefixes under the accumulator) stay distinct, then ensure
     // non-zero.
-    acc = mul_mod(acc, BASE) + (label.len() as u128 % P) + 1;
-    acc %= P;
-    if acc == 0 {
-        1
-    } else {
-        acc as u64
+    match combine(bytes, label.len() as u64) {
+        0 => 1,
+        fp => fp,
     }
 }
 
@@ -59,8 +52,7 @@ pub fn karp_rabin(label: &str) -> Fingerprint {
 /// [`TUPLE_SEED`] and fold each label fingerprint in order.
 #[inline]
 pub fn combine(acc: Fingerprint, label_fp: Fingerprint) -> Fingerprint {
-    let v = mul_mod(acc as u128, BASE) + label_fp as u128 + 1;
-    (v % P) as u64
+    reduce(u128::from(acc) * BASE + u128::from(label_fp) + 1)
 }
 
 /// Initial accumulator for [`combine`].
@@ -78,7 +70,7 @@ pub const TUPLE_SEED: Fingerprint = 0x5eed;
 /// *identically*, markers or not.
 #[inline]
 pub fn arity_mark(fanout: usize) -> Fingerprint {
-    ((fanout as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1) % ((1 << 61) - 1)
+    ((fanout as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1) % P64
 }
 
 /// Non-linear 64-bit permutation (the splitmix64 finalizer). Apply to child
@@ -92,16 +84,52 @@ pub fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The canonical residue of any `u128` modulo `2^61 − 1`: `2^61 ≡ 1`, so the
+/// high bits fold onto the low 61. Two folds bring any input below `P + 2^7`;
+/// one conditional subtraction finishes.
 #[inline]
-fn mul_mod(a: u128, b: u128) -> u128 {
-    let prod = a * b;
-    // Fast reduction modulo 2^61 - 1.
-    let reduced = (prod & P) + (prod >> 61);
-    if reduced >= P {
-        reduced - P
+fn reduce(x: u128) -> Fingerprint {
+    let x = (x & P) + (x >> 61);
+    let x = (x & P) + (x >> 61);
+    (if x >= P { x - P } else { x }) as u64
+}
+
+// --- The field view of `combine` -------------------------------------------
+//
+// `combine` is Horner's rule over GF(2^61 − 1): folding `w_0 … w_{k-1}` into
+// `acc` yields `acc·B^k + Σ_j term(w_j)·B^(k−1−j)`. The helpers below let a
+// caller evaluate that polynomial summand by summand — sharing the summands
+// that many tuples have in common — and arrive at the *same residue*, hence
+// the same bits, as the fold.
+
+/// What one folded label fingerprint adds to the polynomial: `h + 1`.
+#[inline]
+pub fn term(label_fp: Fingerprint) -> Fingerprint {
+    reduce(u128::from(label_fp) + 1)
+}
+
+/// `x · factor` in the field.
+#[inline]
+pub fn scale(x: Fingerprint, factor: Fingerprint) -> Fingerprint {
+    reduce(u128::from(x) * u128::from(factor))
+}
+
+/// `a + b` in the field. Both must be residues (`< 2^61 − 1`), which is what
+/// [`combine`], [`term`], [`scale`], [`base_power`] and `add` itself return.
+#[inline]
+pub fn add(a: Fingerprint, b: Fingerprint) -> Fingerprint {
+    debug_assert!(a < P64 && b < P64, "add() on non-residues");
+    let s = a + b;
+    if s >= P64 {
+        s - P64
     } else {
-        reduced
+        s
     }
+}
+
+/// `B^k`, the weight [`combine`] gives a summand folded `k` steps ago.
+pub fn base_power(k: usize) -> Fingerprint {
+    (0..k).fold(1, |acc, _| scale(acc, BASE as u64))
 }
 
 #[cfg(test)]
@@ -148,5 +176,127 @@ mod tests {
     fn length_sensitive() {
         assert_ne!(karp_rabin("a"), karp_rabin("aa"));
         assert_ne!(karp_rabin(""), karp_rabin("\0"));
+    }
+
+    /// `combine` as it was written before the Mersenne fold in `reduce`: one
+    /// partial fold of the product, then a generic 128-bit remainder.
+    fn combine_by_remainder(acc: Fingerprint, label_fp: Fingerprint) -> Fingerprint {
+        let prod = acc as u128 * BASE;
+        let folded = (prod & P) + (prod >> 61);
+        let folded = if folded >= P { folded - P } else { folded };
+        ((folded + label_fp as u128 + 1) % P) as u64
+    }
+
+    /// Stored files hold these values: pinned as the commit before the
+    /// shared `reduce` computed them.
+    #[test]
+    fn fingerprints_are_pinned() {
+        for (label, fp) in [
+            ("", 0x1),
+            ("a", 0x0e80_4859_3d86_2fb6),
+            ("article", 0x080d_0f6e_a9ed_f1d9),
+            ("\0", 0x0d35_8dcc_aa6c_78a8),
+            ("long label with spaces é€", 0x0649_143c_06ae_308b),
+        ] {
+            assert_eq!(karp_rabin(label), fp, "{label:?}");
+        }
+        let tuple = ["dblp", "article", "author"]
+            .iter()
+            .fold(TUPLE_SEED, |acc, l| combine(acc, karp_rabin(l)));
+        assert_eq!(combine(tuple, NULL_FINGERPRINT), 0x1dd0_3dd7_4204_dabc);
+    }
+
+    /// Boundary residues and non-residues, then a deterministic random tail.
+    fn probe_values() -> Vec<u64> {
+        let mut values = vec![
+            0,
+            1,
+            2,
+            TUPLE_SEED,
+            P64 - 1,
+            P64,
+            P64 + 1,
+            2 * P64,
+            2 * P64 + 1,
+            1 << 61,
+            1 << 62,
+            1 << 63,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200 {
+            x = mix(x);
+            values.push(x);
+        }
+        values
+    }
+
+    #[test]
+    fn combine_is_bit_identical_to_the_remainder_form() {
+        for &acc in &probe_values() {
+            for &fp in &probe_values() {
+                assert_eq!(
+                    combine(acc, fp),
+                    combine_by_remainder(acc, fp),
+                    "acc={acc:#x} fp={fp:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_is_the_remainder() {
+        for &hi in &probe_values() {
+            for &lo in &probe_values() {
+                let x = ((hi as u128) << 64) | lo as u128;
+                assert_eq!(reduce(x) as u128, x % P, "x={x:#x}");
+            }
+        }
+        assert_eq!(reduce(u128::MAX) as u128, u128::MAX % P);
+    }
+
+    #[test]
+    fn term_scale_add_agree_with_wide_arithmetic() {
+        for &a in &probe_values() {
+            assert_eq!(term(a) as u128, (a as u128 + 1) % P);
+            for &b in &probe_values() {
+                assert_eq!(scale(a, b) as u128, (a as u128 * b as u128) % P);
+                let (ra, rb) = (a % P64, b % P64);
+                assert_eq!(add(ra, rb) as u128, (ra as u128 + rb as u128) % P);
+            }
+        }
+        // The corners of `add`: the sum lands exactly on, and just around, P.
+        assert_eq!(add(P64 - 1, 1), 0);
+        assert_eq!(add(P64 - 1, P64 - 1), P64 - 2);
+        assert_eq!(add(0, 0), 0);
+    }
+
+    #[test]
+    fn base_power_is_repeated_scaling() {
+        assert_eq!(base_power(0), 1);
+        assert_eq!(base_power(1) as u128, BASE);
+        for k in 1..12 {
+            assert_eq!(base_power(k), scale(base_power(k - 1), BASE as u64));
+        }
+    }
+
+    /// The identity the gram kernel rests on: folding `k` fingerprints into
+    /// an accumulator is `acc·B^k + Σ_j term(w_j)·B^(k−1−j)`.
+    #[test]
+    fn fold_is_a_polynomial_in_the_base() {
+        let values = probe_values();
+        for (i, window) in values.windows(4).enumerate() {
+            let acc = combine(TUPLE_SEED, i as u64);
+            let folded = window.iter().fold(acc, |acc, &w| combine(acc, w));
+            let k = window.len();
+            let summed = window
+                .iter()
+                .enumerate()
+                .fold(scale(acc, base_power(k)), |sum, (j, &w)| {
+                    add(sum, scale(term(w), base_power(k - 1 - j)))
+                });
+            assert_eq!(folded, summed, "window {i}");
+        }
     }
 }

@@ -15,22 +15,18 @@
 use crate::error::ParseError;
 use crate::parse::ParseOptions;
 use crate::token::{Token, Tokenizer};
-use pqgram_core::{PQParams, TreeIndex};
-use pqgram_tree::fingerprint::{combine, Fingerprint, NULL_FINGERPRINT, TUPLE_SEED};
+use pqgram_core::{GramKernel, PQParams, TreeIndex};
+use pqgram_tree::fingerprint::Fingerprint;
 use pqgram_tree::{karp_rabin, FxHashMap};
-
-/// One open element: its label fingerprint and the fingerprints of the
-/// children encountered so far.
-struct Frame {
-    label: Fingerprint,
-    children: Vec<Fingerprint>,
-}
 
 /// Streaming gram emitter shared by the XML reader and tests.
 struct Emitter {
-    params: PQParams,
-    /// Open-element label fingerprints, root first.
-    stack: Vec<Frame>,
+    kernel: GramKernel,
+    /// Label fingerprints of the open elements, root first.
+    path: Vec<Fingerprint>,
+    /// Per open element, the label fingerprints of the children closed so
+    /// far (parallel to `path`).
+    children: Vec<Vec<Fingerprint>>,
     index: TreeIndex,
     /// Cache: label string → fingerprint (labels repeat massively).
     fp_cache: FxHashMap<String, Fingerprint>,
@@ -39,8 +35,9 @@ struct Emitter {
 impl Emitter {
     fn new(params: PQParams) -> Self {
         Emitter {
-            params,
-            stack: Vec::new(),
+            kernel: GramKernel::new(params),
+            path: Vec::new(),
+            children: Vec::new(),
             index: TreeIndex::empty(params),
             fp_cache: FxHashMap::default(),
         }
@@ -55,76 +52,28 @@ impl Emitter {
         f
     }
 
-    /// p-part accumulator for a node whose label fingerprint is `label`,
-    /// with the current stack as its ancestors.
-    fn ppart_acc(&self, label: Fingerprint) -> Fingerprint {
-        let p = self.params.p();
-        let mut acc = TUPLE_SEED;
-        // p−1 ancestors (null-padded at the front), closest last.
-        for i in (1..p).rev() {
-            let anc = if i <= self.stack.len() {
-                self.stack[self.stack.len() - i].label
-            } else {
-                NULL_FINGERPRINT
-            };
-            acc = combine(acc, anc);
-        }
-        combine(acc, label)
-    }
-
-    /// Emits all grams anchored at a node with the given label and child
-    /// fingerprints (children empty = leaf), assuming the stack holds the
-    /// node's proper ancestors.
-    fn emit_anchor(&mut self, label: Fingerprint, children: &[Fingerprint]) {
-        let q = self.params.q();
-        let stem = self.ppart_acc(label);
-        if children.is_empty() {
-            let mut acc = stem;
-            for _ in 0..q {
-                acc = combine(acc, NULL_FINGERPRINT);
-            }
-            self.index.add(acc);
-            return;
-        }
-        let f = children.len();
-        for start in 0..f + q - 1 {
-            let mut acc = stem;
-            for t in 0..q {
-                let ext = start + t;
-                let entry = if ext >= q - 1 && ext < q - 1 + f {
-                    children[ext - (q - 1)]
-                } else {
-                    NULL_FINGERPRINT
-                };
-                acc = combine(acc, entry);
-            }
-            self.index.add(acc);
-        }
-    }
-
-    /// A leaf child of the current top-of-stack element (text or empty
-    /// element without attributes): emit its anchored gram and register it
-    /// with the parent.
-    fn leaf_child(&mut self, label: Fingerprint) {
-        self.emit_anchor(label, &[]);
-        if let Some(top) = self.stack.last_mut() {
-            top.children.push(label);
-        }
-    }
-
     fn open(&mut self, label: Fingerprint) {
-        self.stack.push(Frame {
-            label,
-            children: Vec::new(),
-        });
+        self.path.push(label);
+        self.children.push(Vec::new());
     }
 
+    /// Closes the innermost open element: all its children are known now,
+    /// so its grams are emitted and it registers with its parent.
     fn close(&mut self) {
-        let frame = self.stack.pop().expect("balanced");
-        self.emit_anchor(frame.label, &frame.children);
-        if let Some(top) = self.stack.last_mut() {
-            top.children.push(frame.label);
+        let children = self.children.pop().expect("balanced");
+        let index = &mut self.index;
+        self.kernel
+            .anchor(&self.path, children, |key| index.add(key));
+        if let (Some(label), Some(siblings)) = (self.path.pop(), self.children.last_mut()) {
+            siblings.push(label);
         }
+    }
+
+    /// A leaf child of the innermost open element (text or attribute
+    /// value): emit its one gram and register it with the parent.
+    fn leaf_child(&mut self, label: Fingerprint) {
+        self.open(label);
+        self.close();
     }
 }
 
@@ -220,6 +169,7 @@ mod tests {
     use crate::parse::parse_document_with;
     use crate::write::{write_document, WriteOptions};
     use pqgram_core::build_index;
+    use pqgram_core::reference::index_by_definition;
     use pqgram_tree::generate::{dblp, xmark};
     use pqgram_tree::LabelTable;
     use rand::rngs::StdRng;
@@ -231,6 +181,12 @@ mod tests {
         let tree = parse_document_with(xml, &mut lt, options).expect("parse");
         let built = build_index(&tree, &lt, params);
         assert_eq!(streamed, built, "stream and DOM disagree on {xml:?}");
+        // Both run the shared kernel; the label-by-label fold does not.
+        assert_eq!(
+            streamed,
+            index_by_definition(&tree, &lt, params),
+            "stream and definition disagree on {xml:?}"
+        );
     }
 
     #[test]

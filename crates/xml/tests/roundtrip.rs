@@ -144,6 +144,7 @@ proptest! {
     /// well-formed document (and reject the same malformed ones).
     #[test]
     fn stream_index_matches_dom(shape in proptest::collection::vec((0u8..8, 0u8..4), 1..60)) {
+        use pqgram_core::reference::index_by_definition;
         use pqgram_core::{build_index, PQParams};
         use pqgram_xml::{stream_index, ParseOptions};
         let names = label_pool();
@@ -156,6 +157,9 @@ proptest! {
             match parse_document(&xml, &mut lt2) {
                 Ok(parsed) => {
                     let built = build_index(&parsed, &lt2, params);
+                    // Both sides run the shared fingerprint kernel; the
+                    // label-by-label fold over `for_each_gram` does not.
+                    prop_assert_eq!(&built, &index_by_definition(&parsed, &lt2, params));
                     prop_assert_eq!(streamed.unwrap(), built);
                 }
                 Err(_) => prop_assert!(streamed.is_err()),
