@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the extension components: approximate join,
 //! tree diff, streaming XML indexing, the blob store, and the stages of
-//! profile construction, of the store's lookup probe phase and of its
-//! bulk-build write path.
+//! profile construction, of the store's lookup probe phase, of its
+//! bulk-build write path and of a point update by where the tree lives.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pqgram_core::join::{join, join_nested_loop};
@@ -331,6 +331,106 @@ fn bench_profile_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// What one point update costs by where the tree lives: `apply_delta` of a
+/// delta of three removals and three additions, and `update_from_log` of a
+/// one-edit log (δ/λ included), on a 200-node and a 5 000-node tree that is
+/// buffered in the memtable, stored in the newest of four segments, or
+/// stored in the main file underneath them. Every sample runs on a freshly
+/// opened store (an update moves the tree into the memtable) whose pages
+/// for the tree are already in the pool.
+fn bench_update_pipeline(c: &mut Criterion) {
+    use pqgram_core::maintain::IndexDelta;
+    use pqgram_store::SegmentedIndexStore;
+    let params = PQParams::default();
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut labels = LabelTable::new();
+    let mut tree_of = |nodes: usize| {
+        let tree = random_tree(&mut rng, &mut labels, &RandomTreeConfig::new(nodes, 6));
+        let alphabet: Vec<_> = labels.iter().map(|(s, _)| s).collect();
+        let mut edited = tree.clone();
+        let (log, _) = record_script(&mut rng, &mut edited, &ScriptConfig::new(1, alphabet));
+        (build_index(&tree, &labels, params), edited, log)
+    };
+    let docs = [("200_nodes", tree_of(200)), ("5000_nodes", tree_of(5_000))];
+    let filler: Vec<_> = (0..110).map(|_| tree_of(200).0).collect();
+
+    let dir = std::env::temp_dir().join(format!("pqgram-bench-update-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = dir.join("store");
+    // Tree `3 * d + 2` of document `d` goes to the main file, `3 * d + 1`
+    // to the newest segment; `3 * d` is put into the memtable per sample.
+    let mut store = SegmentedIndexStore::create(&base, params).unwrap();
+    store.set_flush_threshold(u64::MAX);
+    let mut fill = filler.iter().zip(100u64..);
+    for (index, id) in fill.by_ref().take(30) {
+        store.put_tree(TreeId(id), index).unwrap();
+    }
+    for (d, (_, (index, _, _))) in docs.iter().enumerate() {
+        store.put_tree(TreeId(3 * d as u64 + 2), index).unwrap();
+    }
+    store.compact().unwrap();
+    for segment in 0..4 {
+        for (index, id) in fill.by_ref().take(20) {
+            store.put_tree(TreeId(id), index).unwrap();
+        }
+        if segment == 3 {
+            for (d, (_, (index, _, _))) in docs.iter().enumerate() {
+                store.put_tree(TreeId(3 * d as u64 + 1), index).unwrap();
+            }
+        }
+        store.flush().unwrap();
+    }
+    assert_eq!(store.segment_count(), 4);
+    drop(store);
+
+    let mut group = c.benchmark_group("update_pipeline");
+    group.sample_size(20);
+    for (d, (size, (index, edited, log))) in docs.iter().enumerate() {
+        let mut held: Vec<u64> = index.iter().map(|(g, _)| g).collect();
+        held.sort_unstable();
+        let delta = IndexDelta {
+            removals: held[..3].to_vec(),
+            additions: vec![1, 2, 3],
+        };
+        let places = ["memtable", "newest_segment", "main_under_4_segments"];
+        for (place, id) in places.into_iter().zip(3 * d as u64..) {
+            let id = TreeId(id);
+            let fresh = || {
+                let mut store = SegmentedIndexStore::open(&base).unwrap();
+                store.set_flush_threshold(u64::MAX);
+                if place == "memtable" {
+                    store.put_tree(id, index).unwrap();
+                }
+                assert_eq!(store.tree_index(id).unwrap().as_ref(), Some(index));
+                store
+            };
+            group.bench_function(format!("apply_delta/{size}/{place}"), |b| {
+                b.iter_batched(
+                    fresh,
+                    |mut store| {
+                        store.apply_delta(id, black_box(&delta)).unwrap();
+                        store
+                    },
+                    BatchSize::PerIteration,
+                )
+            });
+            group.bench_function(format!("update_from_log/{size}/{place}"), |b| {
+                b.iter_batched(
+                    fresh,
+                    |mut store| {
+                        store.update_from_log(id, edited, &labels, log).unwrap();
+                        store
+                    },
+                    BatchSize::PerIteration,
+                )
+            });
+        }
+    }
+    group.finish();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 criterion_group!(
     benches,
     bench_join,
@@ -339,6 +439,7 @@ criterion_group!(
     bench_blob_store,
     bench_profile_pipeline,
     bench_probe_pipeline,
-    bench_write_pipeline
+    bench_write_pipeline,
+    bench_update_pipeline
 );
 criterion_main!(benches);

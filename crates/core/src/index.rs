@@ -53,6 +53,17 @@ impl TreeIndex {
         }
     }
 
+    /// The index holding exactly the stored `(gram, count)` rows, in a bag
+    /// sized for them: no growth while it is filled. A gram listed twice
+    /// sums its counts; a zero count stores nothing.
+    pub fn from_rows(params: PQParams, rows: &[(GramKey, u32)]) -> Self {
+        let mut index = TreeIndex::with_capacity(params, rows.len());
+        for &(gram, count) in rows {
+            index.add_n(gram, count);
+        }
+        index
+    }
+
     /// The pq-gram parameters this index was built with.
     #[inline]
     pub fn params(&self) -> PQParams {

@@ -363,9 +363,12 @@ impl IndexStore {
 
     /// Verifies the on-disk B+-tree invariants of all three relations plus
     /// their cross-relation consistency (see
-    /// [`crate::ops::verify_relations`]).
+    /// [`crate::ops::verify_relations`]), and the totals mirror against the
+    /// totals relation.
     pub fn verify(&self) -> Result<StoreCheck> {
-        Ok(crate::ops::verify_relations(&self.pool)?)
+        let check = crate::ops::verify_relations(&self.pool)?;
+        self.totals.verify(&self.pool)?;
+        Ok(check)
     }
 
     /// Flushes caches to disk (no-op for data already committed).
@@ -436,6 +439,13 @@ impl IndexStore {
     /// the main file's relations directly.
     pub(crate) fn pool(&self) -> &BufferPool {
         &self.pool
+    }
+
+    /// The totals mirror: which trees this file stores, and their bag
+    /// sizes, without a page read. The segmented engine resolves a tree's
+    /// owner and lists the main file's ids from it.
+    pub(crate) fn totals(&self) -> &TotalsView {
+        &self.totals
     }
 
     /// [`IndexStore::bulk_create`] on an explicit vfs from pre-sorted rows
@@ -597,6 +607,25 @@ mod tests {
         assert_eq!(back, idx);
         assert!(store.tree_index(TreeId(8))?.is_none());
         assert_eq!(store.tree_ids()?, vec![TreeId(7)]);
+        Ok(())
+    }
+
+    /// The totals mirror stands in for the totals relation (the segmented
+    /// engine locates main-file trees through it): `verify` compares them.
+    #[test]
+    fn verify_rejects_a_totals_mirror_that_drifted() -> TestResult {
+        let params = PQParams::default();
+        let (t, lt) = setup(1, 100);
+        let mut store = IndexStore::create(&tmp("mirror.pqg"), params)?;
+        store.put_tree(TreeId(7), &build_index(&t, &lt, params))?;
+        store.verify()?;
+        store.totals.remove(7);
+        assert!(matches!(
+            store.verify(),
+            Err(IndexError::Store(StoreError::Corrupt(_)))
+        ));
+        store.refresh_total(TreeId(7))?;
+        store.verify()?;
         Ok(())
     }
 

@@ -59,11 +59,30 @@ impl Memtable {
     }
 
     fn set(&mut self, id: TreeId, entry: Option<TreeIndex>) {
-        let distinct = |index: &TreeIndex| u64::try_from(index.distinct()).unwrap_or(u64::MAX);
         self.grams += entry.as_ref().map_or(0, distinct);
         if let Some(Some(replaced)) = self.entries.insert(id.0, entry) {
             self.grams -= distinct(&replaced);
         }
+    }
+
+    /// Edits the buffered bag of `id` where it lies: taken out of its
+    /// entry, handed to `change`, put back (as a tombstone if `change`
+    /// emptied it), with [`Memtable::grams`] adjusted by the difference.
+    /// `None` — and `change` not called — if the memtable buffers no bag
+    /// for `id` (nothing, or a tombstone). `change` must be all-or-nothing:
+    /// after an `Err` the bag goes back as it came.
+    pub(crate) fn edit<E>(
+        &mut self,
+        id: TreeId,
+        change: impl FnOnce(&mut TreeIndex) -> Result<(), E>,
+    ) -> Option<Result<(), E>> {
+        let entry = self.entries.get_mut(&id.0)?;
+        let mut index = entry.take()?;
+        let before = distinct(&index);
+        let outcome = change(&mut index);
+        self.grams = self.grams - before + distinct(&index);
+        *entry = (index.total() > 0).then_some(index);
+        Some(outcome)
     }
 
     /// The buffered entry of `id`: `None` if the memtable holds nothing
@@ -87,6 +106,11 @@ impl Memtable {
         self.entries.clear();
         self.grams = 0;
     }
+}
+
+/// What one buffered bag adds to [`Memtable::grams`].
+fn distinct(index: &TreeIndex) -> u64 {
+    u64::try_from(index.distinct()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -146,5 +170,67 @@ mod tests {
         mt.put(TreeId(1), TreeIndex::empty(params)); // empty bag = tombstone
         assert_eq!(mt.grams(), 4);
         assert_eq!(usize::try_from(mt.grams()), Ok(buffered(&mt)));
+    }
+
+    /// An in-place edit moves `grams()` by exactly the distinct grams the
+    /// bag gained or lost, and a failed one moves nothing.
+    #[test]
+    fn edit_in_place_keeps_grams_in_step_with_the_bag() {
+        let params = PQParams::default();
+        let mut bag = TreeIndex::empty(params);
+        for g in 0..10 {
+            bag.add(g);
+        }
+        bag.add(0); // gram 0 twice: 10 distinct, 11 in total
+        let mut mt = Memtable::new();
+        mt.put(TreeId(1), bag.clone());
+        mt.put(TreeId(2), bag.clone());
+        assert_eq!(mt.grams(), 20);
+
+        // Nothing buffered, or a tombstone: no bag to edit, closure not run.
+        mt.remove(TreeId(3));
+        for id in [TreeId(3), TreeId(4)] {
+            let ran = mt.edit(id, |_| -> Result<(), ()> { panic!("no bag to hand out") });
+            assert!(ran.is_none());
+        }
+        assert_eq!(mt.grams(), 20);
+
+        // Adds grams: three new ones and one more of a gram already held.
+        let grew = mt.edit(TreeId(1), |b| {
+            (100..103).for_each(|g| b.add(g));
+            b.add(5);
+            Ok::<(), ()>(())
+        });
+        assert_eq!(grew, Some(Ok(())));
+        assert_eq!(mt.grams(), 23);
+
+        // Removes grams: one of two copies (still distinct), two for good.
+        let shrank = mt.edit(TreeId(1), |b| {
+            assert!(b.remove(0) && b.remove(1) && b.remove(2));
+            Ok::<(), ()>(())
+        });
+        assert_eq!(shrank, Some(Ok(())));
+        assert_eq!(mt.grams(), 21);
+        let held = mt.get(TreeId(1)).and_then(Option::as_ref);
+        assert_eq!(held.map(|b| (b.distinct(), b.total())), Some((11, 12)));
+
+        // A refused edit hands the bag back untouched.
+        let refused = mt.edit(TreeId(2), |_| Err("no"));
+        assert_eq!(refused, Some(Err("no")));
+        assert_eq!(mt.get(TreeId(2)), Some(&Some(bag.clone())));
+        assert_eq!(mt.grams(), 21);
+
+        // Emptying the bag leaves a tombstone, as `put` of an empty bag does.
+        let emptied = mt.edit(TreeId(2), |b| {
+            let grams: Vec<_> = b.iter().collect();
+            for (g, n) in grams {
+                (0..n).for_each(|_| assert!(b.remove(g)));
+            }
+            Ok::<(), ()>(())
+        });
+        assert_eq!(emptied, Some(Ok(())));
+        assert_eq!(mt.get(TreeId(2)), Some(&None));
+        assert_eq!(mt.grams(), 11);
+        assert_eq!(mt.len(), 3);
     }
 }

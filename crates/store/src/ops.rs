@@ -407,18 +407,21 @@ pub(crate) fn stored_total(pool: &BufferPool, id: TreeId) -> Result<Option<u32>>
     BTree::open_existing(pool, SLOT_TOT)?.get((id.0, 0))
 }
 
-/// Materializes the stored index of `id` (`None` if no rows).
+/// Materializes the stored index of `id` (`None` if no rows): one forward
+/// range read, then a bag sized for exactly the rows read — a bag grown
+/// while the rows arrive rehashes several times over.
 pub(crate) fn tree_index(
     pool: &BufferPool,
     params: PQParams,
     id: TreeId,
 ) -> Result<Option<TreeIndex>> {
     let tree = BTree::open_existing(pool, SLOT_FWD)?;
-    let mut index = TreeIndex::empty(params);
+    let mut rows: Vec<(GramKey, u32)> = Vec::new();
     tree.for_each_range((id.0, 0), (id.0, u64::MAX), |(_, gram), count| {
-        index.add_n(gram, count);
+        rows.push((gram, count));
         true
     })?;
+    let index = TreeIndex::from_rows(params, &rows);
     Ok((index.total() > 0).then_some(index))
 }
 
@@ -737,6 +740,18 @@ impl TotalsView {
             true
         })?;
         Ok(view)
+    }
+
+    /// Checks the view against a fresh scan of the totals relation it
+    /// mirrors: the same trees with the same bag sizes. Point access trusts
+    /// the view in place of that relation, so a disagreement is corruption.
+    pub(crate) fn verify(&self, pool: &BufferPool) -> Result<()> {
+        if TotalsView::load(pool)?.map != self.map {
+            return Err(StoreError::Corrupt(
+                "totals mirror disagrees with the totals relation".into(),
+            ));
+        }
+        Ok(())
     }
 
     /// Inserts or updates one tree's bag size, widening the bounds.

@@ -129,19 +129,10 @@ impl Segment {
                 "segment parameters {stored:?} disagree with the manifest's {params:?}"
             )));
         }
-        let mut tombstones = Vec::new();
-        let tomb = BTree::open_existing(&pool, SLOT_TOMB)?;
-        tomb.for_each_range((0, 0), (u64::MAX, u64::MAX), |(t, _), _| {
-            tombstones.push(t);
-            true
-        })?;
-        let mut owned: Vec<u64> = crate::ops::tree_ids(&pool)?.iter().map(|id| id.0).collect();
-        owned.extend(&tombstones);
-        owned.sort_unstable();
-        owned.dedup();
+        let totals = TotalsView::load(&pool)?;
+        let (owned, tombstones) = id_lists(&pool, &totals)?;
         let fence = Fence::build(&BTree::open_existing(&pool, SLOT_INV)?)?;
         let filter = filter::load(&pool)?;
-        let totals = TotalsView::load(&pool)?;
         Ok(Segment {
             pool,
             seq,
@@ -190,37 +181,112 @@ impl Segment {
         self.tombstones.binary_search(&id).is_ok()
     }
 
-    /// The segment's containment verdict on `id`: `None` if it does not
-    /// own the tree, `Some(false)` for a tombstone, `Some(true)` for data.
-    pub(crate) fn decides(&self, id: u64) -> Result<Option<bool>> {
-        if self.is_tombstoned(id) {
-            return Ok(Some(false));
-        }
-        Ok(crate::ops::contains_tree(&self.pool, pqgram_core::TreeId(id))?.then_some(true))
+    /// The segment's verdict on `id`, from its id lists alone (no page is
+    /// touched): `None` if it does not own the tree, `Some(false)` for a
+    /// tombstone, `Some(true)` for stored rows.
+    pub(crate) fn decides(&self, id: u64) -> Option<bool> {
+        self.owned.binary_search(&id).ok()?;
+        Some(!self.is_tombstoned(id))
     }
 
-    /// The segment's verdict on `id`: `None` if it does not own the tree,
-    /// `Some(None)` for a tombstone, `Some(Some(index))` for stored data.
-    pub(crate) fn entry(&self, params: PQParams, id: u64) -> Result<Option<Option<TreeIndex>>> {
-        if self.tombstones.binary_search(&id).is_ok() {
-            return Ok(Some(None));
-        }
-        Ok(crate::ops::tree_index(&self.pool, params, pqgram_core::TreeId(id))?.map(Some))
+    /// The file holding this segment's relations, for reads of a tree it
+    /// [`Segment::decides`] to hold.
+    pub(crate) fn pool(&self) -> &BufferPool {
+        &self.pool
     }
 
-    /// Verifies the relation invariants plus the tombstone relation's
-    /// disjointness from the data rows.
+    /// Verifies the relation invariants, the tombstone relation's
+    /// disjointness from the data rows, and everything point access trusts
+    /// instead of reading: the totals mirror against a scan of the totals
+    /// relation, `owned` and `tombstones` against the id lists the file
+    /// yields now. A disagreement is corruption — never a wrong "not mine".
     pub(crate) fn verify(&self) -> Result<crate::ops::StoreCheck> {
         let check = crate::ops::verify_relations(&self.pool)?;
         BTree::open_existing(&self.pool, SLOT_TOMB)?.verify()?;
-        for &t in &self.tombstones {
-            if crate::ops::contains_tree(&self.pool, pqgram_core::TreeId(t))? {
-                return Err(StoreError::Corrupt(format!(
-                    "segment {} both stores and tombstones tree {t}",
-                    self.seq
-                )));
-            }
+        self.totals.verify(&self.pool)?;
+        let (owned, tombstones) = id_lists(&self.pool, &self.totals)?;
+        if owned != self.owned || tombstones != self.tombstones {
+            return Err(StoreError::Corrupt(format!(
+                "segment {}: cached id lists disagree with its totals and tombstone relations",
+                self.seq
+            )));
+        }
+        if let Some(t) = tombstones.iter().find(|&&t| self.totals.get(t).is_some()) {
+            return Err(StoreError::Corrupt(format!(
+                "segment {} both stores and tombstones tree {t}",
+                self.seq
+            )));
         }
         Ok(check)
+    }
+}
+
+/// The id lists of a segment file whose totals relation `totals` mirrors:
+/// `(owned, tombstones)`, both ascending — the tombstone relation's ids,
+/// and their union with the ids that have a totals row.
+fn id_lists(pool: &BufferPool, totals: &TotalsView) -> Result<(Vec<u64>, Vec<u64>)> {
+    let mut tombstones = Vec::new();
+    let tomb = BTree::open_existing(pool, SLOT_TOMB)?;
+    tomb.for_each_range((0, 0), (u64::MAX, u64::MAX), |(t, _), _| {
+        tombstones.push(t);
+        true
+    })?;
+    let mut owned: Vec<u64> = totals.iter().map(|(t, _)| t).collect();
+    owned.extend(&tombstones);
+    owned.sort_unstable();
+    owned.dedup();
+    Ok((owned, tombstones))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::vfs::FaultVfs;
+    use pqgram_core::TreeId;
+
+    type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
+
+    /// Trees 1 and 2 stored, tree 3 tombstoned.
+    fn segment() -> Result<Segment> {
+        let params = PQParams::default();
+        let bag = |grams: std::ops::Range<u64>| {
+            let mut index = TreeIndex::empty(params);
+            grams.for_each(|g| index.add(g));
+            Some(index)
+        };
+        let entries = BTreeMap::from([(1, bag(0..5)), (2, bag(3..9)), (3, None)]);
+        let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new());
+        Segment::build(vfs, Path::new("/seg/verify.seg.0"), params, 0, &entries)
+    }
+
+    #[test]
+    fn verdicts_come_from_the_id_lists() -> TestResult {
+        let seg = segment()?;
+        assert_eq!(seg.decides(1), Some(true));
+        assert_eq!(seg.decides(3), Some(false));
+        assert_eq!(seg.decides(4), None);
+        let stored = crate::ops::tree_index(seg.pool(), PQParams::default(), TreeId(2))?;
+        assert_eq!(stored.map(|index| index.total()), Some(6));
+        seg.verify()?;
+        Ok(())
+    }
+
+    /// Point access trusts `owned`, `tombstones` and the totals mirror in
+    /// place of the file: `verify` must notice when any of them drifts.
+    #[test]
+    fn verify_rejects_mirrors_that_disagree_with_the_file() -> TestResult {
+        let drifts: [fn(&mut Segment); 5] = [
+            |seg| seg.owned.retain(|&t| t != 2), // a stored tree "not mine"
+            |seg| seg.owned.push(7),             // a tree never written
+            |seg| seg.tombstones.clear(),        // a tombstone forgotten
+            |seg| seg.totals.remove(1),          // a mirror row lost
+            |seg| seg.totals.set(2, 99),         // a bag size off
+        ];
+        for drift in drifts {
+            let mut seg = segment()?;
+            drift(&mut seg);
+            assert!(matches!(seg.verify(), Err(StoreError::Corrupt(_))));
+        }
+        Ok(())
     }
 }

@@ -33,6 +33,13 @@
 //! [`SegmentedReader`] clones share a published snapshot pointer and see
 //! each flush/compaction atomically.
 //!
+//! **Point access.** One tree is located without touching a page
+//! (`SourceSet::owner`): the memtable's entry if there is one, else the
+//! newest segment whose resident id lists own the id — rows or a tombstone
+//! — else the main file's totals mirror. Whatever is then read comes from
+//! that one file, once; an update edits a bag the memtable already buffers
+//! where it lies.
+//!
 //! **Compaction.** Folds all live segments into a fresh
 //! `<base>.main.<g+1>` (newest-wins, tombstones erased) — a k-way merge by
 //! tree id over the sources' forward relations, which arrives in key order
@@ -42,6 +49,7 @@
 //! swept at the next open if a crash intervenes.
 
 use crate::btree::BTree;
+use crate::buffer::BufferPool;
 use crate::index_store::{IndexError, IndexStore};
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
@@ -53,8 +61,8 @@ use crate::segment::Segment;
 use crate::vfs::{RealVfs, Vfs};
 use parking_lot::Mutex;
 use pqgram_core::maintain::{compute_index_delta, IndexDelta, UpdateStats};
-use pqgram_core::{LookupHit, PQParams, TreeId, TreeIndex};
-use pqgram_tree::{EditLog, FxHashSet, LabelTable, Tree};
+use pqgram_core::{GramKey, LookupHit, PQParams, TreeId, TreeIndex};
+use pqgram_tree::{EditLog, FxHashMap, FxHashSet, LabelTable, Tree};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -111,6 +119,43 @@ impl SourceSet {
         let segments = self.segments.iter().map(|seg| seg.source());
         segments.chain([self.main.source()])
     }
+
+    /// Owner resolution — the one way a tree id is located on disk: the
+    /// file holding the rows of `id` in the merged view, or `None` if no
+    /// source stores it. The newest segment listing the id as owned decides
+    /// (rows, or a tombstone that hides every older copy); failing that the
+    /// main file's totals mirror does. Binary searches over resident lists:
+    /// no page of any source is touched, and the sources are immutable, so
+    /// the lists are exact (`verify` checks them against the files).
+    fn owner(&self, id: TreeId) -> Option<&BufferPool> {
+        for seg in &self.segments {
+            if let Some(stored) = seg.decides(id.0) {
+                return stored.then(|| seg.pool());
+            }
+        }
+        let main = &self.main;
+        main.totals().get(id.0).map(|_| main.pool())
+    }
+
+    /// Materializes the index of one tree from its owner: one file, read
+    /// once.
+    fn tree_index(&self, params: PQParams, id: TreeId) -> Result<Option<TreeIndex>> {
+        match self.owner(id) {
+            Some(pool) => Ok(crate::ops::tree_index(pool, params, id)?),
+            None => Ok(None),
+        }
+    }
+}
+
+/// Where the merged view of a writer keeps one tree.
+enum Home<'a> {
+    /// A bag buffered in the memtable.
+    Memtable,
+    /// Rows in one immutable file (see [`SourceSet::owner`]).
+    Disk(&'a BufferPool),
+    /// Not stored: unknown to every source, or tombstoned by the newest one
+    /// that knows it.
+    Nowhere,
 }
 
 /// The single-writer handle of a segmented store.
@@ -277,6 +322,13 @@ impl SegmentedIndexStore {
         self.memtable.len()
     }
 
+    /// Distinct grams buffered in the memtable, summed over its entries: the
+    /// row count of the segment a flush would write, and the number the
+    /// flush threshold is compared with.
+    pub fn pending_grams(&self) -> u64 {
+        self.memtable.grams()
+    }
+
     /// Number of superseded files compaction failed to unlink so far.
     /// They carry no live data and the next open's orphan sweep retries
     /// the deletes; a nonzero count means disk space is leaked until then.
@@ -380,6 +432,16 @@ impl SegmentedIndexStore {
         Ok(())
     }
 
+    /// Resolves `id` once: the memtable's entry if it buffers one, else the
+    /// owner among the on-disk sources of `set`.
+    fn home<'a>(&self, set: &'a SourceSet, id: TreeId) -> Home<'a> {
+        match self.memtable.get(id) {
+            Some(Some(_)) => Home::Memtable,
+            Some(None) => Home::Nowhere,
+            None => set.owner(id).map_or(Home::Nowhere, Home::Disk),
+        }
+    }
+
     /// Removes a tree (a memtable tombstone). Returns `true` if the tree
     /// existed in the merged view.
     pub fn remove_tree(&mut self, id: TreeId) -> Result<bool> {
@@ -392,51 +454,59 @@ impl SegmentedIndexStore {
 
     /// True if `id` is stored in the merged view.
     pub fn contains_tree(&self, id: TreeId) -> Result<bool> {
-        if let Some(entry) = self.memtable.get(id) {
-            return Ok(entry.is_some());
-        }
         let set = self.snapshot();
-        contains_on_disk(&set, id)
+        Ok(!matches!(self.home(&set, id), Home::Nowhere))
     }
 
     /// Materializes the merged in-memory index of one stored tree.
     pub fn tree_index(&self, id: TreeId) -> Result<Option<TreeIndex>> {
-        if let Some(entry) = self.memtable.get(id) {
-            return Ok(entry.clone());
+        match self.memtable.get(id) {
+            Some(entry) => Ok(entry.clone()),
+            None => self.snapshot().tree_index(self.params, id),
         }
-        let set = self.snapshot();
-        tree_index_on_disk(&set, self.params, id)
     }
 
     /// All stored tree ids of the merged view, ascending.
     pub fn tree_ids(&self) -> Result<Vec<TreeId>> {
-        let set = self.snapshot();
-        tree_ids_merged(&set, Some(&self.memtable))
+        Ok(tree_ids_merged(&self.snapshot(), Some(&self.memtable)))
     }
 
     /// Applies an incremental update delta (`I ← I \ I⁻ ⊎ I⁺`) to one
-    /// tree: materializes the merged index, applies the delta in memory
-    /// (first inconsistent removal rejects the whole delta, leaving the
-    /// store unchanged), and buffers the result as a full replacement.
+    /// tree. A bag the memtable already buffers is edited where it lies;
+    /// any other tree is read once from the file that owns it (a tree
+    /// stored nowhere counts as the empty bag) and buffered as a full
+    /// replacement. All-or-nothing: the first inconsistent removal rejects
+    /// the whole delta and leaves memtable and store as they were.
+    // analyze: entrypoint
     pub fn apply_delta(&mut self, id: TreeId, delta: &IndexDelta) -> Result<()> {
-        let mut index = self
-            .tree_index(id)?
-            .unwrap_or_else(|| TreeIndex::empty(self.params));
-        for &g in &delta.removals {
-            if !index.remove(g) {
-                return Err(IndexError::InconsistentDelta(id, g));
+        let set = self.snapshot();
+        let home = self.home(&set, id);
+        self.apply_at(home, id, delta)
+    }
+
+    /// [`SegmentedIndexStore::apply_delta`] on a tree already resolved.
+    fn apply_at(&mut self, home: Home<'_>, id: TreeId, delta: &IndexDelta) -> Result<()> {
+        let inconsistent = |gram| IndexError::InconsistentDelta(id, gram);
+        match self.memtable.edit(id, |bag| apply_checked(bag, delta)) {
+            Some(outcome) => outcome.map_err(inconsistent)?,
+            None => {
+                let stored = match home {
+                    Home::Disk(pool) => crate::ops::tree_index(pool, self.params, id)?,
+                    Home::Memtable | Home::Nowhere => None,
+                };
+                let mut index = stored.unwrap_or_else(|| TreeIndex::empty(self.params));
+                apply_checked(&mut index, delta).map_err(inconsistent)?;
+                self.memtable.put(id, index);
             }
         }
-        for &g in &delta.additions {
-            index.add(g);
-        }
-        self.memtable.put(id, index);
         self.maybe_flush()
     }
 
-    /// The full incremental pipeline: computes `I⁺`/`I⁻` from the edit
-    /// log (Algorithm 1) and applies them through
-    /// [`SegmentedIndexStore::apply_delta`].
+    /// The full incremental pipeline: resolves the tree once (an unknown
+    /// tree is rejected before any delta work), computes `I⁺`/`I⁻` from the
+    /// edit log (Algorithm 1) and applies them where the tree was found,
+    /// as [`SegmentedIndexStore::apply_delta`] does.
+    // analyze: entrypoint
     pub fn update_from_log(
         &mut self,
         id: TreeId,
@@ -444,12 +514,14 @@ impl SegmentedIndexStore {
         labels: &LabelTable,
         log: &EditLog,
     ) -> Result<UpdateStats> {
-        if !self.contains_tree(id)? {
+        let set = self.snapshot();
+        let home = self.home(&set, id);
+        if matches!(home, Home::Nowhere) {
             return Err(IndexError::UnknownTree(id));
         }
         let (delta, mut stats) = compute_index_delta(tree, labels, log, self.params)?;
         let t = std::time::Instant::now();
-        self.apply_delta(id, &delta)?;
+        self.apply_at(home, id, &delta)?;
         stats.apply = t.elapsed();
         Ok(stats)
     }
@@ -544,10 +616,7 @@ impl SegmentedIndexStore {
         // from the first source that lists it (none, for a tombstone) and
         // stepping every source past it yields the merged relation in key
         // order.
-        let main_ids: Vec<u64> = crate::ops::tree_ids(current.main.pool())?
-            .iter()
-            .map(|id| id.0)
-            .collect();
+        let main_ids: Vec<u64> = current.main.totals().iter().map(|(t, _)| t).collect();
         let mut streams = Vec::with_capacity(current.segments.len() + 1);
         for src in current.sources() {
             // The main file masks nothing, so it lists nothing as owned: it
@@ -648,7 +717,7 @@ impl SegmentedIndexStore {
                 format!("manifest live segments {live:?} disagree with published {published:?}"),
             )));
         }
-        let trees = tree_ids_merged(&set, Some(&self.memtable))?.len();
+        let trees = tree_ids_merged(&set, Some(&self.memtable)).len();
         Ok(StoreCheck {
             trees: u64::try_from(trees).unwrap_or(u64::MAX),
             ..check
@@ -731,42 +800,23 @@ impl SegmentedReader {
 
     /// True if `id` is stored in the current published snapshot.
     pub fn contains_tree(&self, id: TreeId) -> Result<bool> {
-        let set = self.snapshot();
-        contains_on_disk(&set, id)
+        Ok(self.snapshot().owner(id).is_some())
     }
 
     /// Materializes the index of one stored tree from the snapshot.
     pub fn tree_index(&self, id: TreeId) -> Result<Option<TreeIndex>> {
-        let set = self.snapshot();
-        tree_index_on_disk(&set, self.params, id)
+        self.snapshot().tree_index(self.params, id)
     }
 
     /// All stored tree ids of the snapshot, ascending.
     pub fn tree_ids(&self) -> Result<Vec<TreeId>> {
-        let set = self.snapshot();
-        tree_ids_merged(&set, None)
+        Ok(tree_ids_merged(&self.snapshot(), None))
     }
 }
 
-fn contains_on_disk(set: &SourceSet, id: TreeId) -> Result<bool> {
-    for seg in &set.segments {
-        if let Some(verdict) = seg.decides(id.0).map_err(IndexError::Store)? {
-            return Ok(verdict);
-        }
-    }
-    Ok(crate::ops::contains_tree(set.main.pool(), id)?)
-}
-
-fn tree_index_on_disk(set: &SourceSet, params: PQParams, id: TreeId) -> Result<Option<TreeIndex>> {
-    for seg in &set.segments {
-        if let Some(verdict) = seg.entry(params, id.0).map_err(IndexError::Store)? {
-            return Ok(verdict);
-        }
-    }
-    Ok(crate::ops::tree_index(set.main.pool(), params, id)?)
-}
-
-fn tree_ids_merged(set: &SourceSet, memtable: Option<&Memtable>) -> Result<Vec<TreeId>> {
+/// All tree ids of the merged view, ascending — from the id lists and the
+/// main file's totals mirror, no page read.
+fn tree_ids_merged(set: &SourceSet, memtable: Option<&Memtable>) -> Vec<TreeId> {
     let mut claimed: FxHashSet<u64> = FxHashSet::default();
     let mut ids: Vec<u64> = Vec::new();
     if let Some(mt) = memtable {
@@ -784,13 +834,36 @@ fn tree_ids_merged(set: &SourceSet, memtable: Option<&Memtable>) -> Result<Vec<T
             }
         }
     }
-    for id in crate::ops::tree_ids(set.main.pool())? {
-        if !claimed.contains(&id.0) {
-            ids.push(id.0);
+    for (t, _) in set.main.totals().iter() {
+        if !claimed.contains(&t) {
+            ids.push(t);
         }
     }
     ids.sort_unstable();
-    Ok(ids.into_iter().map(TreeId).collect())
+    ids.into_iter().map(TreeId).collect()
+}
+
+/// `index ← index \ I⁻ ⊎ I⁺`, all-or-nothing: every removal is checked
+/// against the bag before the first change, so an `Err` — the first gram,
+/// in `delta.removals` order, that the bag runs out of — leaves `index` as
+/// it was.
+fn apply_checked(index: &mut TreeIndex, delta: &IndexDelta) -> std::result::Result<(), GramKey> {
+    let mut wanted: FxHashMap<GramKey, u32> =
+        FxHashMap::with_capacity_and_hasher(delta.removals.len(), Default::default());
+    for &gram in &delta.removals {
+        let n = wanted.entry(gram).or_insert(0);
+        *n += 1;
+        if *n > index.count(gram) {
+            return Err(gram);
+        }
+    }
+    for &gram in &delta.removals {
+        index.remove(gram);
+    }
+    for &gram in &delta.additions {
+        index.add(gram);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Model-based and stress tests for the storage engine: the B+-tree must
 //! behave exactly like `std::collections::BTreeMap` under arbitrary
 //! operation sequences, transactions must be all-or-nothing across crashes,
-//! and the buffer pool must serve concurrent readers.
+//! the buffer pool must serve concurrent readers, and the segmented store's
+//! point operations must behave like a `BTreeMap<TreeId, TreeIndex>`
+//! wherever a tree happens to live.
 
 use pqgram_store::btree::{BTree, Key};
 use pqgram_store::buffer::BufferPool;
@@ -280,5 +282,259 @@ fn compaction_preserves_content_and_shrinks() {
             compacted.tree_index(id).unwrap().unwrap(),
             store.tree_index(id).unwrap().unwrap()
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The segmented store's point operations against a map of bags.
+//
+// Every step draws an operation, a tree id from a universe of eight (so
+// the same tree is hit while it lives in the memtable, in a young segment,
+// under several segments, in the main file, behind a tombstone, or
+// nowhere) and a seed the step derives its tree, edit script or delta from.
+// ---------------------------------------------------------------------------
+
+mod point_ops {
+    use pqgram_core::maintain::{compute_index_delta, IndexDelta};
+    use pqgram_core::{build_index, GramKey, PQParams, TreeId, TreeIndex};
+    use pqgram_store::index_store::IndexError;
+    use pqgram_store::{FaultVfs, SegmentedIndexStore, Vfs};
+    use pqgram_tree::generate::{random_tree, RandomTreeConfig};
+    use pqgram_tree::{record_script, LabelTable, ScriptConfig, Tree};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::path::Path;
+    use std::sync::Arc;
+
+    const IDS: u64 = 8;
+
+    /// What the store must hold: the bag of every stored tree, and the
+    /// document each id was last given (kept across removals, so an
+    /// `update_from_log` can also hit a tree the store no longer knows).
+    #[derive(Clone, Default)]
+    struct Model {
+        bags: BTreeMap<u64, TreeIndex>,
+        docs: BTreeMap<u64, Tree>,
+    }
+
+    impl Model {
+        fn set(&mut self, id: u64, bag: TreeIndex) {
+            if bag.total() > 0 {
+                self.bags.insert(id, bag);
+            } else {
+                self.bags.remove(&id); // an empty bag is not stored
+            }
+        }
+    }
+
+    /// The reference `I \\ I⁻ ⊎ I⁺`: one removal at a time on a copy; the
+    /// first gram that cannot be removed rejects the delta.
+    fn reference_apply(bag: &TreeIndex, delta: &IndexDelta) -> Result<TreeIndex, GramKey> {
+        let mut out = bag.clone();
+        for &g in &delta.removals {
+            if !out.remove(g) {
+                return Err(g);
+            }
+        }
+        for &g in &delta.additions {
+            out.add(g);
+        }
+        Ok(out)
+    }
+
+    /// A delta against `bag`: removals drawn from the grams it holds (never
+    /// more copies than it has), a few additions — and, if `spoil`, one
+    /// removal the bag cannot serve slipped in at a random position.
+    fn random_delta(rng: &mut StdRng, bag: &TreeIndex, spoil: bool) -> IndexDelta {
+        let mut held: Vec<(GramKey, u32)> = bag.iter().collect();
+        held.sort_unstable();
+        let mut delta = IndexDelta::default();
+        for &(g, n) in &held {
+            if rng.random_range(0..4) == 0 {
+                let copies = rng.random_range(1..=n);
+                delta.removals.extend((0..copies).map(|_| g));
+            }
+        }
+        for _ in 0..rng.random_range(0..4) {
+            // Some additions re-add a gram the bag holds or just lost.
+            let g = match held.get(rng.random_range(0..held.len().max(1))) {
+                Some(&(g, _)) if rng.random_bool(0.5) => g,
+                _ => rng.random_range(1..1u64 << 40),
+            };
+            delta.additions.push(g);
+        }
+        if spoil {
+            // One copy too many of a held gram, or a gram never held.
+            let g = match held.get(rng.random_range(0..held.len().max(1))) {
+                Some(&(g, n)) if rng.random_bool(0.5) => {
+                    let taken = delta.removals.iter().filter(|&&r| r == g).count();
+                    let missing = n as usize - taken;
+                    delta.removals.extend((0..missing).map(|_| g));
+                    g
+                }
+                _ => (1u64 << 41) + rng.random_range(0..9u64),
+            };
+            let at = rng.random_range(0..=delta.removals.len());
+            delta.removals.insert(at, g);
+        }
+        delta
+    }
+
+    /// Holds the store's verdict on one delta to the reference's: both
+    /// accept (the new bag is returned), or both reject at the same gram
+    /// (`None` — all-or-nothing, so the model stays as it was and
+    /// `check_step` holds the store to it).
+    fn agree<T: std::fmt::Debug>(
+        tid: TreeId,
+        got: Result<T, IndexError>,
+        want: Result<TreeIndex, GramKey>,
+    ) -> Result<Option<TreeIndex>, TestCaseError> {
+        match (got, want) {
+            (Ok(_), Ok(after)) => Ok(Some(after)),
+            (Err(IndexError::InconsistentDelta(t, g)), Err(gram)) => {
+                prop_assert_eq!((t, g), (tid, gram));
+                Ok(None)
+            }
+            (got, want) => Err(TestCaseError::fail(format!(
+                "store {got:?}, reference {:?}",
+                want.map(|_| ())
+            ))),
+        }
+    }
+
+    /// After every step: every id answers as the model does, and the
+    /// memtable — the ids in `buffered` — counts the grams of exactly the
+    /// bags it buffers.
+    fn check_step(
+        store: &SegmentedIndexStore,
+        model: &Model,
+        buffered: &BTreeSet<u64>,
+    ) -> Result<(), TestCaseError> {
+        let bags = buffered.iter().filter_map(|id| model.bags.get(id));
+        let grams: usize = bags.map(TreeIndex::distinct).sum();
+        prop_assert_eq!(store.pending_grams(), grams as u64);
+        prop_assert_eq!(store.pending_entries(), buffered.len());
+        for id in 0..IDS {
+            let want = model.bags.get(&id);
+            prop_assert_eq!(store.contains_tree(TreeId(id)).unwrap(), want.is_some());
+            let stored = store.tree_index(TreeId(id)).unwrap();
+            prop_assert_eq!(stored.as_ref(), want);
+        }
+        let ids: Vec<TreeId> = model.bags.keys().map(|&t| TreeId(t)).collect();
+        prop_assert_eq!(store.tree_ids().unwrap(), ids);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn point_operations_match_a_map_of_bags(
+            steps in proptest::collection::vec((0u8..20, 0u64..IDS, any::<u64>()), 1..120),
+            small_memtable in any::<bool>(),
+        ) {
+            let params = PQParams::new(2, 3);
+            let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new());
+            let base = Path::new("/model/db");
+            let open = |fresh: bool| {
+                let mut store = if fresh {
+                    SegmentedIndexStore::create_with(base, params, Arc::clone(&vfs)).unwrap()
+                } else {
+                    SegmentedIndexStore::open_with(base, Arc::clone(&vfs)).unwrap()
+                };
+                // Either no automatic flush at all, or one every few trees.
+                store.set_flush_threshold(if small_memtable { 120 } else { u64::MAX });
+                store
+            };
+            let mut store = open(true);
+            let mut labels = LabelTable::new();
+            let alphabet: Vec<_> = (0..6).map(|i| labels.intern(&format!("l{i}"))).collect();
+            let mut model = Model::default();
+            // The model as of the last flush: what a reopen comes back to.
+            let mut durable = model.clone();
+            // Ids the memtable holds an entry for (a bag or a tombstone).
+            let mut buffered: BTreeSet<u64> = BTreeSet::new();
+
+            for &(kind, id, seed) in &steps {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let tid = TreeId(id);
+                match kind {
+                    0..=3 => {
+                        // One put in eight stores the empty bag: a removal.
+                        let shape = RandomTreeConfig::new(rng.random_range(1..30), 4);
+                        let doc = random_tree(&mut rng, &mut labels, &shape);
+                        let bag = match seed % 8 {
+                            0 => TreeIndex::empty(params),
+                            _ => build_index(&doc, &labels, params),
+                        };
+                        store.put_tree(tid, &bag).unwrap();
+                        model.docs.insert(id, doc);
+                        model.set(id, bag);
+                        buffered.insert(id);
+                    }
+                    4..=5 => {
+                        let existed = store.remove_tree(tid).unwrap();
+                        prop_assert_eq!(existed, model.bags.remove(&id).is_some());
+                        if existed {
+                            buffered.insert(id);
+                        }
+                    }
+                    6..=10 => {
+                        // A tree stored nowhere counts as the empty bag.
+                        let empty = TreeIndex::empty(params);
+                        let bag = model.bags.get(&id).unwrap_or(&empty);
+                        let delta = random_delta(&mut rng, bag, kind >= 9);
+                        let want = reference_apply(bag, &delta);
+                        if let Some(after) = agree(tid, store.apply_delta(tid, &delta), want)? {
+                            model.set(id, after);
+                            buffered.insert(id);
+                        }
+                    }
+                    11..=14 => {
+                        // Edit the id's document (if it ever had one) and hand
+                        // the store `(Tₙ, L)`. The bag may have drifted from
+                        // the document through `apply_delta`, so this is also
+                        // a source of inconsistent deltas.
+                        if let Some(doc) = model.docs.get_mut(&id) {
+                            let edits = rng.random_range(1..6);
+                            let script = ScriptConfig::new(edits, alphabet.clone());
+                            let (log, _) = record_script(&mut rng, doc, &script);
+                            let got = store.update_from_log(tid, doc, &labels, &log);
+                            if let Some(bag) = model.bags.get(&id) {
+                                let (delta, _) =
+                                    compute_index_delta(doc, &labels, &log, params).unwrap();
+                                let want = reference_apply(bag, &delta);
+                                if let Some(after) = agree(tid, got, want)? {
+                                    model.set(id, after);
+                                    buffered.insert(id);
+                                }
+                            } else {
+                                let unknown =
+                                    matches!(got, Err(IndexError::UnknownTree(t)) if t == tid);
+                                prop_assert!(unknown, "update of a tree not stored: {got:?}");
+                            }
+                        }
+                    }
+                    15..=16 => store.flush().unwrap(),
+                    17 => store.compact().unwrap(),
+                    _ => {
+                        // Reopen without a flush: the memtable is lost.
+                        drop(store);
+                        store = open(false);
+                        model = durable.clone();
+                    }
+                }
+                if store.pending_entries() == 0 {
+                    // Flushed (asked for, or by the threshold), or reopened.
+                    durable = model.clone();
+                    buffered.clear();
+                }
+                check_step(&store, &model, &buffered)?;
+            }
+            let check = store.verify().unwrap();
+            prop_assert_eq!(check.trees, model.bags.len() as u64);
+        }
     }
 }

@@ -316,6 +316,62 @@ fn segment_pack_page_flips_never_misprobe_through_the_fence() {
     SegmentedIndexStore::open(&base).unwrap().verify().unwrap();
 }
 
+/// Point access answers "which source holds this tree" from mirrors of
+/// each segment's totals relation, never from its pages — so a damaged
+/// totals leaf must be *rejected* (by `open` or by `verify`), not turned
+/// into a wrong "not mine". The leaf is damaged three ways that each keep
+/// it a well-formed B+-tree node: a tree id renamed, the last row dropped,
+/// one bag size changed.
+#[test]
+fn damaged_segment_totals_leaf_is_rejected() {
+    use pqgram_store::SegmentedIndexStore;
+    /// Meta slot of the totals relation's root (stored as page id + 1).
+    const SLOT_TOT: usize = 5;
+    /// B+-tree leaf layout: tag 1, count u16 @1, 20-byte entries @16
+    /// (`key.hi` = tree id u64, `key.lo` u64, value u32).
+    const OFF_COUNT: usize = 1;
+    const OFF_ENTRIES: usize = 16;
+    const ENTRY: usize = 20;
+
+    let (base, _query) = segmented_fixture("segtotals.pqg");
+    let mut seg = base.as_os_str().to_owned();
+    seg.push(".seg.0");
+    let seg = PathBuf::from(seg);
+    let pristine = std::fs::read(&seg).unwrap();
+    let meta = OFF_META + SLOT_TOT * 8;
+    let root = u64::from_le_bytes(pristine[meta..meta + 8].try_into().unwrap()) - 1;
+    let leaf = root as usize * PAGE_SIZE;
+    assert_eq!(pristine[leaf], 1, "eight totals rows fit the root leaf");
+    let rows = u16::from_le_bytes([pristine[leaf + OFF_COUNT], pristine[leaf + OFF_COUNT + 1]]);
+    assert_eq!(rows, 8, "one totals row per stored tree");
+    let last = leaf + OFF_ENTRIES + 7 * ENTRY;
+    let (id, size) = (last..last + 8, last + 16);
+    assert_eq!(pristine[id.clone()], 8u64.to_le_bytes(), "tree 8 is last");
+
+    let renamed = 9u64.to_le_bytes();
+    let resized = [pristine[size] ^ 1];
+    let damages: [(&str, usize, &[u8]); 3] = [
+        ("tree id renamed", id.start, &renamed),
+        ("last row dropped", leaf + OFF_COUNT, &[7]),
+        ("bag size changed", size, &resized),
+    ];
+    for (what, at, bytes) in damages {
+        let mut image = pristine.clone();
+        image[at..at + bytes.len()].copy_from_slice(bytes);
+        std::fs::write(&seg, &image).unwrap();
+        if let Ok(store) = SegmentedIndexStore::open(&base) {
+            assert!(
+                store.verify().is_err(),
+                "segment totals leaf with {what} passed open and verify"
+            );
+        }
+    }
+    std::fs::write(&seg, &pristine).unwrap();
+    let store = SegmentedIndexStore::open(&base).unwrap();
+    store.verify().unwrap();
+    assert!(store.contains_tree(TreeId(8)).unwrap());
+}
+
 // ---------------------------------------------------------------------------
 // Gram-filter corruption: the filter is *advisory*, so the failure mode
 // inverts — damage must never change answers, only cost extra probes.
