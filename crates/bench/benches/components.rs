@@ -112,7 +112,7 @@ fn bench_blob_store(c: &mut Criterion) {
 
 /// The stages of a lookup's probe phase, one number each: ns/gram for the
 /// one directory visit a gram gets (down the B+-tree, and through a
-/// learned fence over the same directory), ns/block for fetching a posting
+/// fence over the same directory), ns/block for fetching a posting
 /// block whose pack page is resident and already validated, and ns/row
 /// for the per-row overlap merge.
 fn bench_probe_pipeline(c: &mut Criterion) {

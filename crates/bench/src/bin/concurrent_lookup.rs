@@ -1,5 +1,5 @@
 //! `concurrent-lookup` experiment: query throughput scaling with reader
-//! threads, plus the parallel-vs-serial ingest pipeline.
+//! threads, plus the parallel-vs-serial profiling fan-out of ingest.
 //!
 //! ```sh
 //! cargo run --release -p pqgram-bench --bin concurrent_lookup            # full
@@ -16,18 +16,12 @@
 //! count. Every worker asserts its hits equal the serial answer, at every
 //! thread count.
 //!
-//! A second ingest phase drives the segmented engine
-//! ([`SegmentedIndexStore::put_trees_parallel`]): the same pre-profiled
-//! batch is written serially (one worker, one segment) and with 4 workers
-//! (four segments built concurrently, registered in one manifest commit).
-//!
-//! Scaling acceptance criteria — ≥ 3× aggregate QPS at 4 reader threads,
-//! ≥ 2× ingest speedup at 4 profiling threads, and ≥ 1.8× segmented-ingest
-//! speedup at 4 workers — are asserted when the host exposes at least 4
-//! CPUs; on smaller hosts (1-core CI containers) the workload still runs
-//! and the correctness assertions still hold, but the scaling bars are
-//! reported without being enforced (recorded as `"scaling_asserted": false`
-//! in the JSON). The host core count is recorded in the JSON, and a
+//! Scaling acceptance criteria — ≥ 3× aggregate QPS at 4 reader threads
+//! and ≥ 2× ingest speedup at 4 profiling threads — are asserted when the
+//! host exposes at least 4 CPUs; on smaller hosts (1-core CI containers)
+//! the workload still runs and the correctness assertions still hold, but
+//! the scaling bars are reported without being enforced (recorded as
+//! `"scaling_asserted": false` in the JSON). The host core count is recorded in the JSON, and a
 //! baseline recorded with `"scaling_asserted": true` is **not** silently
 //! downgraded: rerunning on a smaller host refuses to overwrite it unless
 //! `--force` is passed.
@@ -36,7 +30,7 @@ use pqgram_bench::datasets::xmark_tree;
 use pqgram_bench::experiments::query_variant;
 use pqgram_bench::report::Table;
 use pqgram_core::{build_index, PQParams, TreeId, TreeIndex};
-use pqgram_store::{IndexStore, IndexStoreReader, LookupPlan, SegmentedIndexStore};
+use pqgram_store::{IndexStore, IndexStoreReader, LookupPlan};
 use pqgram_tree::{LabelTable, Tree};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -111,52 +105,6 @@ fn ingest(
     }
     ok(store.flush(), "flush");
     t.elapsed()
-}
-
-/// One segmented ingest: write the pre-profiled batch through
-/// [`SegmentedIndexStore::put_trees_parallel`] with `workers` concurrent
-/// segment builders (one manifest commit registers them all). Profiling is
-/// excluded — this measures the segment-build write path itself.
-fn seg_ingest(
-    dir: &Path,
-    batch: &[(TreeId, TreeIndex)],
-    params: PQParams,
-    workers: usize,
-) -> Duration {
-    std::fs::remove_dir_all(dir).ok();
-    ok(std::fs::create_dir_all(dir), "segmented work dir");
-    let base = dir.join("forest.seg");
-    let t = Instant::now();
-    let mut store = ok(
-        SegmentedIndexStore::create(&base, params),
-        "create segmented store",
-    );
-    ok(
-        store.put_trees_parallel(batch, workers),
-        "put_trees_parallel",
-    );
-    let elapsed = t.elapsed();
-    assert_eq!(
-        ok(store.tree_ids(), "segmented tree_ids").len(),
-        batch.len(),
-        "segmented ingest lost trees"
-    );
-    elapsed
-}
-
-/// Median wall time of `reps` segmented ingests at the given worker count.
-fn seg_ingest_median(
-    dir: &Path,
-    batch: &[(TreeId, TreeIndex)],
-    params: PQParams,
-    workers: usize,
-    reps: usize,
-) -> Duration {
-    let mut times: Vec<Duration> = (0..reps)
-        .map(|_| seg_ingest(dir, batch, params, workers))
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
 }
 
 /// Median wall time of `reps` ingests at the given thread count.
@@ -240,8 +188,6 @@ fn write_json(
     scaling_asserted: bool,
     serial_ms: f64,
     parallel_ms: f64,
-    seg_serial_ms: f64,
-    seg_parallel_ms: f64,
     rows: &[Row],
 ) {
     let mut json = String::new();
@@ -257,12 +203,6 @@ fn write_json(
         "  \"ingest\": {{\"serial_ms\": {serial_ms:.3}, \"parallel_ms\": {parallel_ms:.3}, \
          \"threads\": {INGEST_THREADS}, \"speedup\": {:.2}}},",
         serial_ms / parallel_ms.max(1e-9),
-    );
-    let _ = writeln!(
-        json,
-        "  \"segmented_ingest\": {{\"serial_ms\": {seg_serial_ms:.3}, \"parallel_ms\": \
-         {seg_parallel_ms:.3}, \"workers\": {INGEST_THREADS}, \"speedup\": {:.2}}},",
-        seg_serial_ms / seg_parallel_ms.max(1e-9),
     );
     let _ = writeln!(json, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -329,24 +269,6 @@ fn main() {
          ({ingest_speedup:.2}x)"
     );
 
-    // Segmented ingest: the same batch, pre-profiled, written through the
-    // memtable → segment path with 1 and 4 concurrent segment builders.
-    let batch: Vec<(TreeId, TreeIndex)> = docs
-        .iter()
-        .map(|(id, tree)| (*id, build_index(tree, &labels, params)))
-        .collect();
-    let seg_dir = work_dir.join("segmented");
-    let seg_serial = seg_ingest_median(&seg_dir, &batch, params, 1, ingest_reps);
-    let seg_parallel = seg_ingest_median(&seg_dir, &batch, params, INGEST_THREADS, ingest_reps);
-    drop(batch);
-    let seg_serial_ms = seg_serial.as_secs_f64() * 1e3;
-    let seg_parallel_ms = seg_parallel.as_secs_f64() * 1e3;
-    let seg_speedup = seg_serial_ms / seg_parallel_ms.max(1e-9);
-    println!(
-        "  segmented ingest: serial {seg_serial_ms:.1} ms, {INGEST_THREADS}-worker \
-         {seg_parallel_ms:.1} ms ({seg_speedup:.2}x)"
-    );
-
     // Queries derive from small members; expected answers come from the
     // serial plan before any reader thread starts.
     let small = count - (count / 25).max(1);
@@ -410,10 +332,6 @@ fn main() {
             ingest_speedup >= 2.0,
             "{INGEST_THREADS}-thread ingest only {ingest_speedup:.2}x over serial"
         );
-        assert!(
-            seg_speedup >= 1.8,
-            "{INGEST_THREADS}-worker segmented ingest only {seg_speedup:.2}x over serial"
-        );
     } else {
         println!(
             "  (scaling assertions skipped: {cores} core(s) available, need >= 4; \
@@ -464,8 +382,6 @@ fn main() {
         scaling_asserted,
         serial_ms,
         parallel_ms,
-        seg_serial_ms,
-        seg_parallel_ms,
         &rows,
     );
     println!("   -> {json_path}");

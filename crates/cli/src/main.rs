@@ -45,9 +45,7 @@ USAGE:
   pqgram create  <store.pqg> [--p 3 --q 3]        create an index store
                  [--segmented]                    (memtable/segment layout)
   pqgram add     <store.pqg> --id <n> <doc.xml>…  index XML document(s)
-                 [--threads N]                    (parallel profiling; on a
-                                                  segmented store also
-                                                  parallel segment builds)
+                 [--threads N]                    (parallel profiling)
   pqgram remove  <store.pqg> --id <n>             drop a document's index
   pqgram lookup  <store.pqg> <query.xml>          approximate lookup
                  [--tau 0.6] [--top 10]
@@ -139,7 +137,8 @@ fn load_document(path: &str, labels: &mut LabelTable) -> Result<Tree, String> {
 /// An index store of either on-disk layout. The two formats carry
 /// distinct kind markers, so opening a path probes the single-file layout
 /// first and falls back to the segmented manifest — commands work on both
-/// without a flag.
+/// without a flag. When neither opens, the error reported is the one of
+/// the layout the path holds: the single-file open names the kind it found.
 enum AnyStore {
     Single(IndexStore),
     Segmented(SegmentedIndexStore),
@@ -147,12 +146,16 @@ enum AnyStore {
 
 impl AnyStore {
     fn open(path: &str) -> Result<AnyStore, String> {
-        match IndexStore::open(Path::new(path)) {
-            Ok(store) => Ok(AnyStore::Single(store)),
-            Err(single_err) => match SegmentedIndexStore::open(Path::new(path)) {
-                Ok(store) => Ok(AnyStore::Segmented(store)),
-                Err(_) => Err(single_err.to_string()),
-            },
+        let single_err = match IndexStore::open(Path::new(path)) {
+            Ok(store) => return Ok(AnyStore::Single(store)),
+            Err(e) => e.to_string(),
+        };
+        match SegmentedIndexStore::open(Path::new(path)) {
+            Ok(store) => Ok(AnyStore::Segmented(store)),
+            Err(e) if single_err.contains("the file is a segmented-store manifest") => {
+                Err(e.to_string())
+            }
+            Err(_) => Err(single_err),
         }
     }
 
@@ -166,14 +169,9 @@ impl AnyStore {
     // Segmented mutations buffer in an in-process memtable; the CLI is a
     // one-shot process, so every mutating command must flush before exit
     // or the change silently evaporates with the process.
-    fn put_trees(
-        &mut self,
-        batch: &[(TreeId, pqgram_core::TreeIndex)],
-        workers: usize,
-    ) -> Result<(), String> {
+    fn put_trees(&mut self, batch: &[(TreeId, pqgram_core::TreeIndex)]) -> Result<(), String> {
         match self {
             AnyStore::Single(s) => s.put_trees(batch),
-            AnyStore::Segmented(s) if workers > 1 => s.put_trees_parallel(batch, workers),
             AnyStore::Segmented(s) => s.put_trees(batch).and_then(|()| s.flush()),
         }
         .map_err(|e| e.to_string())
@@ -313,12 +311,12 @@ fn cmd_add(args: &Args) -> Result<(), String> {
     }
     // Profile in parallel (pure and deterministic per document), then feed
     // the whole batch to the writer: one transaction on a single-file
-    // store, one segment per worker on a segmented one.
+    // store, one segment on a segmented one.
     let batch: Vec<(TreeId, pqgram_core::TreeIndex)> =
         pqgram_core::par::map(&trees, threads, |(id, tree)| {
             (*id, build_index(tree, &labels, params))
         });
-    store.put_trees(&batch, threads)?;
+    store.put_trees(&batch)?;
     for (((id, tree), (_, index)), doc) in trees.iter().zip(&batch).zip(docs) {
         println!(
             "indexed {doc} as tree {}: {} nodes, {} pq-grams ({} distinct)",

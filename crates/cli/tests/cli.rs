@@ -274,3 +274,44 @@ fn segmented_store_workflow() {
     assert!(text.contains("documents:  2"), "{text}");
     assert!(text.contains("integrity:  ok"), "{text}");
 }
+
+/// A segmented store that fails to open reports its own error — here the
+/// segment file that went missing — not the single-file probe's
+/// kind-marker mismatch.
+#[test]
+fn damaged_segmented_store_reports_its_own_error() {
+    let dir = workdir().join("flow8");
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        std::fs::remove_file(entry.unwrap().path()).ok();
+    }
+    let doc = p(&dir, "doc.xml");
+    let store = p(&dir, "store.pqg");
+    assert!(
+        run(&["gen", "dblp", "--nodes", "400", "--seed", "3", "--out", &doc])
+            .status
+            .success()
+    );
+    assert!(run(&["create", &store, "--segmented"]).status.success());
+    let out = run(&["add", &store, "--id", "1", &doc]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let segment = format!("{store}.seg.0");
+    std::fs::remove_file(&segment).unwrap();
+
+    for command in [
+        vec!["lookup", &store, &doc],
+        vec!["stats", &store],
+        vec!["add", &store, "--id", "2", &doc],
+    ] {
+        let out = run(&command);
+        assert!(!out.status.success(), "{command:?} opened a damaged store");
+        let err = stderr(&out);
+        assert!(err.contains("store.pqg.seg.0"), "{command:?}: {err}");
+        assert!(!err.contains("kind marker"), "{command:?}: {err}");
+    }
+    // A file of another kind still gets the single-file probe's verdict.
+    let docs = p(&dir, "store.docs");
+    assert!(run(&["init", &docs]).status.success());
+    let err = stderr(&run(&["stats", &docs]));
+    assert!(err.contains("the file is a document store"), "{err}");
+}

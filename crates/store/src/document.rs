@@ -235,7 +235,7 @@ impl DocumentStore {
         write_tree(&mut blob, &tree, &labels).map_err(|e| DocError::Store(StoreError::Io(e)))?;
         let t = std::time::Instant::now();
         transactional(&self.pool, || {
-            if let (Some(gram), _) = crate::ops::apply_delta_rows(&self.pool, id, &delta)? {
+            if let Err(gram) = crate::ops::apply_delta_rows(&self.pool, id, &delta)? {
                 return Err(DocError::InconsistentDelta(id, gram));
             }
             let blobs = BlobStore::open(&self.pool, META_BLOBS)?;

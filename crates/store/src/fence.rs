@@ -1,14 +1,9 @@
-//! PGM-style learned fence index over an immutable inverted directory.
+//! The resident mirror of an immutable inverted directory.
 //!
 //! Immutable segments never mutate their inverted relation after bulk load,
-//! so the directory can be mirrored into three flat arrays at open time and
-//! probed without any B+-tree descent. On top of the arrays sits a
-//! piecewise-linear model (one-pass shrinking-cone fit, max error
-//! [`FENCE_EPSILON`]): `locate` predicts the position of a gram, verifies
-//! the prediction with an O(1) neighbour check, and only falls back to a
-//! full binary search when floating-point precision loss over 64-bit gram
-//! fingerprints makes the prediction unusable. Lookup correctness never
-//! depends on the model — the model only narrows the search window.
+//! so the directory is mirrored into three flat columns at open time and
+//! probed without any B+-tree descent: one binary search lands a probe's
+//! first gram, and a forward gallop reaches each later one.
 //!
 //! A probe reads a gram's directory rows through a [`FenceCursor`];
 //! `crate::postings` turns them into postings exactly as it does for rows
@@ -21,26 +16,13 @@ use crate::btree::BTree;
 use crate::pager::Result;
 use crate::postings::DirRow;
 
-/// Maximum positions a prediction may be off before `locate` falls back to
-/// binary search within the window.
-const FENCE_EPSILON: usize = 16;
-
-/// One linear segment of the piecewise model: for grams at or after `key`,
-/// predicted index = `intercept + slope * (gram - key)`.
-#[derive(Clone, Copy, Debug)]
-struct PlaSegment {
-    key: u64,
-    slope: f64,
-    intercept: f64,
-}
-
-/// A learned fence over one immutable inverted directory.
+/// The directory rows of one immutable source, column by column and
+/// ascending by `(gram, treeId)`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Fence {
     grams: Vec<u64>,
     tids: Vec<u64>,
     vals: Vec<u32>,
-    segs: Vec<PlaSegment>,
 }
 
 impl Fence {
@@ -69,25 +51,7 @@ impl Fence {
 
     /// Builds a fence from already-materialised directory columns.
     pub fn from_rows(grams: Vec<u64>, tids: Vec<u64>, vals: Vec<u32>) -> Fence {
-        let segs = fit_pla(&grams);
-        Fence {
-            grams,
-            tids,
-            vals,
-            segs,
-        }
-    }
-
-    /// Number of directory rows covered by the fence.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.grams.len()
-    }
-
-    /// Number of linear segments in the model (diagnostics).
-    #[cfg(test)]
-    pub fn segments(&self) -> usize {
-        self.segs.len()
+        Fence { grams, tids, vals }
     }
 
     /// The directory row range holding `gram`'s entries (empty if absent).
@@ -101,11 +65,9 @@ impl Fence {
         start..end
     }
 
-    /// First index with `grams[i] >= gram`: the model's prediction when it
-    /// verifies, a full binary search when it does not.
+    /// First index with `grams[i] >= gram`.
     fn lower_bound(&self, gram: u64) -> usize {
-        self.predict(gram)
-            .unwrap_or_else(|| self.grams.partition_point(|&g| g < gram))
+        self.grams.partition_point(|&g| g < gram)
     }
 
     /// A forward cursor for a probe visiting its grams in ascending order.
@@ -114,29 +76,6 @@ impl Fence {
             fence: self,
             pos: None,
         }
-    }
-
-    /// Predicted-and-verified first index with `grams[i] >= gram`, or
-    /// `None` when the prediction cannot be validated in O(1).
-    fn predict(&self, gram: u64) -> Option<usize> {
-        let n = self.grams.len();
-        let si = self.segs.partition_point(|s| s.key <= gram);
-        let seg = self.segs.get(si.checked_sub(1)?)?;
-        let dx = (gram - seg.key) as f64;
-        let raw = seg.intercept + seg.slope * dx;
-        let guess = if raw.is_finite() && raw > 0.0 {
-            (raw as usize).min(n)
-        } else {
-            0
-        };
-        let lo = guess.saturating_sub(FENCE_EPSILON);
-        let hi = (guess + FENCE_EPSILON).min(n);
-        let window = self.grams.get(lo..hi)?;
-        let p = lo + window.partition_point(|&g| g < gram);
-        // O(1) validation: p must be the true partition point globally.
-        let ok_left = p == 0 || self.grams.get(p - 1).is_some_and(|&g| g < gram);
-        let ok_right = p == n || self.grams.get(p).is_some_and(|&g| g >= gram);
-        (ok_left && ok_right).then_some(p)
     }
 }
 
@@ -157,11 +96,10 @@ fn gallop(xs: &[u64], pred: impl Fn(u64) -> bool) -> usize {
         .map_or(0, |mid| mid.partition_point(|&x| pred(x)))
 }
 
-/// A forward cursor over a [`Fence`]. The first visit lands by model
-/// prediction; every later one gallops from where the previous visit
-/// stopped — a probe's sorted grams sit a few rows apart, so the step is
-/// a handful of compares instead of a prediction plus two binary searches
-/// over the rest of the array.
+/// A forward cursor over a [`Fence`]. The first visit lands by binary
+/// search; every later one gallops from where the previous visit stopped —
+/// a probe's sorted grams sit a few rows apart, so the step is a handful of
+/// compares instead of a search over the rest of the array.
 pub(crate) struct FenceCursor<'a> {
     fence: &'a Fence,
     /// Index of the boundary row the previous visit stopped on.
@@ -190,73 +128,13 @@ impl FenceCursor<'_> {
     }
 }
 
-/// One-pass shrinking-cone piecewise-linear fit over the first index of
-/// each distinct gram, with maximum prediction error [`FENCE_EPSILON`].
-fn fit_pla(grams: &[u64]) -> Vec<PlaSegment> {
-    let eps = FENCE_EPSILON as f64;
-    let mut segs: Vec<PlaSegment> = Vec::new();
-    let mut origin: Option<(u64, usize)> = None;
-    let mut lo = f64::NEG_INFINITY;
-    let mut hi = f64::INFINITY;
-
-    let mut seal = |origin: &mut Option<(u64, usize)>, lo: &mut f64, hi: &mut f64| {
-        if let Some((x0, y0)) = origin.take() {
-            let slope = match (lo.is_finite(), hi.is_finite()) {
-                (true, true) => (*lo + *hi) / 2.0,
-                (true, false) => *lo,
-                (false, true) => *hi,
-                (false, false) => 0.0,
-            };
-            segs.push(PlaSegment {
-                key: x0,
-                slope,
-                intercept: y0 as f64,
-            });
-        }
-        *lo = f64::NEG_INFINITY;
-        *hi = f64::INFINITY;
-    };
-
-    let mut prev_gram: Option<u64> = None;
-    for (i, &g) in grams.iter().enumerate() {
-        if prev_gram == Some(g) {
-            continue;
-        }
-        prev_gram = Some(g);
-        match origin {
-            None => {
-                origin = Some((g, i));
-            }
-            Some((x0, y0)) => {
-                let dx = (g - x0) as f64;
-                let y = i as f64;
-                let y0f = y0 as f64;
-                // Feasible slope band for this point, intersected with the cone.
-                let band_lo = (y - eps - y0f) / dx;
-                let band_hi = (y + eps - y0f) / dx;
-                let new_lo = lo.max(band_lo);
-                let new_hi = hi.min(band_hi);
-                if new_lo > new_hi || !dx.is_finite() || dx == 0.0 {
-                    seal(&mut origin, &mut lo, &mut hi);
-                    origin = Some((g, i));
-                } else {
-                    lo = new_lo;
-                    hi = new_hi;
-                }
-            }
-        }
-    }
-    seal(&mut origin, &mut lo, &mut hi);
-    segs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn fence_over(grams: Vec<u64>) -> Fence {
         let n = grams.len();
-        let tids = (0..n as u64).collect();
+        let tids = (0u64..).take(n).collect();
         let vals = vec![crate::postings::INLINE_BIT | 1; n];
         Fence::from_rows(grams, tids, vals)
     }
@@ -265,10 +143,6 @@ mod tests {
     fn locate_matches_binary_search_on_linear_keys() {
         let grams: Vec<u64> = (0..10_000u64).map(|i| i * 3).collect();
         let fence = fence_over(grams.clone());
-        assert!(
-            fence.segments() < 50,
-            "linear data should need few segments"
-        );
         for probe in [0u64, 1, 2, 3, 299, 300, 29_997, 29_998, 40_000] {
             let expect =
                 grams.partition_point(|&g| g < probe)..grams.partition_point(|&g| g <= probe);
@@ -278,7 +152,7 @@ mod tests {
 
     #[test]
     fn locate_matches_binary_search_on_adversarial_keys() {
-        // Clustered + huge jumps + duplicate runs: precision loss territory.
+        // Clustered + huge jumps + duplicate runs.
         let mut grams = Vec::new();
         for base in [0u64, 1 << 20, 1 << 44, u64::MAX - 4096] {
             for i in 0..512u64 {
@@ -300,12 +174,10 @@ mod tests {
     fn empty_fence_locates_nothing() {
         let fence = fence_over(Vec::new());
         assert_eq!(fence.locate(42), 0..0);
-        assert_eq!(fence.len(), 0);
-        assert_eq!(fence.segments(), 0, "no rows fit no model segments");
     }
 
     /// Binary-search oracle: `locate` must equal the partition-point range
-    /// for every probe, no matter what the model predicts.
+    /// for every probe.
     fn assert_matches_oracle(grams: &[u64], probes: impl IntoIterator<Item = u64>) {
         let fence = fence_over(grams.to_vec());
         for probe in probes {
@@ -335,26 +207,6 @@ mod tests {
     fn all_duplicate_directory_round_trips() {
         let grams = vec![99u64; 1000];
         assert_matches_oracle(&grams, [98, 99, 100, 0, u64::MAX]);
-    }
-
-    /// Duplicate runs of exactly [`FENCE_EPSILON`] rows shift every later
-    /// first-index by the model's maximum tolerated error, pinning
-    /// predictions to the verification boundary. `locate` must stay exact
-    /// whether the prediction is accepted or falls back.
-    #[test]
-    fn predictions_exactly_epsilon_off_stay_correct() {
-        let mut grams = Vec::new();
-        for i in 0..256u64 {
-            grams.push(i * 2);
-            if i % 32 == 31 {
-                // A run that drifts positions by exactly the model error.
-                for _ in 0..FENCE_EPSILON {
-                    grams.push(i * 2);
-                }
-            }
-        }
-        let probes: Vec<u64> = (0..520u64).collect();
-        assert_matches_oracle(&grams, probes);
     }
 
     /// Randomised clustered keys against the oracle, deterministic

@@ -26,8 +26,9 @@ use crate::btree::BTree;
 use crate::buffer::BufferPool;
 use crate::filter::{self, GramFilter};
 use crate::ops::{
-    check_params, lookup_merged, lookup_top_k_merged, transactional, LookupStats, RelationBytes,
-    Source, SourceProbe, StoreCheck, TotalsView, KIND_INDEX_STORE, MAIN_SOURCE, SLOT_FWD,
+    check_params, lookup_merged, lookup_top_k_merged, total_u32, transactional, LookupStats,
+    RelationBytes, Source, SourceProbe, StoreCheck, TotalsView, KIND_INDEX_STORE, MAIN_SOURCE,
+    SLOT_FWD,
 };
 use crate::pager::StoreError;
 use pqgram_core::maintain::{compute_index_delta, IndexDelta, MaintainError, UpdateStats};
@@ -87,8 +88,9 @@ pub struct IndexStore {
     /// disk and RAM inserts set the same bits). `None` when the persisted
     /// filter is absent or failed validation — lookups stay correct.
     filter: Option<GramFilter>,
-    /// RAM mirror of the totals relation, maintained across commits:
-    /// emit-time size-window pruning and totals reads without page I/O.
+    /// RAM mirror of the totals relation, set from each committed write:
+    /// which trees are stored, emit-time size-window pruning and totals
+    /// reads, all without page I/O.
     totals: TotalsView,
 }
 
@@ -143,13 +145,15 @@ impl IndexStore {
         })
     }
 
-    /// Refreshes one tree's totals-mirror entry from disk after a commit.
-    fn refresh_total(&mut self, id: TreeId) -> Result<()> {
-        match crate::ops::stored_total(&self.pool, id)? {
-            Some(total) => self.totals.set(id.0, total),
-            None => self.totals.remove(id.0),
+    /// Records the bag size a committed write left `id` with — the value
+    /// that write stored in the totals relation — in the totals mirror
+    /// (0 — the tree is gone).
+    fn mirror_total(&mut self, id: TreeId, total: u32) {
+        if total == 0 {
+            self.totals.remove(id.0);
+        } else {
+            self.totals.set(id.0, total);
         }
-        Ok(())
     }
 
     /// Folds committed gram insertions into the RAM filter mirror, or
@@ -197,7 +201,7 @@ impl IndexStore {
             rebuilt = crate::ops::put_tree_entries(&self.pool, id, index)?;
             Ok::<_, IndexError>(())
         })?;
-        self.refresh_total(id)?;
+        self.mirror_total(id, total_u32(index.total())?);
         self.refresh_filter(rebuilt, index.iter().map(|(g, _)| g))
     }
 
@@ -219,8 +223,9 @@ impl IndexStore {
             }
             Ok::<_, IndexError>(())
         })?;
-        for (id, _) in batch {
-            self.refresh_total(*id)?;
+        // In batch order: a tree id given twice ends on its later bag.
+        for (id, index) in batch {
+            self.mirror_total(*id, total_u32(index.total())?);
         }
         let grams = batch.iter().flat_map(|(_, index)| index.iter().map(|(g, _)| g));
         self.refresh_filter(rebuilt, grams.collect::<Vec<_>>())
@@ -240,9 +245,10 @@ impl IndexStore {
         Ok(existed)
     }
 
-    /// True if any gram of `id` is stored (one totals-relation lookup).
+    /// True if any gram of `id` is stored: answered by the totals mirror,
+    /// no page read.
     pub fn contains_tree(&self, id: TreeId) -> Result<bool> {
-        Ok(crate::ops::contains_tree(&self.pool, id)?)
+        Ok(self.totals.get(id.0).is_some())
     }
 
     /// Materializes the in-memory index of one stored tree.
@@ -250,25 +256,23 @@ impl IndexStore {
         Ok(crate::ops::tree_index(&self.pool, self.params, id)?)
     }
 
-    /// All stored tree ids, ascending (one scan of the totals relation,
-    /// one row per tree).
+    /// All stored tree ids, ascending: read off the totals mirror, no page
+    /// read.
     pub fn tree_ids(&self) -> Result<Vec<TreeId>> {
-        Ok(crate::ops::tree_ids(&self.pool)?)
+        Ok(self.totals.iter().map(|(t, _)| TreeId(t)).collect())
     }
 
     /// Applies an incremental update delta (`I ← I \ I⁻ ⊎ I⁺`) to one tree.
     /// Transactional: on any inconsistency the store is left unchanged.
     pub fn apply_delta(&mut self, id: TreeId, delta: &IndexDelta) -> Result<()> {
-        let mut rebuilt = false;
+        let mut applied = (0, false);
         transactional(&self.pool, || {
-            let (failed, filter_rebuilt) = crate::ops::apply_delta_rows(&self.pool, id, delta)?;
-            rebuilt = filter_rebuilt;
-            match failed {
-                None => Ok(()),
-                Some(gram) => Err(IndexError::InconsistentDelta(id, gram)),
-            }
+            applied = crate::ops::apply_delta_rows(&self.pool, id, delta)?
+                .map_err(|gram| IndexError::InconsistentDelta(id, gram))?;
+            Ok::<_, IndexError>(())
         })?;
-        self.refresh_total(id)?;
+        let (total, rebuilt) = applied;
+        self.mirror_total(id, total);
         self.refresh_filter(rebuilt, delta.additions.iter().copied())
     }
 
@@ -610,22 +614,95 @@ mod tests {
         Ok(())
     }
 
-    /// The totals mirror stands in for the totals relation (the segmented
-    /// engine locates main-file trees through it): `verify` compares them.
+    /// The totals mirror stands in for the totals relation (point reads
+    /// here and owner resolution in the segmented engine go through it):
+    /// `verify` compares them.
     #[test]
     fn verify_rejects_a_totals_mirror_that_drifted() -> TestResult {
         let params = PQParams::default();
         let (t, lt) = setup(1, 100);
         let mut store = IndexStore::create(&tmp("mirror.pqg"), params)?;
-        store.put_tree(TreeId(7), &build_index(&t, &lt, params))?;
+        let idx = build_index(&t, &lt, params);
+        store.put_tree(TreeId(7), &idx)?;
         store.verify()?;
         store.totals.remove(7);
         assert!(matches!(
             store.verify(),
             Err(IndexError::Store(StoreError::Corrupt(_)))
         ));
-        store.refresh_total(TreeId(7))?;
+        store.totals.set(7, u32::try_from(idx.total())?);
         store.verify()?;
+        Ok(())
+    }
+
+    /// Every write leaves the totals mirror equal to the totals relation
+    /// (`verify`) and point reads answering from it — a rejected delta
+    /// included, whose rollback must not reach the mirror.
+    #[test]
+    fn totals_mirror_follows_every_committed_write() -> TestResult {
+        let params = PQParams::default();
+        let (t1, lt1) = setup(21, 80);
+        let (t2, lt2) = setup(22, 120);
+        let a = build_index(&t1, &lt1, params);
+        let b = build_index(&t2, &lt2, params);
+        let mut store = IndexStore::create(&tmp("mirror-ops.pqg"), params)?;
+        let check = |store: &IndexStore, want: &[(u64, u64)]| -> TestResult {
+            let ids: Vec<TreeId> = want.iter().map(|&(t, _)| TreeId(t)).collect();
+            assert_eq!(store.tree_ids()?, ids);
+            for t in 0..5 {
+                assert_eq!(store.contains_tree(TreeId(t))?, ids.contains(&TreeId(t)));
+            }
+            let mirrored: Vec<(u64, u64)> = store
+                .totals
+                .iter()
+                .map(|(t, c)| (t, u64::from(c)))
+                .collect();
+            assert_eq!(mirrored, want);
+            store.verify()?;
+            Ok(())
+        };
+        check(&store, &[])?;
+        store.put_tree(TreeId(1), &a)?;
+        check(&store, &[(1, a.total())])?;
+        // A batch naming tree 2 twice ends on its later bag.
+        let batch = [
+            (TreeId(2), a.clone()),
+            (TreeId(3), b.clone()),
+            (TreeId(2), b.clone()),
+        ];
+        store.put_trees(&batch)?;
+        check(&store, &[(1, a.total()), (2, b.total()), (3, b.total())])?;
+        store.put_tree(TreeId(1), &b)?; // replace
+        check(&store, &[(1, b.total()), (2, b.total()), (3, b.total())])?;
+        store.put_tree(TreeId(3), &TreeIndex::empty(params))?; // an empty bag is not stored
+        check(&store, &[(1, b.total()), (2, b.total())])?;
+        assert!(store.remove_tree(TreeId(2))?);
+        assert!(!store.remove_tree(TreeId(2))?);
+        check(&store, &[(1, b.total())])?;
+        let held = b.iter().map(|(g, _)| g).min().ok_or("empty bag")?;
+        let consistent = IndexDelta {
+            additions: vec![0xdead_beef, 0xfeed],
+            removals: vec![held],
+        };
+        store.apply_delta(TreeId(1), &consistent)?;
+        check(&store, &[(1, b.total() + 1)])?;
+        let rejected = IndexDelta {
+            additions: vec![1, 2, 3],
+            removals: vec![0x1234_5678_9abc], // never in the bag
+        };
+        let err = store.apply_delta(TreeId(1), &rejected).unwrap_err();
+        assert!(matches!(err, IndexError::InconsistentDelta(..)));
+        check(&store, &[(1, b.total() + 1)])?;
+        let stored = store.tree_index(TreeId(1))?.ok_or("tree 1 missing")?;
+        let emptying = IndexDelta {
+            additions: Vec::new(),
+            removals: stored
+                .iter()
+                .flat_map(|(g, n)| (0..n).map(move |_| g))
+                .collect(),
+        };
+        store.apply_delta(TreeId(1), &emptying)?;
+        check(&store, &[])?;
         Ok(())
     }
 

@@ -165,7 +165,7 @@ pub mod fuzz {
 
     impl ProbeStages {
         /// Opens the store file at `path` behind a default-sized pool and
-        /// mirrors its inverted directory into a learned fence.
+        /// mirrors its inverted directory into a fence.
         pub fn open(path: &std::path::Path) -> Result<ProbeStages> {
             let pool = crate::buffer::BufferPool::new(
                 crate::pager::Pager::open(path)?,
@@ -215,8 +215,8 @@ pub mod fuzz {
         merge.live
     }
 
-    /// A learned fence built over a sorted gram column (treeIds and
-    /// inline values synthesised), probed via [`Fence::locate`].
+    /// A fence built over a sorted gram column (treeIds and inline values
+    /// synthesised), probed via [`Fence::locate`].
     pub struct Fence(crate::fence::Fence);
 
     impl Fence {

@@ -102,29 +102,26 @@ impl Manifest {
         Ok(out)
     }
 
-    /// Durably reserves `n` fresh segment sequence numbers, returning the
-    /// first. Committed **before** any segment file is created, upholding
-    /// the orphan-sweep invariant (`.seg.<s>` on disk implies `s < hwm`).
-    pub(crate) fn reserve_seqs(&mut self, n: u64) -> Result<u64> {
-        let first = self.hwm();
-        if first > u64::MAX - n {
+    /// Durably reserves a fresh segment sequence number. Committed
+    /// **before** the segment file is created, upholding the orphan-sweep
+    /// invariant (`.seg.<s>` on disk implies `s < hwm`).
+    pub(crate) fn reserve_seq(&mut self) -> Result<u64> {
+        let seq = self.hwm();
+        if seq == u64::MAX {
             return Err(StoreError::InvalidArgument(
                 "segment sequence space exhausted".into(),
             ));
         }
-        let next = first + n;
+        let next = seq + 1;
         self.transactional(|pool| pool.set_meta(SLOT_HWM, next))?;
-        Ok(first)
+        Ok(seq)
     }
 
-    /// Commits freshly built (and already synced) segments into the live
+    /// Commits a freshly built (and already synced) segment into the live
     /// list — the publication point of a memtable flush.
-    pub(crate) fn register_segments(&mut self, seqs: &[u64]) -> Result<()> {
+    pub(crate) fn register_segment(&mut self, seq: u64) -> Result<()> {
         self.transactional(|pool| {
-            let segs = BTree::open(pool, SLOT_SEGS)?;
-            for &s in seqs {
-                segs.insert((s, 0), 1)?;
-            }
+            BTree::open(pool, SLOT_SEGS)?.insert((seq, 0), 1)?;
             Ok(())
         })
     }

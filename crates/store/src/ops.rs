@@ -92,7 +92,7 @@ pub(crate) const FORMAT_VERSION_V3: u64 = 3;
 const KEY_MIN: (u64, u64) = (0, 0);
 const KEY_MAX: (u64, u64) = (u64::MAX, u64::MAX);
 
-fn total_u32(total: u64) -> Result<u32> {
+pub(crate) fn total_u32(total: u64) -> Result<u32> {
     u32::try_from(total).map_err(|_| {
         StoreError::Corrupt(format!("bag size {total} exceeds the u32 totals encoding"))
     })
@@ -395,18 +395,6 @@ pub(crate) fn put_tree_entries(pool: &BufferPool, id: TreeId, index: &TreeIndex)
     filter::insert_grams(pool, &mut grams)
 }
 
-/// True if `id` is stored: one point lookup in the totals relation.
-pub(crate) fn contains_tree(pool: &BufferPool, id: TreeId) -> Result<bool> {
-    Ok(stored_total(pool, id)?.is_some())
-}
-
-/// The stored bag size of `id`, if any: one totals-relation point read.
-/// Mirror maintainers use this after a committed write to refresh their
-/// [`TotalsView`] entry.
-pub(crate) fn stored_total(pool: &BufferPool, id: TreeId) -> Result<Option<u32>> {
-    BTree::open_existing(pool, SLOT_TOT)?.get((id.0, 0))
-}
-
 /// Materializes the stored index of `id` (`None` if no rows): one forward
 /// range read, then a bag sized for exactly the rows read — a bag grown
 /// while the rows arrive rehashes several times over.
@@ -425,30 +413,19 @@ pub(crate) fn tree_index(
     Ok((index.total() > 0).then_some(index))
 }
 
-/// All stored tree ids, ascending: one ordered scan of the totals relation
-/// (one row per tree) instead of a skip scan over the forward relation.
-pub(crate) fn tree_ids(pool: &BufferPool) -> Result<Vec<TreeId>> {
-    let tot = BTree::open_existing(pool, SLOT_TOT)?;
-    let mut ids = Vec::new();
-    tot.for_each_range(KEY_MIN, KEY_MAX, |(t, _), _| {
-        ids.push(TreeId(t));
-        true
-    })?;
-    Ok(ids)
-}
-
 /// Applies `I ← I \ I⁻ ⊎ I⁺` to the rows of `id` across all three
 /// relations, folding the added grams into the gram filter (removals never
-/// shrink it — the filter stays a superset). Returns `(failed, rebuilt)`:
-/// `failed` is the first gram (in `delta.removals` order) whose removal
-/// failed — the caller rolls the transaction back — and `rebuilt` is `true`
-/// if the filter was rebuilt (or dropped) rather than updated in place, so
-/// callers holding an in-memory mirror must reload it.
+/// shrink it — the filter stays a superset). The inner `Err` is the first
+/// gram (in `delta.removals` order) whose removal failed — nothing has been
+/// written and the caller rolls the transaction back. The inner `Ok` is
+/// `(total, rebuilt)`: the tree's new bag size (0 — the tree is gone) and
+/// whether the filter was rebuilt (or dropped) rather than updated in
+/// place, for callers holding in-memory mirrors of either.
 pub(crate) fn apply_delta_rows(
     pool: &BufferPool,
     id: TreeId,
     delta: &IndexDelta,
-) -> Result<(Option<GramKey>, bool)> {
+) -> Result<std::result::Result<(u32, bool), GramKey>> {
     let fwd = BTree::open(pool, SLOT_FWD)?;
     // Current multiplicity of every touched gram (one point read each).
     let mut stored: FxHashMap<GramKey, u32> = FxHashMap::default();
@@ -463,7 +440,7 @@ pub(crate) fn apply_delta_rows(
     for &g in &delta.removals {
         match after.get_mut(&g) {
             Some(c) if *c > 0 => *c -= 1,
-            _ => return Ok((Some(g), false)),
+            _ => return Ok(Err(g)),
         }
     }
     for &g in &delta.additions {
@@ -502,10 +479,11 @@ pub(crate) fn apply_delta_rows(
             "delta removes more grams than {id:?} holds (total {old_total})"
         )));
     };
+    let new_total = total_u32(new_total)?;
     if new_total == 0 {
         tot.delete((id.0, 0))?;
     } else {
-        tot.insert((id.0, 0), total_u32(new_total)?)?;
+        tot.insert((id.0, 0), new_total)?;
     }
     let mut added: Vec<u64> = delta.additions.clone();
     let rebuilt = if added.is_empty() {
@@ -513,7 +491,7 @@ pub(crate) fn apply_delta_rows(
     } else {
         filter::insert_grams(pool, &mut added)?
     };
-    Ok((None, rebuilt))
+    Ok(Ok((new_total, rebuilt)))
 }
 
 /// Source id used in [`LookupStats::by_source`] for the main store file.
@@ -787,13 +765,13 @@ impl TotalsView {
     }
 }
 
-/// One lookup source's acceleration state: the learned fence of an
+/// One lookup source's acceleration state: the directory mirror of an
 /// immutable segment, the gram membership filter, and the in-memory totals
 /// view. Every field is advisory — `None` degrades to relation probes and
 /// disk reads, never to wrong answers.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct SourceProbe<'a> {
-    /// Learned fence over the source's immutable inverted directory.
+    /// Resident mirror of the source's immutable inverted directory.
     pub(crate) fence: Option<&'a Fence>,
     /// Gram membership filter (a superset of the source's stored grams).
     pub(crate) filter: Option<&'a GramFilter>,

@@ -1489,7 +1489,7 @@ fn entry_first(p: &PageBuf, key: (u64, u64)) -> Result<(u64, u64)> {
 pub(crate) type DirRow = ((u64, u64), u32);
 
 /// A forward cursor over one source's inverted directory — the B+-tree's
-/// leaf chain, or an immutable segment's learned fence — for a probe that
+/// leaf chain, or an immutable segment's resident mirror — for a probe that
 /// visits its grams in ascending order.
 pub(crate) enum DirCursor<'a> {
     /// The mutable main file: the directory B+-tree.

@@ -42,7 +42,7 @@ pub(crate) struct Segment {
     owned: Vec<u64>,
     /// The tombstoned subset of `owned`, ascending.
     tombstones: Vec<u64>,
-    /// Learned fence over the immutable inverted directory: probes answer
+    /// Resident mirror of the immutable inverted directory: probes answer
     /// from its flat arrays instead of descending the directory B+-tree.
     fence: Fence,
     /// Gram membership filter, loaded once at open (segments are

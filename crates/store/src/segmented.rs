@@ -17,11 +17,7 @@
 //! A crash anywhere lands on exactly one side of B: either the segment is
 //! live, or it is an unreferenced orphan the next open deletes — the
 //! sequence high-water mark committed by A guarantees the orphan can never
-//! be confused with a future segment. Parallel ingest
-//! ([`SegmentedIndexStore::put_trees_parallel`]) builds one segment per
-//! worker concurrently (later chunks get higher sequence numbers, so
-//! batch order decides duplicates exactly like sequential puts) and
-//! registers them in one transaction.
+//! be confused with a future segment.
 //!
 //! **Read path.** A store is an ordered list of sources: lookups hand the
 //! memtable, the live segments by descending sequence and the main file to
@@ -63,7 +59,6 @@ use parking_lot::Mutex;
 use pqgram_core::maintain::{compute_index_delta, IndexDelta, UpdateStats};
 use pqgram_core::{GramKey, LookupHit, PQParams, TreeId, TreeIndex};
 use pqgram_tree::{EditLog, FxHashMap, FxHashSet, LabelTable, Tree};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -72,6 +67,19 @@ type Result<T> = std::result::Result<T, IndexError>;
 fn delete_file(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<()> {
     vfs.delete(path).map_err(crate::pager::StoreError::from)?;
     Ok(())
+}
+
+/// Names the file an open-time failure came from: a segmented store spans
+/// several, and one file's bare error does not say which.
+fn in_file(path: &Path, e: IndexError) -> IndexError {
+    use crate::pager::StoreError::{Corrupt, InvalidArgument, Io};
+    let IndexError::Store(e) = e else { return e };
+    let at = path.display();
+    IndexError::Store(match e {
+        Io(e) => Io(std::io::Error::new(e.kind(), format!("{at}: {e}"))),
+        Corrupt(m) => Corrupt(format!("{at}: {m}")),
+        InvalidArgument(m) => InvalidArgument(format!("{at}: {m}")),
+    })
 }
 
 /// Memtable flush threshold: buffered distinct grams (a proxy for the
@@ -245,7 +253,8 @@ impl SegmentedIndexStore {
                 delete_file(&vfs, &p)?;
             }
         }
-        let main = IndexStore::open_with(&main_path(base, gen), Arc::clone(&vfs))?;
+        let mp = main_path(base, gen);
+        let main = IndexStore::open_with(&mp, Arc::clone(&vfs)).map_err(|e| in_file(&mp, e))?;
         check_params(main.params(), params)?;
         let live = manifest.live_segments()?;
         let hwm = manifest.hwm();
@@ -272,7 +281,9 @@ impl SegmentedIndexStore {
         }
         let mut segments = Vec::with_capacity(live.len());
         for &s in live.iter().rev() {
-            let seg = Segment::open(Arc::clone(&vfs), &seg_path(base, s), params, s)?;
+            let sp = seg_path(base, s);
+            let seg = Segment::open(Arc::clone(&vfs), &sp, params, s)
+                .map_err(|e| in_file(&sp, e.into()))?;
             segments.push(Arc::new(seg));
         }
         let set = Arc::new(SourceSet {
@@ -370,66 +381,6 @@ impl SegmentedIndexStore {
             self.memtable.put(*id, index.clone());
         }
         self.maybe_flush()
-    }
-
-    /// Parallel ingest: flushes the memtable, splits `batch` into one
-    /// contiguous chunk per worker, and bulk-builds the chunk segments
-    /// concurrently. Later chunks receive higher sequence numbers, so a
-    /// tree id appearing twice resolves to its later batch position —
-    /// exactly the sequential-put semantics. All new segments are
-    /// registered in one manifest transaction: a crash publishes either
-    /// none or all of them.
-    pub fn put_trees_parallel(
-        &mut self,
-        batch: &[(TreeId, TreeIndex)],
-        threads: usize,
-    ) -> Result<()> {
-        for (_, index) in batch {
-            check_params(index.params(), self.params)?;
-        }
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.flush()?;
-        let workers = threads.clamp(1, batch.len());
-        let chunk = batch.len().div_ceil(workers);
-        let chunks: Vec<(usize, &[(TreeId, TreeIndex)])> =
-            batch.chunks(chunk).enumerate().collect();
-        let first = self
-            .manifest
-            .reserve_seqs(u64::try_from(chunks.len()).unwrap_or(u64::MAX))?;
-        let vfs = Arc::clone(&self.vfs);
-        let base = self.base.clone();
-        let params = self.params;
-        let built = pqgram_core::par::map(&chunks, workers, |&(i, part)| {
-            let seq = first + i as u64;
-            let mut entries: BTreeMap<u64, Option<TreeIndex>> = BTreeMap::new();
-            for (id, index) in part {
-                entries.insert(id.0, (index.total() > 0).then(|| index.clone()));
-            }
-            Segment::build(
-                Arc::clone(&vfs),
-                &seg_path(&base, seq),
-                params,
-                seq,
-                &entries,
-            )
-        });
-        let mut fresh = Vec::with_capacity(built.len());
-        for seg in built {
-            fresh.push(Arc::new(seg?));
-        }
-        let seqs: Vec<u64> = fresh.iter().map(|s| s.seq()).collect();
-        self.manifest.register_segments(&seqs)?;
-        fresh.reverse(); // descending sequence: newest first
-        let current = self.snapshot();
-        let mut segments = fresh;
-        segments.extend(current.segments.iter().cloned());
-        self.publish(SourceSet {
-            segments,
-            main: Arc::clone(&current.main),
-        });
-        Ok(())
     }
 
     /// Resolves `id` once: the memtable's entry if it buffers one, else the
@@ -570,7 +521,7 @@ impl SegmentedIndexStore {
         if self.memtable.is_empty() {
             return Ok(());
         }
-        let seq = self.manifest.reserve_seqs(1)?;
+        let seq = self.manifest.reserve_seq()?;
         let seg = Segment::build(
             Arc::clone(&self.vfs),
             &seg_path(&self.base, seq),
@@ -578,7 +529,7 @@ impl SegmentedIndexStore {
             seq,
             self.memtable.entries(),
         )?;
-        self.manifest.register_segments(&[seq])?;
+        self.manifest.register_segment(seq)?;
         self.memtable.clear();
         let current = self.snapshot();
         let mut segments = Vec::with_capacity(current.segments.len() + 1);
@@ -1018,39 +969,6 @@ mod tests {
             assert_eq!(seg.tree_index(TreeId(i as u64))?.as_ref(), Some(idx));
         }
         seg.verify()?;
-        Ok(())
-    }
-
-    #[test]
-    fn parallel_ingest_matches_sequential_puts() -> TestResult {
-        let params = PQParams::default();
-        let v = mem_vfs();
-        let idxs = make_indexes(14, 13, params);
-        // Duplicate id 3 at the end: the later batch position must win,
-        // exactly like sequential puts.
-        let mut batch: Vec<(TreeId, TreeIndex)> = idxs
-            .iter()
-            .enumerate()
-            .map(|(i, idx)| (TreeId(i as u64 % 12), idx.clone()))
-            .collect();
-        batch.push((TreeId(3), idxs[0].clone()));
-        let mut par_store =
-            SegmentedIndexStore::create_with(Path::new("/par/db"), params, Arc::clone(&v))?;
-        par_store.put_trees_parallel(&batch, 4)?;
-        assert!(par_store.segment_count() >= 2);
-        let mut seq_store =
-            SegmentedIndexStore::create_with(Path::new("/seq/db"), params, Arc::clone(&v))?;
-        for (id, idx) in &batch {
-            seq_store.put_tree(*id, idx)?;
-        }
-        assert_eq!(par_store.tree_ids()?, seq_store.tree_ids()?);
-        for id in par_store.tree_ids()? {
-            assert_eq!(par_store.tree_index(id)?, seq_store.tree_index(id)?);
-        }
-        for q in idxs.iter().step_by(5) {
-            assert_eq!(par_store.lookup(q, 0.8)?, seq_store.lookup(q, 0.8)?);
-        }
-        par_store.verify()?;
         Ok(())
     }
 

@@ -433,8 +433,7 @@ type SegOp<'a> =
     Box<dyn Fn(&mut SegmentedIndexStore) -> Result<(), pqgram_store::index_store::IndexError> + 'a>;
 
 /// The mutation phase. The memtable is volatile by contract, so every op
-/// ends at a durability point (flush, parallel-ingest registration, or
-/// compaction commit) — the recorded snapshots are exactly the states a
+/// ends at a durability point (flush or compaction commit) — the recorded snapshots are exactly the states a
 /// crash is allowed to recover to.
 fn seg_ops(fx: &IndexFixtures) -> Vec<SegOp<'_>> {
     vec![
@@ -450,9 +449,10 @@ fn seg_ops(fx: &IndexFixtures) -> Vec<SegOp<'_>> {
             s.remove_tree(TreeId(2))?;
             s.flush()
         }),
-        // Parallel ingest: two segments built concurrently, one commit.
+        // Batch put: two new trees through the memtable into one segment.
         Box::new(|s| {
-            s.put_trees_parallel(&[(TreeId(4), fx.b.clone()), (TreeId(5), fx.c.clone())], 2)
+            s.put_trees(&[(TreeId(4), fx.b.clone()), (TreeId(5), fx.c.clone())])?;
+            s.flush()
         }),
         // Compaction: all segments fold into main generation 1; the old
         // main and every segment file are deleted after the commit.
@@ -481,7 +481,7 @@ fn seg_contents(store: &SegmentedIndexStore) -> BTreeMap<u64, TreeIndex> {
 }
 
 /// The segmented moat: for every mutating I/O event of a workload covering
-/// flush, parallel ingest, manifest swap, and compaction — and every crash
+/// flush, batch put, manifest swap, and compaction — and every crash
 /// mode — recovery lands on exactly a pre- or post-commit segment set,
 /// passes structural verification, and never serves a hybrid forest.
 #[test]

@@ -7,8 +7,8 @@
 //! committed seed corpus (`tests/corpus/decode/`) with structure-aware
 //! byte operations (field-targeted overwrites, bit flips, truncation,
 //! splicing, CRC repair so deeper validation layers get exercised) and
-//! asserts those contracts over the posting-block decoder, the learned
-//! fence, and real store/segment/manifest headers.
+//! asserts those contracts over the posting-block decoder, the fence,
+//! and real store/segment/manifest headers.
 //!
 //! Self-contained by design: its own splitmix64, no fuzzing crates, no
 //! nightly — it runs as a plain `cargo test` and gates every PR via the

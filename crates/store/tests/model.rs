@@ -2,8 +2,9 @@
 //! behave exactly like `std::collections::BTreeMap` under arbitrary
 //! operation sequences, transactions must be all-or-nothing across crashes,
 //! the buffer pool must serve concurrent readers, and the segmented store's
-//! point operations must behave like a `BTreeMap<TreeId, TreeIndex>`
-//! wherever a tree happens to live.
+//! point operations must behave like a `BTreeMap<TreeId, TreeIndex>` — and
+//! its lookups like a `ForestIndex` over that map — wherever a tree happens
+//! to live.
 
 use pqgram_store::btree::{BTree, Key};
 use pqgram_store::buffer::BufferPool;
@@ -286,7 +287,7 @@ fn compaction_preserves_content_and_shrinks() {
 }
 
 // ---------------------------------------------------------------------------
-// The segmented store's point operations against a map of bags.
+// The segmented store's point operations and lookups against a map of bags.
 //
 // Every step draws an operation, a tree id from a universe of eight (so
 // the same tree is hit while it lives in the memtable, in a young segment,
@@ -296,7 +297,7 @@ fn compaction_preserves_content_and_shrinks() {
 
 mod point_ops {
     use pqgram_core::maintain::{compute_index_delta, IndexDelta};
-    use pqgram_core::{build_index, GramKey, PQParams, TreeId, TreeIndex};
+    use pqgram_core::{build_index, ForestIndex, GramKey, PQParams, TreeId, TreeIndex};
     use pqgram_store::index_store::IndexError;
     use pqgram_store::{FaultVfs, SegmentedIndexStore, Vfs};
     use pqgram_tree::generate::{random_tree, RandomTreeConfig};
@@ -404,13 +405,38 @@ mod point_ops {
         }
     }
 
-    /// After every step: every id answers as the model does, and the
-    /// memtable — the ids in `buffered` — counts the grams of exactly the
-    /// bags it buffers.
+    /// A query near the model: one of its bags (any, when it has some) that
+    /// lost a few grams and gained a few foreign ones.
+    fn model_query(rng: &mut StdRng, model: &Model, params: PQParams) -> TreeIndex {
+        let pick = rng.random_range(0..model.bags.len().max(1));
+        let mut query = match model.bags.values().nth(pick) {
+            Some(bag) => bag.clone(),
+            None => TreeIndex::empty(params),
+        };
+        let mut held: Vec<GramKey> = query.iter().map(|(g, _)| g).collect();
+        held.sort_unstable();
+        for g in held {
+            if rng.random_range(0..4) == 0 {
+                query.remove(g);
+            }
+        }
+        for _ in 0..rng.random_range(1..4) {
+            query.add(rng.random_range(1..1u64 << 40));
+        }
+        query
+    }
+
+    /// After every step: every id answers as the model does, the memtable —
+    /// the ids in `buffered` — counts the grams of exactly the bags it
+    /// buffers, and one threshold lookup and one top-k answer as a
+    /// `ForestIndex` over the model's bags does (hits, distances, order) —
+    /// on the writer, and on a reader whenever the memtable is empty (so
+    /// that asking for one flushes nothing).
     fn check_step(
-        store: &SegmentedIndexStore,
+        store: &mut SegmentedIndexStore,
         model: &Model,
         buffered: &BTreeSet<u64>,
+        rng: &mut StdRng,
     ) -> Result<(), TestCaseError> {
         let bags = buffered.iter().filter_map(|id| model.bags.get(id));
         let grams: usize = bags.map(TreeIndex::distinct).sum();
@@ -424,6 +450,33 @@ mod point_ops {
         }
         let ids: Vec<TreeId> = model.bags.keys().map(|&t| TreeId(t)).collect();
         prop_assert_eq!(store.tree_ids().unwrap(), ids);
+
+        let mut oracle = ForestIndex::new();
+        for (&t, bag) in &model.bags {
+            oracle.insert(TreeId(t), bag.clone());
+        }
+        let query = model_query(rng, model, store.params());
+        let tau = [0.3, 0.8, 1.5][rng.random_range(0..3usize)];
+        let k = [1usize, 3, 8][rng.random_range(0..3usize)];
+        let within = oracle.lookup(&query, tau).unwrap();
+        let nearest = oracle.lookup_top_k(&query, k).unwrap();
+        prop_assert_eq!(&store.lookup(&query, tau).unwrap(), &within, "tau {}", tau);
+        prop_assert_eq!(&store.lookup_top_k(&query, k).unwrap(), &nearest, "k {}", k);
+        if store.pending_entries() == 0 {
+            let r = store.reader().unwrap();
+            prop_assert_eq!(
+                &r.lookup(&query, tau).unwrap(),
+                &within,
+                "reader, tau {}",
+                tau
+            );
+            prop_assert_eq!(
+                &r.lookup_top_k(&query, k).unwrap(),
+                &nearest,
+                "reader, k {}",
+                k
+            );
+        }
         Ok(())
     }
 
@@ -531,7 +584,7 @@ mod point_ops {
                     durable = model.clone();
                     buffered.clear();
                 }
-                check_step(&store, &model, &buffered)?;
+                check_step(&mut store, &model, &buffered, &mut rng)?;
             }
             let check = store.verify().unwrap();
             prop_assert_eq!(check.trees, model.bags.len() as u64);

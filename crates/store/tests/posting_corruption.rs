@@ -268,7 +268,7 @@ fn tampered_segment_headers_are_rejected() {
 }
 
 /// Bit flips inside a segment's pack pages must never mis-probe through
-/// the learned fence: open may reject, otherwise verify must object and
+/// the fence: open may reject, otherwise verify must object and
 /// lookups must stay panic-free.
 #[test]
 fn segment_pack_page_flips_never_misprobe_through_the_fence() {
