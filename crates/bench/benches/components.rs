@@ -113,8 +113,10 @@ fn bench_blob_store(c: &mut Criterion) {
 /// The stages of a lookup's probe phase, one number each: ns/gram for the
 /// one directory visit a gram gets (down the B+-tree, and through a
 /// fence over the same directory), ns/block for fetching a posting
-/// block whose pack page is resident and already validated, and ns/row
-/// for the per-row overlap merge.
+/// block whose pack page is resident and already validated (from the
+/// pool, and through a probe's block memo, which re-uses the page it
+/// holds), ns/row for probing grams with short (1–3 rows) and long
+/// (≥ 64 rows) posting lists, and ns/row for the per-row overlap merge.
 fn bench_probe_pipeline(c: &mut Criterion) {
     use pqgram_store::fuzz::{merge_rows, ProbeStages};
     use pqgram_store::IndexStore;
@@ -140,8 +142,27 @@ fn bench_probe_pipeline(c: &mut Criterion) {
     grams.sort_unstable();
     let rows = stages.visit(&grams, false).unwrap();
     assert_eq!(rows, stages.visit(&grams, true).unwrap());
-    let blocks = stages.fetch_blocks(&rows).unwrap();
+    let blocks = stages.fetch_blocks(&rows, false).unwrap();
     assert!(blocks > 0, "the fixture must hold posting blocks");
+    assert_eq!(blocks, stages.fetch_blocks(&rows, true).unwrap());
+    // Posting-list length per gram: in how many trees it occurs.
+    let mut lists: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
+    for index in &indexes {
+        for (gram, _) in index.iter() {
+            *lists.entry(gram).or_default() += 1;
+        }
+    }
+    let grams_with = |keep: fn(u64) -> bool| -> Vec<u64> {
+        let picked = lists.iter().filter(|&(_, &len)| keep(len));
+        picked.map(|(&gram, _)| gram).take(2_000).collect()
+    };
+    let (short, long) = (grams_with(|len| len <= 3), grams_with(|len| len >= 64));
+    let (short_rows, _) = stages.probe(&short).unwrap();
+    let (long_rows, _) = stages.probe(&long).unwrap();
+    assert!(
+        short_rows > 0 && long_rows > 0,
+        "the fixture must hold both kinds of run"
+    );
     let postings: Vec<(u64, u32)> = (0..20_000u64).map(|i| (i * 7 % 400, 1)).collect();
 
     let mut group = c.benchmark_group("probe_pipeline");
@@ -154,7 +175,18 @@ fn bench_probe_pipeline(c: &mut Criterion) {
     });
     group.throughput(criterion::Throughput::Elements(blocks));
     group.bench_function("block_fetch_resident", |b| {
-        b.iter(|| stages.fetch_blocks(black_box(&rows)).unwrap())
+        b.iter(|| stages.fetch_blocks(black_box(&rows), false).unwrap())
+    });
+    group.bench_function("block_fetch_same_page", |b| {
+        b.iter(|| stages.fetch_blocks(black_box(&rows), true).unwrap())
+    });
+    group.throughput(criterion::Throughput::Elements(short_rows));
+    group.bench_function("run_decode_short", |b| {
+        b.iter(|| stages.probe(black_box(&short)).unwrap())
+    });
+    group.throughput(criterion::Throughput::Elements(long_rows));
+    group.bench_function("run_decode_long", |b| {
+        b.iter(|| stages.probe(black_box(&long)).unwrap())
     });
     group.throughput(criterion::Throughput::Elements(postings.len() as u64));
     group.bench_function("emit", |b| b.iter(|| merge_rows(black_box(&postings))));

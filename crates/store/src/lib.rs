@@ -189,10 +189,26 @@ pub mod fuzz {
             Ok(rows)
         }
 
-        /// Fetches every posting block among `rows` the way a probe's
-        /// block-memo miss does (validated pin, entry lookup, layout
-        /// parse); returns how many there were.
-        pub fn fetch_blocks(&self, rows: &[postings::DirRow]) -> Result<u64> {
+        /// Fetches every posting block among `rows` (validated pin, entry
+        /// lookup, layout parse) and returns how many there were: each
+        /// straight from the pool, or — `memo` — through one probe's
+        /// block memo, where a block on the page the memo already holds
+        /// re-uses that page.
+        pub fn fetch_blocks(&self, rows: &[postings::DirRow], memo: bool) -> Result<u64> {
+            if memo {
+                // No block holds gram 0, so every one is fetched into the
+                // memo, ruled out by its header and counted skipped.
+                let mut counters = postings::ProbeCounters::default();
+                postings::for_each_posting(
+                    &self.pool,
+                    rows,
+                    0,
+                    &mut postings::BlockCache::default(),
+                    &mut counters,
+                    &mut |_, _| (),
+                )?;
+                return Ok(counters.blocks_skipped + counters.blocks_decoded);
+            }
             let mut blocks = 0;
             for &(key, raw) in rows {
                 if let postings::DirValue::Block(page) = postings::dir_value(raw) {
@@ -201,6 +217,31 @@ pub mod fuzz {
                 }
             }
             Ok(blocks)
+        }
+
+        /// Probes `grams` (ascending) the way a lookup's probe phase does
+        /// — one fenced directory visit each, the postings decoded in
+        /// place through one block memo — and returns the rows decoded
+        /// with a checksum of them.
+        pub fn probe(&self, grams: &[u64]) -> Result<(u64, u64)> {
+            let mut dir = postings::DirCursor::open(&self.pool, Some(&self.fence))?;
+            let mut cache = postings::BlockCache::default();
+            let mut counters = postings::ProbeCounters::default();
+            let (mut rows, mut sum) = (Vec::new(), 0u64);
+            for &gram in grams {
+                rows.clear();
+                dir.visit(gram, &mut rows)?;
+                let mut fold = |t: u64, c: u32| sum = sum.wrapping_add(t ^ u64::from(c));
+                postings::for_each_posting(
+                    &self.pool,
+                    &rows,
+                    gram,
+                    &mut cache,
+                    &mut counters,
+                    &mut fold,
+                )?;
+            }
+            Ok((counters.rows, sum))
         }
     }
 

@@ -63,7 +63,6 @@ use pqgram_core::plan::LookupPlanner;
 use pqgram_core::topk::TopK;
 use pqgram_core::{GramKey, LookupHit, PQParams, TreeId, TreeIndex};
 use pqgram_tree::{FxHashMap, FxHashSet};
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
@@ -600,11 +599,17 @@ pub struct LookupStats {
     /// Posting rows dropped at emit time because the tree's bag size falls
     /// outside the planner's feasible size window.
     pub rows_pruned_window: u64,
-    /// Elias-Fano posting blocks decoded during the probe phase.
+    /// Posting blocks the probe phase decoded rows from: a block counts
+    /// when a gram first decodes it, and again only if the probe's
+    /// two-block memo dropped it in between. A boundary block that was
+    /// fetched only to be skipped does not count.
     pub blocks_decoded: u64,
-    /// Posting blocks skipped on per-block metadata without decoding.
+    /// Boundary blocks — the first block keyed past a probed gram — ruled
+    /// out by the first key in their header, once per gram that ruled one
+    /// out (the next gram may still decode the same block).
     pub blocks_skipped: u64,
-    /// Posting-block payload bytes run through the decoder.
+    /// Entry bytes (header, payload and checksum) of the blocks counted in
+    /// `blocks_decoded`.
     pub bytes_decoded: u64,
     /// Rows read per source, in probe order: one `(source, rows)` entry per
     /// live segment (keyed by its sequence number) and one for the main
@@ -830,19 +835,90 @@ fn dir_rows<'r>(rows: &'r [DirRow], p: &ProbeGram) -> &'r [DirRow] {
 const PRUNED: u64 = u64::MAX;
 /// `Merge::shared` value of a tree owned by a newer source.
 const MASKED: u64 = u64::MAX - 1;
+/// Value of a free [`OverlapTable`] slot. Every overlap is a sum of `u32`
+/// multiplicities over at most 2^32 grams, far below the three sentinels.
+const EMPTY: u64 = u64::MAX - 2;
+
+/// The `treeId → value` table of the overlap merge: open addressing over
+/// one slot array, multiplicative hashing, linear probing, doubled when
+/// half full, so a posting row costs one multiplication and — nearly
+/// always — one slot. A slot is free while its value is [`EMPTY`]; keys
+/// are any `u64`.
+struct OverlapTable {
+    /// `(treeId, value)` slots, a power of two of them.
+    slots: Vec<(u64, u64)>,
+    used: usize,
+    /// `64 - log2(slots.len())`: the hash is the product's top bits.
+    shift: u32,
+}
+
+impl OverlapTable {
+    /// `log2` of the slots a table starts with: 16 KiB, 512 trees before
+    /// the first doubling. Growing is what costs — a table that starts at
+    /// 64 slots and doubles four times to hold the ≈ 380 trees a
+    /// `lookup-hot` lookup surfaces gives back more than half of what the
+    /// table saves over the hash map (EXPERIMENTS.md, PR 21).
+    const INITIAL_BITS: u32 = 10;
+
+    fn with_bits(bits: u32) -> OverlapTable {
+        OverlapTable {
+            slots: vec![(0, EMPTY); 1usize << bits],
+            used: 0,
+            shift: 64 - bits,
+        }
+    }
+
+    /// Index of the slot holding `t`, or of the free slot `t` would take.
+    #[inline]
+    fn find(&self, t: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let hash = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift;
+        let mut i = usize::try_from(hash).unwrap_or(0);
+        while (self.slots.get(i)).is_some_and(|&(k, v)| v != EMPTY && k != t) {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Fills the free slot `i` that [`OverlapTable::find`] returned for
+    /// `t`, then doubles the table if that left it more than half full.
+    fn insert(&mut self, i: usize, t: u64, value: u64) {
+        self.place(i, t, value);
+        self.used += 1;
+        if self.used * 2 > self.slots.len() {
+            let mut grown = OverlapTable::with_bits(65 - self.shift);
+            for (k, v) in self.iter() {
+                grown.place(grown.find(k), k, v);
+            }
+            grown.used = self.used;
+            *self = grown;
+        }
+    }
+
+    fn place(&mut self, i: usize, t: u64, value: u64) {
+        if let Some(slot) = self.slots.get_mut(i) {
+            *slot = (t, value);
+        }
+    }
+
+    /// Every `(treeId, value)` held, in slot order.
+    fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.slots.iter().copied().filter(|&(_, v)| v != EMPTY)
+    }
+}
 
 /// The per-tree overlap merge of one source's probes. Every posting row
-/// costs one hash-map entry operation; the skip mask, the totals mirror
-/// and the size window are consulted only when a tree id is first seen,
-/// and a tree they rule out is remembered under a sentinel so its later
-/// rows are still counted exactly.
+/// costs one [`OverlapTable`] slot; the skip mask, the totals mirror and
+/// the size window are consulted only when a tree id is first seen, and a
+/// tree they rule out is remembered under a sentinel so its later rows are
+/// still counted exactly.
 pub(crate) struct Merge<'a> {
     skip: &'a FxHashSet<u64>,
     /// The totals mirror with the planner's inclusive bag-size window,
     /// derived once per source (sources with a mirror only).
     window: Option<(&'a TotalsView, (u64, u64))>,
     /// `treeId → observed overlap`, or [`PRUNED`] / [`MASKED`].
-    shared: FxHashMap<u64, u64>,
+    shared: OverlapTable,
     /// Entries of `shared` that are real candidates.
     pub(crate) live: usize,
     pruned_window: u64,
@@ -856,7 +932,7 @@ impl<'a> Merge<'a> {
         Merge {
             skip,
             window,
-            shared: FxHashMap::default(),
+            shared: OverlapTable::with_bits(OverlapTable::INITIAL_BITS),
             live: 0,
             pruned_window: 0,
         }
@@ -866,17 +942,16 @@ impl<'a> Merge<'a> {
     /// the query `qc` times — into the tree's overlap.
     #[inline]
     pub(crate) fn emit(&mut self, qc: u32, t: u64, c: u32) {
-        match self.shared.entry(t) {
-            Entry::Occupied(mut e) => match *e.get() {
-                PRUNED => self.pruned_window += 1,
-                MASKED => {}
-                _ => *e.get_mut() += u64::from(qc.min(c)),
-            },
-            Entry::Vacant(e) => {
+        let i = self.shared.find(t);
+        match self.shared.slots.get_mut(i) {
+            Some((_, PRUNED)) => self.pruned_window += 1,
+            Some((_, MASKED)) => {}
+            Some((_, seen)) if *seen != EMPTY => *seen += u64::from(qc.min(c)),
+            _ => {
                 let outside = |(view, (lo, hi)): (&TotalsView, (u64, u64))| {
                     (view.get(t)).is_some_and(|m| !(lo..=hi).contains(&u64::from(m)))
                 };
-                e.insert(if self.skip.contains(&t) {
+                let first = if self.skip.contains(&t) {
                     MASKED
                 } else if self.window.is_some_and(outside) {
                     self.pruned_window += 1;
@@ -884,9 +959,15 @@ impl<'a> Merge<'a> {
                 } else {
                     self.live += 1;
                     u64::from(qc.min(c))
-                });
+                };
+                self.shared.insert(i, t, first);
             }
         }
+    }
+
+    /// `(treeId, observed overlap)` of every real candidate, unordered.
+    fn candidates(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.shared.iter().filter(|&(_, o)| o < MASKED)
     }
 }
 
@@ -1025,9 +1106,8 @@ fn gather_candidates(
     // overlap from above, so a candidate the planner rejects here cannot
     // reach the bound with any compensation.
     let mut candidates: Vec<(u64, u64)> = merge
-        .shared
-        .into_iter()
-        .filter(|&(_, o)| o < MASKED && planner.admits_overlap(o + skipped_mass))
+        .candidates()
+        .filter(|&(_, o)| planner.admits_overlap(o + skipped_mass))
         .collect();
     candidates.sort_unstable_by_key(|&(t, _)| t);
     kept.sort_unstable_by_key(|&(g, _)| g);
@@ -1502,4 +1582,152 @@ pub(crate) fn verify_relations(pool: &BufferPool) -> Result<StoreCheck> {
         pack_pages: u64::try_from(pack_pages.len()).unwrap_or(u64::MAX),
         ..check
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// What [`Merge::emit`] must remember per tree.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Seen {
+        Masked,
+        Pruned,
+        Overlap(u64),
+    }
+
+    /// The merge over an ordered map: `(live, pruned_window, candidates)`.
+    fn model(
+        rows: &[(u64, u32, u32)],
+        skip: &FxHashSet<u64>,
+        window: Option<(&TotalsView, (u64, u64))>,
+    ) -> (usize, u64, Vec<(u64, u64)>) {
+        let mut seen: BTreeMap<u64, Seen> = BTreeMap::new();
+        let (mut live, mut pruned) = (0usize, 0u64);
+        for &(t, qc, c) in rows {
+            let first = if skip.contains(&t) {
+                Seen::Masked
+            } else if window.is_some_and(|(view, (lo, hi))| {
+                view.get(t)
+                    .is_some_and(|m| u64::from(m) < lo || u64::from(m) > hi)
+            }) {
+                Seen::Pruned
+            } else {
+                Seen::Overlap(0)
+            };
+            let state = seen.entry(t).or_insert_with(|| {
+                live += usize::from(first == Seen::Overlap(0));
+                first
+            });
+            match state {
+                Seen::Masked => {}
+                Seen::Pruned => pruned += 1,
+                Seen::Overlap(o) => *o += u64::from(qc.min(c)),
+            }
+        }
+        let candidates = seen
+            .iter()
+            .filter_map(|(&t, s)| match s {
+                Seen::Overlap(o) => Some((t, *o)),
+                _ => None,
+            })
+            .collect();
+        (live, pruned, candidates)
+    }
+
+    fn merged(
+        rows: &[(u64, u32, u32)],
+        skip: &FxHashSet<u64>,
+        window: Option<(&TotalsView, (u64, u64))>,
+    ) -> (usize, u64, Vec<(u64, u64)>) {
+        let mut merge = Merge::new(skip, window);
+        for &(t, qc, c) in rows {
+            merge.emit(qc, t, c);
+        }
+        let mut candidates: Vec<(u64, u64)> = merge.candidates().collect();
+        candidates.sort_unstable();
+        (merge.live, merge.pruned_window, candidates)
+    }
+
+    /// Tree ids that stress the table: small and dense, the top of the
+    /// range (the three sentinels are values, never keys — as keys they
+    /// are ordinary), and multiples of 2^32 whose products share low bits.
+    fn tree_id(i: u64) -> u64 {
+        match i % 3 {
+            0 => i / 3,
+            1 => u64::MAX - i / 3,
+            _ => (i / 3) << 32,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_overlap_table_matches_an_ordered_map(
+            stream in proptest::collection::vec((0u64..900, 1u32..6, 1u32..6), 0..2500),
+            masked in proptest::collection::vec(0u64..900, 0..40),
+            totals in proptest::collection::vec((0u64..900, 1u32..60), 0..600),
+            window in (0u64..40, 0u64..70),
+            windowed in any::<bool>(),
+        ) {
+            let rows: Vec<(u64, u32, u32)> =
+                stream.iter().map(|&(i, qc, c)| (tree_id(i), qc, c)).collect();
+            let skip: FxHashSet<u64> = masked.iter().map(|&i| tree_id(i)).collect();
+            let mut view = TotalsView::empty();
+            for &(i, m) in &totals {
+                view.set(tree_id(i), m);
+            }
+            let window = windowed.then_some((&view, window));
+            prop_assert_eq!(merged(&rows, &skip, window), model(&rows, &skip, window));
+        }
+    }
+
+    #[test]
+    fn the_overlap_table_grows_past_its_first_slots_and_keeps_every_key() {
+        let skip = FxHashSet::default();
+        let mut merge = Merge::new(&skip, None);
+        let initial = merge.shared.slots.len();
+        let keys: Vec<u64> = [0, u64::MAX, EMPTY, MASKED]
+            .into_iter()
+            .chain((1..=700).map(|i| i * 0x1_0000_0001))
+            .collect();
+        for round in 1..=3u64 {
+            for &t in &keys {
+                merge.emit(2, t, 5);
+            }
+            assert_eq!(merge.live, keys.len(), "round {round}");
+            let got: BTreeSet<(u64, u64)> = merge.candidates().collect();
+            let expect: BTreeSet<(u64, u64)> = keys.iter().map(|&t| (t, 2 * round)).collect();
+            assert_eq!(got, expect, "round {round}");
+        }
+        let slots = merge.shared.slots.len();
+        assert!(
+            slots > initial && slots.is_power_of_two(),
+            "{initial} -> {slots}"
+        );
+        assert!(merge.shared.used * 2 <= slots, "at most half full");
+    }
+
+    #[test]
+    fn pruned_rows_are_counted_at_every_sighting_and_masked_rows_never() {
+        let skip: FxHashSet<u64> = [7].into_iter().collect();
+        let mut view = TotalsView::empty();
+        view.set(7, 10);
+        view.set(8, 99);
+        view.set(9, 10);
+        let mut merge = Merge::new(&skip, Some((&view, (5, 20))));
+        for _ in 0..4 {
+            merge.emit(1, 7, 1); // masked by a newer source
+            merge.emit(1, 8, 1); // bag size outside the window
+            merge.emit(3, 9, 2); // a candidate
+            merge.emit(1, 10, 1); // not in the mirror: never pruned
+        }
+        assert_eq!((merge.live, merge.pruned_window), (2, 4));
+        let mut candidates: Vec<(u64, u64)> = merge.candidates().collect();
+        candidates.sort_unstable();
+        assert_eq!(candidates, [(9, 8), (10, 4)]);
+    }
 }

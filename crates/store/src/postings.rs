@@ -130,6 +130,15 @@ fn corrupt(msg: &str) -> StoreError {
 // Bit-level encoding
 // ---------------------------------------------------------------------------
 
+/// The low `width` bits set.
+fn low_mask(width: u8) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    }
+}
+
 /// ORs the low `width` bits of `value` into `bytes` at absolute bit
 /// position `pos` (LSB-first). The target bits must still be zero: the
 /// encoder writes every position once into a zeroed buffer.
@@ -137,11 +146,7 @@ fn put_bits(bytes: &mut [u8], pos: usize, value: u64, width: u8) -> Result<()> {
     if width == 0 {
         return Ok(());
     }
-    let value = if width >= 64 {
-        value
-    } else {
-        value & ((1u64 << width) - 1)
-    };
+    let value = value & low_mask(width);
     let shift = pos % 8;
     let need = (shift + usize::from(width)).div_ceil(8);
     let dst = (pos / 8)
@@ -155,16 +160,39 @@ fn put_bits(bytes: &mut [u8], pos: usize, value: u64, width: u8) -> Result<()> {
     Ok(())
 }
 
+/// The eight bytes at `byte`, little-endian — `None` when fewer are left.
+// analyze: untrusted-source
+#[inline]
+fn word_at(bytes: &[u8], byte: usize) -> Option<u64> {
+    let chunk = bytes.get(byte..)?.first_chunk::<8>()?;
+    Some(u64::from_le_bytes(*chunk))
+}
+
 /// LSB-first bit reader over a byte slice.
 struct BitReader<'a> {
     bytes: &'a [u8],
 }
 
 impl BitReader<'_> {
-    /// Reads `width` bits starting at absolute bit `pos`, word-at-a-time:
-    /// the value spans at most 9 bytes, loaded into a `u128` and shifted.
+    /// Reads `width` bits starting at absolute bit `pos`. A value of at
+    /// most 56 bits lies inside the eight bytes at its first byte: one
+    /// load, shift and mask. Wider values, and the last few of a section,
+    /// go through [`BitReader::read_tail`].
     // analyze: untrusted-source
+    #[inline]
     fn read(&self, pos: usize, width: u8) -> Result<u64> {
+        if width <= 56 {
+            if let Some(word) = word_at(self.bytes, pos / 8) {
+                return Ok((word >> (pos % 8)) & low_mask(width));
+            }
+        }
+        self.read_tail(pos, width)
+    }
+
+    /// [`BitReader::read`] for any width up to 64 and any position: the
+    /// value spans at most 9 bytes, copied into a `u128` and shifted.
+    // analyze: untrusted-source
+    fn read_tail(&self, pos: usize, width: u8) -> Result<u64> {
         if width == 0 {
             return Ok(0);
         }
@@ -183,76 +211,8 @@ impl BitReader<'_> {
             dst.copy_from_slice(src);
         }
         let word = u128::from_le_bytes(buf) >> shift;
-        let mask = if width >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        };
-        u64::try_from(word & u128::from(mask)).map_err(|_| corrupt("bit read exceeds word"))
-    }
-}
-
-/// Sequential LSB-first bit reader: keeps a bit buffer across reads so
-/// fixed-stride row loops skip the per-read slice arithmetic of
-/// [`BitReader::read`]. Refills eight bytes at a time while they last.
-struct SeqBits<'a> {
-    bytes: &'a [u8],
-    next: usize,
-    buf: u128,
-    avail: u32,
-}
-
-impl<'a> SeqBits<'a> {
-    /// A reader positioned at absolute bit `pos`.
-    // analyze: untrusted-source
-    fn at(bytes: &'a [u8], pos: usize) -> SeqBits<'a> {
-        let mut r = SeqBits {
-            bytes,
-            next: pos / 8,
-            buf: 0,
-            avail: 0,
-        };
-        let skip = u32::try_from(pos % 8).unwrap_or(0);
-        if skip > 0 {
-            if let Some(&b) = bytes.get(r.next) {
-                r.buf = u128::from(b >> skip);
-                r.avail = 8 - skip;
-                r.next += 1;
-            }
-            // Out of bytes: `avail` stays 0 and the first read errors.
-        }
-        r
-    }
-
-    /// Reads the next `width` bits.
-    // analyze: untrusted-source
-    #[inline]
-    fn read(&mut self, width: u8) -> Result<u64> {
-        let w = u32::from(width);
-        if w == 0 {
-            return Ok(0);
-        }
-        while self.avail < w {
-            if let Some(chunk) = self.bytes.get(self.next..self.next + 8) {
-                let mut b8 = [0u8; 8];
-                b8.copy_from_slice(chunk);
-                self.buf |= u128::from(u64::from_le_bytes(b8)) << self.avail;
-                self.next += 8;
-                self.avail += 64;
-            } else if let Some(&b) = self.bytes.get(self.next) {
-                self.buf |= u128::from(b) << self.avail;
-                self.next += 1;
-                self.avail += 8;
-            } else {
-                return Err(corrupt("bit position out of range while decoding"));
-            }
-        }
-        let mask = if w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-        let val = u64::try_from(self.buf & u128::from(mask))
-            .map_err(|_| corrupt("bit read exceeds word"))?;
-        self.buf >>= w;
-        self.avail -= w;
-        Ok(val)
+        u64::try_from(word & u128::from(low_mask(width)))
+            .map_err(|_| corrupt("bit read exceeds word"))
     }
 }
 
@@ -883,19 +843,12 @@ pub(crate) fn decode_block(bytes: &[u8]) -> Result<Decoded> {
 
     // Rows: per-gram strictly ascending treeIds, positive counts.
     let mut rows: Vec<Row> = Vec::with_capacity(s.n);
-    let mut tids = SeqBits::at(s.tid_bits.bytes, 0);
-    let mut cnts = SeqBits::at(s.count_bits.bytes, 0);
+    let mut at = 0usize;
     for (&gram, &run) in grams.iter().zip(runs.iter()) {
-        let mut prev_tid: Option<u64> = None;
-        for _ in 0..run {
-            let tid = tids.read(s.tw)?;
-            let count = decode_count(&mut cnts, s.cw)?;
-            if prev_tid.is_some_and(|p| tid <= p) {
-                return Err(corrupt("treeIds not strictly ascending"));
-            }
-            prev_tid = Some(tid);
-            rows.push(((gram, tid), count));
-        }
+        for_each_row(&s, at, at + run, &mut |tid, count| {
+            rows.push(((gram, tid), count))
+        })?;
+        at += run;
     }
     if rows.first().map(|r| r.0) != Some(first) {
         return Err(corrupt("first row disagrees with header"));
@@ -922,11 +875,7 @@ fn for_each_gram_in_sections(
     }
     let delta = gram - s.first.0;
     let bucket = delta.checked_shr(u32::from(s.gw)).unwrap_or(0);
-    let low_mask = 1u64
-        .checked_shl(u32::from(s.gw))
-        .map(|v| v - 1)
-        .unwrap_or(u64::MAX);
-    let lo_t = delta & low_mask;
+    let lo_t = delta & low_mask(s.gw);
     // Bucket `b`'s set bits (grams sharing the high part) sit between the
     // b-th and (b+1)-th zero bits; bucket 0 starts at position 0.
     let (mut idx, mut pos) = if bucket == 0 {
@@ -964,34 +913,101 @@ fn for_each_gram_in_sections(
     if end > s.n || prefix >= end {
         return Err(corrupt("cumulative counts disagree with row count"));
     }
-    let mut tids = SeqBits::at(s.tid_bits.bytes, prefix * usize::from(s.tw));
-    let mut cnts = SeqBits::at(s.count_bits.bytes, prefix * usize::from(s.cw));
-    let mut prev_tid: Option<u64> = None;
-    for _ in prefix..end {
-        let tid = tids.read(s.tw)?;
-        let count = decode_count(&mut cnts, s.cw)?;
-        if prev_tid.is_some_and(|p| tid <= p) {
-            return Err(corrupt("treeIds not strictly ascending"));
-        }
-        prev_tid = Some(tid);
-        counters.rows += 1;
-        f(tid, count);
+    counters.rows += u64::try_from(end - prefix).unwrap_or(u64::MAX);
+    for_each_row(s, prefix, end, f)
+}
+
+/// Streams rows `start..end` of one gram's run — bit-packed treeIds,
+/// strictly ascending, and biased counts (`count - 1` on disk, nothing
+/// when `cw == 0`) — to `f`: by whole words when [`is_word_run`] says the
+/// run allows it, else value by value.
+fn for_each_row(
+    s: &Sections<'_>,
+    start: usize,
+    end: usize,
+    f: &mut impl FnMut(u64, u32),
+) -> Result<()> {
+    if is_word_run(s, end) {
+        word_rows(s, start, end, f)
+    } else {
+        checked_rows(s, start, end, f)
+    }
+}
+
+/// The one bounds decision a run gets: can every value of a run ending
+/// before row `end` be read as the eight bytes at its first byte? That
+/// takes treeIds of at most 56 bits and, in both sections, eight bytes
+/// from where row `end` would start. Runs at the tail of a section and
+/// blocks with wider treeIds are read value by value.
+fn is_word_run(s: &Sections<'_>, end: usize) -> bool {
+    let whole = |r: &BitReader<'_>, width: u8| {
+        width == 0 || (end * usize::from(width)) / 8 + 8 <= r.bytes.len()
+    };
+    s.tw <= 56 && whole(&s.tid_bits, s.tw) && whole(&s.count_bits, s.cw)
+}
+
+/// [`for_each_row`] for a run [`is_word_run`] admits: one 8-byte load,
+/// shift and mask per value, and the two row checks (treeIds ascend, the
+/// count does not overflow) folded into one flag tested after the last
+/// row. `f` may therefore see rows of a run that then returns `Err`,
+/// which discards everything the caller gathered.
+fn word_rows<'a>(
+    s: &Sections<'a>,
+    start: usize,
+    end: usize,
+    f: &mut impl FnMut(u64, u32),
+) -> Result<()> {
+    // A zero-width section has no bytes: every value in it is zero, read
+    // as zero bits of this word.
+    let words = |r: &BitReader<'a>, width: u8| match width {
+        0 => &[0u8; 8][..],
+        _ => r.bytes,
+    };
+    let (tids, cnts) = (words(&s.tid_bits, s.tw), words(&s.count_bits, s.cw));
+    let (tw, cw) = (usize::from(s.tw), usize::from(s.cw));
+    let (tmask, cmask) = (low_mask(s.tw), low_mask(s.cw));
+    // treeIds here are at most 56 bits wide, so `tid + 1` cannot wrap.
+    let (mut floor, mut bad) = (0u64, false);
+    for i in start..end {
+        let (tbit, cbit) = (i * tw, i * cw);
+        let (Some(tword), Some(cword)) = (word_at(tids, tbit / 8), word_at(cnts, cbit / 8)) else {
+            return Err(corrupt("bit position out of range while decoding"));
+        };
+        let tid = (tword >> (tbit % 8)) & tmask;
+        let raw = u32::try_from((cword >> (cbit % 8)) & cmask).unwrap_or(u32::MAX);
+        bad |= (tid < floor) | (raw == u32::MAX);
+        floor = tid + 1;
+        f(tid, raw.wrapping_add(1));
+    }
+    if bad {
+        return Err(corrupt("treeIds not strictly ascending or count overflow"));
     }
     Ok(())
 }
 
-/// Reads one biased count (`count - 1` on disk, `1` when `cw == 0`).
-// analyze: untrusted-source
-#[inline]
-fn decode_count(cnts: &mut SeqBits<'_>, cw: u8) -> Result<u32> {
-    if cw == 0 {
-        return Ok(1);
+/// [`for_each_row`] for any run: every value bounds-checked, every row
+/// checked before it is reported.
+fn checked_rows(
+    s: &Sections<'_>,
+    start: usize,
+    end: usize,
+    f: &mut impl FnMut(u64, u32),
+) -> Result<()> {
+    let (tw, cw) = (usize::from(s.tw), usize::from(s.cw));
+    let mut prev: Option<u64> = None;
+    for i in start..end {
+        let tid = s.tid_bits.read(i * tw, s.tw)?;
+        let count = u32::try_from(s.count_bits.read(i * cw, s.cw)?)
+            .ok()
+            .and_then(|c| c.checked_add(1))
+            .ok_or_else(|| corrupt("count overflow"))?;
+        if prev.is_some_and(|p| tid <= p) {
+            return Err(corrupt("treeIds not strictly ascending"));
+        }
+        prev = Some(tid);
+        f(tid, count);
     }
-    let raw = cnts.read(cw)?;
-    u32::try_from(raw)
-        .ok()
-        .and_then(|c| c.checked_add(1))
-        .ok_or_else(|| corrupt("count overflow"))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1287,11 +1303,16 @@ pub(crate) fn bulk_load_inverted(
 pub(crate) struct ProbeCounters {
     /// Posting rows materialised (inline rows plus decoded block rows).
     pub rows: u64,
-    /// Posting blocks Elias-Fano decoded.
+    /// Posting blocks a gram decoded rows from, each counted when the
+    /// first gram decodes it and again only after the probe's
+    /// [`BlockCache`] has moved on to another block and come back. A block
+    /// fetched and then skipped is not counted here.
     pub blocks_decoded: u64,
-    /// Posting blocks skipped on per-block metadata without decoding.
+    /// Boundary blocks — keyed past the probed gram — that their header's
+    /// first key ruled out, once per gram that ruled one out.
     pub blocks_skipped: u64,
-    /// Payload bytes run through the block decoder.
+    /// Entry bytes (header, payload, CRC) of the blocks counted in
+    /// `blocks_decoded`.
     pub bytes_decoded: u64,
 }
 
@@ -1417,20 +1438,25 @@ pub(crate) fn decode_gram_in_place(bytes: &[u8], gram: u64) -> Result<Vec<(u64, 
     Ok(rows)
 }
 
-/// One-block memo for probe loops. Query grams are probed in ascending
-/// order and multi-gram blocks hold ~[`MAX_BLOCK_ROWS`] rows, so
-/// consecutive grams usually land in the same block — memoising the last
-/// block's pinned page and parsed [`Layout`] turns O(grams) page fetches
-/// and header parses into O(blocks touched).
+/// Two-block memo for probe loops: the block last decoded, and the block
+/// last fetched that no gram has decoded yet (a boundary block its header
+/// ruled out). Query grams are probed in ascending order and multi-gram
+/// blocks hold ~[`MAX_BLOCK_ROWS`] rows, so consecutive grams usually land
+/// in the same block, and the boundary block one gram rules out is the
+/// block the next gram decodes: a block is pinned, found on its page and
+/// layout-parsed once however many grams look at it.
 #[derive(Default)]
 pub(crate) struct BlockCache {
-    entry: Option<PinnedBlock>,
+    decoded: Option<PinnedBlock>,
+    fetched: Option<PinnedBlock>,
 }
 
 impl BlockCache {
     /// Streams the rows of `gram` from the block keyed `key` on `page`,
-    /// decoding them selectively, in place, off the pinned page. The block
-    /// is fetched (and counted in `counters`) only on a memo miss.
+    /// decoding them selectively, in place, off the pinned page — unless
+    /// the block is keyed past the gram and its header says it also starts
+    /// past it, which counts it skipped. A block counts as decoded when a
+    /// gram first decodes it, not when it is fetched.
     pub(crate) fn for_each_gram(
         &mut self,
         pool: &BufferPool,
@@ -1440,28 +1466,50 @@ impl BlockCache {
         counters: &mut ProbeCounters,
         f: &mut impl FnMut(u64, u32),
     ) -> Result<()> {
-        let block = match self.entry.take() {
-            Some(b) if b.tag == (page.0, key) => b,
+        let tag = (page.0, key);
+        // Keyed past the gram and starting past it: no row of the gram.
+        let past = |b: &PinnedBlock| key.0 != gram && b.layout.first.0 > gram;
+        let block = match &self.decoded {
+            Some(b) if b.tag == tag => b,
             _ => {
-                let b = fetch_block(pool, page, key)?;
+                let b = match self.fetched.take() {
+                    Some(b) if b.tag == tag => b,
+                    other => self.fetch(pool, page, key, other.as_ref())?,
+                };
+                if past(&b) {
+                    counters.blocks_skipped += 1;
+                    self.fetched = Some(b);
+                    return Ok(());
+                }
                 counters.blocks_decoded += 1;
                 counters.bytes_decoded += u64::try_from(b.len).unwrap_or(u64::MAX);
-                b
+                self.decoded.insert(b)
             }
         };
-        block.for_each_gram(gram, counters, f)?;
-        self.entry = Some(block);
-        Ok(())
+        if past(block) {
+            counters.blocks_skipped += 1;
+            return Ok(());
+        }
+        block.for_each_gram(gram, counters, f)
     }
 
-    /// The first `(gram, treeId)` of the block keyed `key` — from the memo
-    /// when it holds that block, otherwise from the entry header on the
-    /// validated pack page. The per-block metadata that lets probes skip
-    /// boundary blocks without a decode.
-    fn peek_first(&self, pool: &BufferPool, page: PageId, key: (u64, u64)) -> Result<(u64, u64)> {
-        match &self.entry {
-            Some(b) if b.tag == (page.0, key) => Ok(b.layout.first),
-            _ => entry_first(&*pin_pack(pool, page)?, key),
+    /// Fetches the block keyed `key` on `page`. A page the memo already
+    /// holds (`other` is the slot the caller emptied) was validated when it
+    /// was pinned, and is used again instead of going back to the pool.
+    fn fetch(
+        &self,
+        pool: &BufferPool,
+        page: PageId,
+        key: (u64, u64),
+        other: Option<&PinnedBlock>,
+    ) -> Result<PinnedBlock> {
+        match [self.decoded.as_ref(), other]
+            .into_iter()
+            .flatten()
+            .find(|b| b.tag.0 == page.0)
+        {
+            Some(b) => PinnedBlock::on_page(Arc::clone(&b.page), page, key),
+            None => fetch_block(pool, page, key),
         }
     }
 }
@@ -1576,13 +1624,7 @@ pub(crate) fn for_each_posting(
                     f(t, c);
                 }
             }
-            DirValue::Block(page) => {
-                if g != gram && cache.peek_first(pool, page, (g, t))?.0 > gram {
-                    counters.blocks_skipped += 1;
-                } else {
-                    cache.for_each_gram(pool, page, (g, t), gram, counters, f)?;
-                }
-            }
+            DirValue::Block(page) => cache.for_each_gram(pool, page, (g, t), gram, counters, f)?,
         }
     }
     Ok(())
@@ -2059,6 +2101,200 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
+    // Reader equivalence: the word path of `BitReader::read` against the
+    // byte path, the word rows of `for_each_row` against the checked rows.
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn word_reads_equal_byte_reads_at_every_width_offset_and_tail() {
+        let bytes: Vec<u8> = (0u8..32)
+            .map(|i| i.wrapping_mul(151).wrapping_add(43))
+            .collect();
+        let reader = BitReader { bytes: &bytes };
+        let bit = |pos: usize| u64::from(bytes[pos / 8] >> (pos % 8) & 1);
+        for width in 0..=64u8 {
+            for offset in 0..8usize {
+                for left in 0..=9usize {
+                    let pos = (bytes.len() - left) * 8 + offset;
+                    let what = format!("width {width} offset {offset} with {left} bytes left");
+                    let fits = offset + usize::from(width) <= left * 8;
+                    let naive = (0..usize::from(width)).fold(0u64, |v, i| {
+                        if fits {
+                            v | bit(pos + i) << i
+                        } else {
+                            v
+                        }
+                    });
+                    match (reader.read(pos, width), reader.read_tail(pos, width)) {
+                        (Ok(word), Ok(tail)) => {
+                            assert!(fits || width == 0, "{what}: read past the slice");
+                            assert_eq!((word, tail), (naive, naive), "{what}");
+                        }
+                        (Err(_), Err(_)) => assert!(!fits, "{what}: both paths refused"),
+                        (word, tail) => panic!("{what}: paths disagree: {word:?} vs {tail:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// A block whose first gram holds a run of `run` rows with treeIds
+    /// exactly `tw` bits wide, then `pad` single-row grams, counts exactly
+    /// `cw` bits wide. `None` where the shape cannot exist (`run` distinct
+    /// treeIds need `run <= 2^tw`).
+    fn run_block(tw: u8, cw: u8, run: u64, pad: u64) -> Option<Vec<Row>> {
+        let top = low_mask(tw);
+        if top < run - 1 {
+            return None;
+        }
+        let wide = if cw == 0 {
+            1
+        } else {
+            u32::try_from((1u64 << (cw - 1)) + 1).ok()?
+        };
+        let mut rows: Vec<Row> = (0..run)
+            .map(|i| {
+                (
+                    (500, top - (run - 1) + i),
+                    if i % 3 == 0 { wide } else { 1 },
+                )
+            })
+            .collect();
+        rows.extend((0..pad).map(|j| ((501 + j, top >> (j % 2)), wide)));
+        Some(rows)
+    }
+
+    #[test]
+    fn word_rows_equal_checked_rows_up_to_the_section_tail() -> Result<()> {
+        for tw in [1u8, 9, 56, 57, 64] {
+            for cw in [0u8, 1, 17, 32] {
+                for run in [1u64, 2, 256] {
+                    // Enough single-row grams behind the run to move its
+                    // end from the section tail to nine bytes before it.
+                    for pad in 0..=(72 / u64::from(tw) + 1).min(256 - run) {
+                        let Some(rows) = run_block(tw, cw, run, pad) else {
+                            continue;
+                        };
+                        let what = format!("tw {tw} cw {cw} run {run} pad {pad}");
+                        let bytes = encode_block(&rows)?;
+                        let s = parse_sections(&bytes)?;
+                        assert_eq!((s.tw, s.cw), (tw, cw), "{what}: widths");
+                        let n = rows.len();
+                        let run = usize::try_from(run).unwrap_or(n);
+                        let expect: Vec<(u64, u32)> =
+                            rows.iter().map(|&((_, t), c)| (t, c)).collect();
+                        // The run, then every single-row gram behind it.
+                        let runs = std::iter::once((0, run)).chain((run..n).map(|i| (i, i + 1)));
+                        for (start, end) in runs {
+                            // A word run ends eight bytes before the tail
+                            // of both sections, and its treeIds fit 56 bits.
+                            let clear = |width: u8, len: usize| {
+                                width == 0 || end * usize::from(width) / 8 + 8 <= len
+                            };
+                            let by_words = tw <= 56
+                                && clear(tw, s.tid_bits.bytes.len())
+                                && clear(cw, s.count_bits.bytes.len());
+                            assert_eq!(is_word_run(&s, end), by_words, "{what}: ..{end}");
+                            let mut checked = Vec::new();
+                            checked_rows(&s, start, end, &mut |t, c| checked.push((t, c)))?;
+                            assert_eq!(checked, expect[start..end], "{what}: checked rows");
+                            if by_words {
+                                let mut words = Vec::new();
+                                word_rows(&s, start, end, &mut |t, c| words.push((t, c)))?;
+                                assert_eq!(words, checked, "{what}: word rows {start}..{end}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A 40-row run of gram 9 — 16-bit treeIds, 32-bit counts — then
+    /// `pad` single-row grams, with `damage` done to the entry under a
+    /// repaired checksum.
+    fn damaged(pad: u64, damage: impl FnOnce(&mut [u8], &Layout)) -> Result<Vec<u8>> {
+        let mut rows: Vec<Row> = (0..40u32)
+            .map(|i| {
+                (
+                    (9, 40_000 + u64::from(i) * 7),
+                    if i == 0 { u32::MAX } else { i },
+                )
+            })
+            .collect();
+        rows.extend((0..pad).map(|j| ((10 + j, 7), 1)));
+        let mut bytes = encode_block(&rows)?;
+        let layout = parse_layout(&bytes)?;
+        assert_eq!((layout.tw, layout.cw), (16, 32));
+        damage(&mut bytes, &layout);
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]).to_le_bytes();
+        bytes[body..].copy_from_slice(&crc);
+        Ok(bytes)
+    }
+
+    #[test]
+    fn in_place_decode_rejects_bad_rows_by_words_and_value_by_value() -> Result<()> {
+        // Alone in its block the run ends at the section tails and is read
+        // value by value; with eight rows behind it, by words.
+        for (pad, by_words) in [(0, false), (8, true)] {
+            let pristine = damaged(pad, |_, _| ())?;
+            assert_eq!(decode_gram_in_place(&pristine, 9)?.len(), 40);
+            assert_eq!(is_word_run(&parse_sections(&pristine)?, 40), by_words);
+            for row in [1, 20, 39] {
+                let swapped = damaged(pad, |b, l| {
+                    b[l.tid_off + 2 * (row - 1)..][..4].rotate_left(2)
+                })?;
+                let overflowing = damaged(pad, |b, l| b[l.count_off + 4 * row..][..4].fill(0xff))?;
+                for (bytes, what) in [
+                    (swapped, "treeIds swapped"),
+                    (overflowing, "count all ones"),
+                ] {
+                    for result in [
+                        decode_gram_in_place(&bytes, 9).map(|_| ()),
+                        decode_block(&bytes).map(|_| ()),
+                    ] {
+                        assert!(
+                            matches!(result, Err(StoreError::Corrupt(_))),
+                            "{what} at row {row}, {pad} rows behind: {result:?}"
+                        );
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn committed_corpus_seeds_decode_to_the_pinned_rows() -> Result<()> {
+        let dir = std::env::var_os("CARGO_MANIFEST_DIR")
+            .map(PathBuf::from)
+            .unwrap_or_else(|| PathBuf::from("crates/store"))
+            .join("tests/corpus/decode");
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            names.push(entry?.path());
+        }
+        names.sort();
+        let (mut seen, mut flat) = (0usize, Vec::new());
+        for name in &names {
+            let seed = std::fs::read(name)?;
+            let rows = decode_block(&seed)?.rows;
+            assert_eq!(encode_block(&rows)?, seed, "{name:?} re-encodes to itself");
+            seen += rows.len();
+            for ((g, t), c) in rows {
+                flat.extend_from_slice(&g.to_le_bytes());
+                flat.extend_from_slice(&t.to_le_bytes());
+                flat.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+        // Pinned: a change of reader must not move a decoded row.
+        assert_eq!((names.len(), seen, crc32(&flat)), (6, 913, 1_349_463_526));
+        Ok(())
+    }
+
+    // -----------------------------------------------------------------
     // Residency validation: a pack page is validated once per stay in a
     // buffer frame — never decoded unverified, never re-CRC'd while it
     // stays put.
@@ -2198,5 +2434,48 @@ mod tests {
         tamper(&path, pack)?;
         assert!(matches!(probe(&pool, 7), Err(StoreError::Corrupt(_))));
         pool.rollback()
+    }
+
+    /// Probes `grams`, ascending, through one block memo, as a lookup does.
+    fn probe_counting(pool: &BufferPool, grams: &[u64]) -> Result<ProbeCounters> {
+        let mut dir = DirCursor::open(pool, None)?;
+        let (mut cache, mut counters) = (BlockCache::default(), ProbeCounters::default());
+        for &gram in grams {
+            let mut rows = Vec::new();
+            dir.visit(gram, &mut rows)?;
+            for_each_posting(pool, &rows, gram, &mut cache, &mut counters, &mut |_, _| ())?;
+        }
+        Ok(counters)
+    }
+
+    /// The fixture's one block holds grams 7 and 8; to grams 5 and 6 it is
+    /// the boundary block, and its header (first gram 7) rules it out.
+    #[test]
+    fn a_block_counts_as_decoded_when_a_gram_decodes_it_not_when_it_is_fetched() -> Result<()> {
+        let (_, pool, _, _) = small_pool_store("counters.db")?;
+        let decoded_once = probe_counting(&pool, &[7])?;
+        assert_eq!((decoded_once.blocks_decoded, decoded_once.rows), (1, 150));
+        assert!(decoded_once.bytes_decoded > 0);
+        // Fetched, skipped, never decoded.
+        let skipped = ProbeCounters {
+            blocks_skipped: 1,
+            ..ProbeCounters::default()
+        };
+        assert_eq!(probe_counting(&pool, &[5])?, skipped);
+        assert_eq!(probe_counting(&pool, &[5, 6])?.blocks_skipped, 2);
+        // Fetched and skipped by one gram, decoded by the next.
+        let expect = ProbeCounters {
+            blocks_skipped: 1,
+            ..decoded_once
+        };
+        assert_eq!(probe_counting(&pool, &[5, 7])?, expect);
+        // Decoded by one gram, found in the memo by the next.
+        let both = probe_counting(&pool, &[5, 7, 8])?;
+        assert_eq!(
+            (both.blocks_decoded, both.blocks_skipped, both.rows),
+            (1, 1, 200)
+        );
+        assert_eq!(both.bytes_decoded, decoded_once.bytes_decoded);
+        Ok(())
     }
 }

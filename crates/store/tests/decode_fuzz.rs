@@ -62,18 +62,58 @@ fn load_corpus() -> Vec<Vec<u8>> {
         .map(|e| e.expect("dir entry").path())
         .collect();
     names.sort();
-    let seeds: Vec<Vec<u8>> = names
+    let mut seeds: Vec<Vec<u8>> = names
         .iter()
         .map(|p| std::fs::read(p).expect("read seed"))
         .collect();
     assert!(!seeds.is_empty(), "committed corpus must not be empty");
+    seeds.extend(section_tail_seeds());
+    seeds
+}
+
+/// Seeds built here rather than committed: two-gram blocks whose second
+/// run ends on the last bits of the treeId and count sections — where the
+/// in-place decoder goes from whole-word loads to value-by-value reads —
+/// at treeId widths on both sides of the 56-bit word limit and count
+/// widths from none to the full 32 bits.
+fn section_tail_seeds() -> Vec<Vec<u8>> {
+    let mut seeds = Vec::new();
+    for (tid_bits, count) in [
+        (9u32, 1u32),
+        (16, u32::MAX),
+        (56, 3),
+        (57, 1 << 17),
+        (64, u32::MAX),
+    ] {
+        let top = u64::MAX >> (64 - tid_bits);
+        for n in [6u64, 40, 256] {
+            let run = |gram: u64, len: u64| {
+                (0..len).map(move |i| {
+                    (
+                        (gram, top - (len - 1) + i),
+                        if i % 3 == 0 { count } else { 1 },
+                    )
+                })
+            };
+            let rows: Vec<((u64, u64), u32)> = run(100, n - 5).chain(run(101, 5)).collect();
+            seeds.push(fuzz::encode_block(&rows).expect("section-tail seed must encode"));
+        }
+    }
     seeds
 }
 
 /// One structure-aware mutation step: field-targeted overwrites hit the
 /// header scalars validation branches on, generic ops hit everything else.
 fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>) {
-    match rng.below(8) {
+    match rng.below(9) {
+        // Bit flip among the last 24 bytes: the tails of the treeId and
+        // count sections, and the checksum.
+        8 => {
+            if !bytes.is_empty() {
+                let at = bytes.len() - 1 - rng.below(bytes.len().min(24));
+                bytes[at] ^= 1 << rng.below(8);
+            }
+        }
         // Bit flip anywhere.
         0 | 1 => {
             if !bytes.is_empty() {
