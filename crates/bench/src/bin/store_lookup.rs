@@ -29,10 +29,11 @@ use pqgram_bench::datasets::tagged_xmark_tree;
 use pqgram_bench::experiments::query_variant;
 use pqgram_bench::report::Table;
 use pqgram_core::{build_index, ForestIndex, PQParams, TreeId};
+use pqgram_store::fuzz::lookup_exhaustive_with_stats;
 use pqgram_store::{IndexStore, LookupPlan};
 use pqgram_tree::{LabelTable, Tree};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const TAU: f64 = 0.8;
@@ -131,7 +132,7 @@ fn run_count(
     small_pool: usize,
     big_pool: usize,
     reps: usize,
-    work_dir: &PathBuf,
+    work_dir: &Path,
 ) -> Row {
     let params = PQParams::default();
     let mut labels = LabelTable::new();
@@ -150,9 +151,7 @@ fn run_count(
     let inv_bytes = store.relation_bytes().expect("bytes").inverted_total();
 
     let ((scan_hits, scan_stats), scan_t) = best_of(reps, || {
-        store
-            .lookup_exhaustive_with_stats(&query, TAU)
-            .expect("scan")
+        lookup_exhaustive_with_stats(&store, &query, TAU).expect("scan")
     });
     let ((inv_hits, inv_stats), inv_t) = best_of(reps, || {
         store.lookup_with_stats(&query, TAU).expect("inverted")
@@ -162,9 +161,7 @@ fn run_count(
     // exhaustive reference (which admits every stored document).
     for tau in WIDE_TAUS {
         let (wide, wide_stats) = store.lookup_with_stats(&query, tau).expect("wide");
-        let (reference, _) = store
-            .lookup_exhaustive_with_stats(&query, tau)
-            .expect("wide scan");
+        let (reference, _) = lookup_exhaustive_with_stats(&store, &query, tau).expect("wide scan");
         assert_eq!(
             wide_stats.plan,
             LookupPlan::CandidateMerge,

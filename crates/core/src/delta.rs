@@ -267,11 +267,11 @@ fn add_rows(
     let q = params.q() as i64;
     let children = tree.children(v);
     let f = children.len() as i64;
-    debug_assert!((last as i64) < f + q, "row beyond matrix");
+    debug_assert!(i64::from(last) < f + q, "row beyond matrix");
     for r in first..=last {
         let mut row = Vec::with_capacity(q as usize);
         for t in 1..=q {
-            let idx = r as i64 - q + t; // child index, 1-based
+            let idx = i64::from(r) - q + t; // child index, 1-based
             row.push(if (1..=f).contains(&idx) {
                 tree.label(children[(idx - 1) as usize])
             } else {

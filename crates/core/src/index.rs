@@ -140,7 +140,7 @@ impl TreeIndex {
         }
         self.counts
             .iter()
-            .map(|(&k, &c)| varint_len(k) + varint_len(c as u64))
+            .map(|(&k, &c)| varint_len(k) + varint_len(u64::from(c)))
             .sum()
     }
 
@@ -308,7 +308,7 @@ pub fn pq_distance(a: &TreeIndex, b: &TreeIndex) -> Result<f64, ParamsMismatch> 
     };
     let mut intersection = 0u64;
     for (&key, &c) in &small.counts {
-        intersection += c.min(large.count(key)) as u64;
+        intersection += u64::from(c.min(large.count(key)));
     }
     Ok(1.0 - 2.0 * intersection as f64 / denominator as f64)
 }

@@ -43,7 +43,7 @@ where
     let workers = worker_count(threads, items.len());
     let chunk = items.len().div_ceil(workers).max(1);
     if workers == 1 || items.len() <= chunk {
-        return items.chunks(chunk).map(|part| f(part)).collect();
+        return items.chunks(chunk).map(&f).collect();
     }
     let mut chunks = items.chunks(chunk);
     let Some(first) = chunks.next() else {

@@ -246,7 +246,7 @@ impl DeltaTables {
             return;
         };
         for (r, qrow) in rows.split_off(&(after + 1)) {
-            let new_row = (r as i64 + delta) as u32;
+            let new_row = (i64::from(r) + delta) as u32;
             let prev = rows.insert(new_row, qrow);
             debug_assert!(prev.is_none(), "row shift collided at {new_row}");
         }
@@ -272,7 +272,7 @@ impl DeltaTables {
                 .get_mut(anchor)
                 .ok_or(TableError::MissingPEntry(*anchor))?;
             if entry.sib_pos > after {
-                entry.sib_pos = (entry.sib_pos as i64 + delta) as u32;
+                entry.sib_pos = (i64::from(entry.sib_pos) + delta) as u32;
             }
         }
         Ok(())

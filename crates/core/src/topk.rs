@@ -36,7 +36,7 @@ impl PartialEq for Entry {
 impl Eq for Entry {}
 impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp_key(other))
+        Some(self.cmp(other))
     }
 }
 impl Ord for Entry {
@@ -182,8 +182,14 @@ mod tests {
         assert_eq!(topk.bound(), 1.0, "not full yet: everything admissible");
         assert!(topk.offer(TreeId(3), 0.4));
         assert_eq!(topk.bound(), 0.9);
-        assert!(!topk.offer(TreeId(9), 0.9), "worse id at the bound distance");
-        assert!(topk.offer(TreeId(1), 0.9), "better id at the bound distance");
+        assert!(
+            !topk.offer(TreeId(9), 0.9),
+            "worse id at the bound distance"
+        );
+        assert!(
+            topk.offer(TreeId(1), 0.9),
+            "better id at the bound distance"
+        );
         assert_eq!(topk.bound(), 0.9);
         assert!(topk.offer(TreeId(8), 0.2));
         assert_eq!(topk.bound(), 0.4);

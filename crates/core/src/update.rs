@@ -159,7 +159,7 @@ fn insert(
     // Rows of v after the old window shift by k − m (window shrinks from
     // m−k+q rows to q rows).
     if !v_is_leaf {
-        tables.shift_q_rows(v, m + q - 1, k as i64 - m as i64);
+        tables.shift_q_rows(v, m + q - 1, i64::from(k) - i64::from(m));
     }
     for (r, row) in window.replace_diagonals(&[label]).rows() {
         tables.insert_q_row(v, r, row)?;
@@ -200,7 +200,7 @@ fn insert(
     for &(c, pos) in &moved {
         tables.set_parent_pos(c, Some(n), pos - k + 1)?;
     }
-    tables.shift_sib_pos(v, m, k as i64 - m as i64)?;
+    tables.shift_sib_pos(v, m, i64::from(k) - i64::from(m))?;
     tables.insert_p(
         n,
         PEntry {

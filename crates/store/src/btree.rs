@@ -28,6 +28,11 @@ use std::sync::Arc;
 /// B+-tree key: `(tree_id, gram)` in the index store.
 pub type Key = (u64, u64);
 
+/// What `BTree::descend_bounded` finds: the leaf, the `(internal page,
+/// child position)` path down to it, and the exclusive upper bound of the
+/// leaf's key range.
+type BoundedSeek = (PageId, Vec<(PageId, usize)>, Option<Key>);
+
 const TYPE_LEAF: u8 = 1;
 const TYPE_INTERNAL: u8 = 2;
 const OFF_COUNT: usize = 1;
@@ -46,7 +51,7 @@ pub struct BTree<'p> {
 impl<'p> BTree<'p> {
     /// Opens the tree whose root page id lives in `meta_slot`; creates an
     /// empty root leaf if the slot is unset (zero).
-    // analyze: txn-exempt(lazy root creation only fires when the relation has never existed — during create and inside the v1-to-v2 migration transaction; every later open sees a nonzero root slot and writes nothing)
+    // analyze: txn-exempt(lazy root creation only fires when the relation has never existed — while a file is being created; every later open sees a nonzero root slot and writes nothing)
     pub fn open(pool: &'p BufferPool, meta_slot: usize) -> Result<Self> {
         let tree = BTree { pool, meta_slot };
         if pool.meta(meta_slot) == 0 {
@@ -218,7 +223,7 @@ impl<'p> BTree<'p> {
     /// `key <= k < bound` descends to the same leaf along the same path,
     /// which is what lets [`BTree::apply_batch_sorted`] reuse one seek
     /// across a run of adjacent keys.
-    fn descend_bounded(&self, key: Key) -> Result<(PageId, Vec<(PageId, usize)>, Option<Key>)> {
+    fn descend_bounded(&self, key: Key) -> Result<BoundedSeek> {
         let mut cur = self.root();
         let mut path = Vec::new();
         let mut bound: Option<Key> = None;
@@ -268,7 +273,7 @@ impl<'p> BTree<'p> {
             Done,
             Split(u32),
         }
-        let mut cached: Option<(PageId, Vec<(PageId, usize)>, Option<Key>)> = None;
+        let mut cached: Option<BoundedSeek> = None;
         let mut last: Option<Key> = None;
         for (key, value) in ops {
             if let Some(prev) = last {
@@ -1038,20 +1043,6 @@ impl BTree<'_> {
 
 fn corrupt(msg: &str) -> crate::pager::StoreError {
     crate::pager::StoreError::Corrupt(msg.into())
-}
-
-/// Frees every page of the relation rooted at `meta_slot` and clears the
-/// slot, so the relation can be rebuilt from scratch inside the same
-/// transaction (used by the format-v3 inverted-relation migration).
-pub(crate) fn free_tree(pool: &BufferPool, meta_slot: usize) -> Result<()> {
-    if pool.meta(meta_slot) == 0 {
-        return Ok(());
-    }
-    let tree = BTree { pool, meta_slot };
-    for id in tree.all_pages()? {
-        pool.free(id)?;
-    }
-    pool.set_meta(meta_slot, 0)
 }
 
 /// Result of [`BTree::verify`]: shape statistics of a healthy tree.

@@ -60,7 +60,7 @@
 
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::pager::{Pager, Result, StoreError};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use pqgram_tree::FxHashMap;
 use std::sync::Arc;
 

@@ -15,12 +15,9 @@
 
 use crate::blob::BlobStore;
 use crate::btree::BTree;
-use crate::buffer::BufferPool;
-use crate::ops::{
-    check_params, transactional, LookupStats, Source, SourceProbe, StoreCheck, KIND_DOCUMENT_STORE,
-    MAIN_SOURCE,
-};
+use crate::ops::{check_params, LookupStats, StoreCheck};
 use crate::pager::StoreError;
+use crate::segment::{Role, Source};
 use pqgram_core::maintain::{compute_index_delta, MaintainError, UpdateStats};
 use pqgram_core::{build_index, GramKey, LookupHit, PQParams, TreeId, TreeIndex};
 use pqgram_diff::DiffError;
@@ -103,9 +100,11 @@ pub enum SyncOutcome {
     Reindexed,
 }
 
-/// Documents plus their pq-gram index, in one transactional file.
+/// Documents plus their pq-gram index, in one transactional file: one
+/// [`Source`] whose slot [`META_BLOBS`] roots the document blobs, written in
+/// the same transaction as the index rows.
 pub struct DocumentStore {
-    pool: BufferPool,
+    file: Source,
     params: PQParams,
 }
 
@@ -117,17 +116,14 @@ impl DocumentStore {
 
     /// [`DocumentStore::create`] on an explicit [`crate::vfs::Vfs`] (fault
     /// injection, tests).
-    // analyze: txn-exempt(store bootstrap: runs during create before any reader can open the file; callers treat a failed create as fatal and discard the half-built store)
     pub fn create_with(
         path: &Path,
         params: PQParams,
         vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
     ) -> Result<DocumentStore> {
-        let pool = crate::ops::create_file(path, vfs, params, KIND_DOCUMENT_STORE)?;
-        crate::ops::init_relations(&pool)?;
-        BlobStore::open(&pool, META_BLOBS)?;
-        pool.flush()?;
-        Ok(DocumentStore { pool, params })
+        let root_blobs = |pool: &_| BlobStore::open(pool, META_BLOBS).map(|_| ());
+        let file = Source::create(vfs, path, params, Role::Documents, root_blobs)?;
+        Ok(DocumentStore { file, params })
     }
 
     /// Opens an existing document store (with crash recovery).
@@ -142,14 +138,17 @@ impl DocumentStore {
         path: &Path,
         vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
     ) -> Result<DocumentStore> {
-        let (pool, params) = crate::ops::open_file(path, vfs, KIND_DOCUMENT_STORE)?;
-        crate::ops::ensure_format(&pool)?;
-        Ok(DocumentStore { pool, params })
+        let (file, params) = Source::open(vfs, path, Role::Documents)?;
+        Ok(DocumentStore { file, params })
     }
 
     /// The pq-gram parameters of this store.
     pub fn params(&self) -> PQParams {
         self.params
+    }
+
+    fn blobs(&self) -> Result<BlobStore<'_>> {
+        Ok(BlobStore::open(self.file.pool(), META_BLOBS)?)
     }
 
     /// Stores (or replaces) a document and its index. Transactional.
@@ -158,19 +157,15 @@ impl DocumentStore {
         let index = build_index(tree, labels, self.params);
         let mut blob = Vec::new();
         write_tree(&mut blob, tree, labels).map_err(|e| DocError::Store(StoreError::Io(e)))?;
-        transactional(&self.pool, || {
-            crate::ops::delete_tree_entries(&self.pool, id)?;
-            crate::ops::put_tree_entries(&self.pool, id, &index)?;
-            let blobs = BlobStore::open(&self.pool, META_BLOBS)?;
-            blobs.put(id.0, &blob)?;
+        self.file.put_trees(&[(id, &index)], |pool| {
+            BlobStore::open(pool, META_BLOBS)?.put(id.0, &blob)?;
             Ok(())
         })
     }
 
     /// Loads a stored document (tree + its label table).
     pub fn document(&self, id: TreeId) -> Result<Option<(Tree, LabelTable)>> {
-        let blobs = BlobStore::open(&self.pool, META_BLOBS)?;
-        let Some(bytes) = blobs.get(id.0)? else {
+        let Some(bytes) = self.blobs()?.get(id.0)? else {
             return Ok(None);
         };
         read_tree(&mut bytes.as_slice())
@@ -180,19 +175,16 @@ impl DocumentStore {
 
     /// The stored index of a document.
     pub fn document_index(&self, id: TreeId) -> Result<Option<TreeIndex>> {
-        Ok(crate::ops::tree_index(&self.pool, self.params, id)?)
+        Ok(crate::ops::tree_index(self.file.pool(), self.params, id)?)
     }
 
     /// Removes a document (blob + index rows). Returns `true` if present.
     pub fn remove(&mut self, id: TreeId) -> Result<bool> {
-        let blobs = BlobStore::open(&self.pool, META_BLOBS)?;
-        if !blobs.contains(id.0)? {
+        if !self.blobs()?.contains(id.0)? {
             return Ok(false);
         }
-        transactional(&self.pool, || {
-            crate::ops::delete_tree_entries(&self.pool, id)?;
-            let blobs = BlobStore::open(&self.pool, META_BLOBS)?;
-            blobs.delete(id.0)?;
+        self.file.remove_tree(id, |pool| {
+            BlobStore::open(pool, META_BLOBS)?.delete(id.0)?;
             Ok::<_, DocError>(())
         })?;
         Ok(true)
@@ -200,8 +192,7 @@ impl DocumentStore {
 
     /// All stored document ids, ascending.
     pub fn ids(&self) -> Result<Vec<TreeId>> {
-        let blobs = BlobStore::open(&self.pool, META_BLOBS)?;
-        Ok(blobs.keys()?.into_iter().map(TreeId).collect())
+        Ok(self.blobs()?.keys()?.into_iter().map(TreeId).collect())
     }
 
     /// Brings document `id` up to date with `new_tree`: derives an edit
@@ -234,14 +225,11 @@ impl DocumentStore {
         let mut blob = Vec::new();
         write_tree(&mut blob, &tree, &labels).map_err(|e| DocError::Store(StoreError::Io(e)))?;
         let t = std::time::Instant::now();
-        transactional(&self.pool, || {
-            if let Err(gram) = crate::ops::apply_delta_rows(&self.pool, id, &delta)? {
-                return Err(DocError::InconsistentDelta(id, gram));
-            }
-            let blobs = BlobStore::open(&self.pool, META_BLOBS)?;
-            blobs.put(id.0, &blob)?;
-            Ok(())
-        })?;
+        self.file
+            .apply_delta(id, &delta, DocError::InconsistentDelta, |pool| {
+                BlobStore::open(pool, META_BLOBS)?.put(id.0, &blob)?;
+                Ok(())
+            })?;
         stats.apply = t.elapsed();
         Ok(SyncOutcome::Incremental {
             script_len,
@@ -266,36 +254,29 @@ impl DocumentStore {
         tau: f64,
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
         check_params(query.params(), self.params)?;
-        // No RAM mirrors are kept for a document store: every advisory
-        // probe stage degrades to relation reads.
-        let source = Source {
-            id: MAIN_SOURCE,
-            pool: &self.pool,
-            probe: SourceProbe::default(),
-            owned: &[],
-        };
-        let sources = [source].into_iter();
+        let sources = std::iter::once(&self.file);
         Ok(crate::ops::lookup_merged(sources, None, query, tau)?)
     }
 
     /// Number of index rows.
     pub fn row_count(&self) -> Result<u64> {
-        Ok(BTree::open(&self.pool, crate::ops::SLOT_FWD)?.len()?)
+        Ok(BTree::open(self.file.pool(), crate::ops::SLOT_FWD)?.len()?)
     }
 
     /// Verifies the on-disk B+-tree invariants of all three index relations
     /// plus their cross-relation consistency (see
-    /// [`crate::ops::verify_relations`]).
+    /// [`crate::ops::verify_relations`]), and the resident mirrors against
+    /// the file.
     pub fn verify(&self) -> Result<StoreCheck> {
-        Ok(crate::ops::verify_relations(&self.pool)?)
+        Ok(self.file.verify()?)
     }
 
-    /// Whether the persisted gram filter loads — see
-    /// `IndexStore::has_gram_filter`; crash tests assert this after every
-    /// recovery.
+    /// Whether the persisted gram filter decoded and validated at open —
+    /// see `IndexStore::has_gram_filter`; crash tests assert this after
+    /// every recovery.
     #[doc(hidden)]
-    pub fn has_gram_filter(&self) -> Result<bool> {
-        Ok(crate::filter::load(&self.pool)?.is_some())
+    pub fn has_gram_filter(&self) -> bool {
+        self.file.filter().is_some()
     }
 }
 
@@ -506,8 +487,85 @@ mod tests {
                 assert!(!doc_hits.is_empty(), "the query's own document is a hit");
                 assert_eq!(
                     doc_stats.by_source,
-                    vec![(MAIN_SOURCE, doc_stats.rows_read)]
+                    vec![(crate::MAIN_SOURCE, doc_stats.rows_read)]
                 );
+            }
+        }
+        Ok(())
+    }
+
+    /// The store against the in-memory oracle through every kind of write
+    /// and a reopen, its mirrors live on the walk: after each step `verify`
+    /// (mirrors against the file) passes and lookups are bit-identical.
+    #[test]
+    fn lookups_match_the_oracle_through_put_sync_remove_and_reopen() -> TestResult {
+        enum Step {
+            Put(u64),
+            Sync(u64),
+            Remove(u64),
+            Reopen,
+        }
+        use Step::{Put, Remove, Reopen, Sync};
+        let steps = [
+            Put(0),
+            Put(1),
+            Put(2),
+            Put(3),
+            Sync(1),
+            Reopen,
+            Sync(1),
+            Remove(2),
+            Put(0),    // replace
+            Remove(7), // never stored
+            Put(2),
+            Sync(3),
+            Reopen,
+            Remove(0),
+        ];
+        let params = PQParams::default();
+        let path = tmp("oracle.docs");
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut lt = LabelTable::new();
+        let mut docs = DocumentStore::create(&path, params)?;
+        let mut oracle = pqgram_core::ForestIndex::new();
+        let mut current: std::collections::BTreeMap<u64, Tree> = Default::default();
+        for (n, step) in steps.iter().enumerate() {
+            match *step {
+                Put(id) => {
+                    let tree = random_tree(&mut rng, &mut lt, &RandomTreeConfig::new(70, 5));
+                    docs.put(TreeId(id), &tree, &lt)?;
+                    oracle.insert(TreeId(id), build_index(&tree, &lt, params));
+                    current.insert(id, tree);
+                }
+                Sync(id) => {
+                    let tree = current.get_mut(&id).ok_or("sync of an unstored document")?;
+                    let alphabet: Vec<_> = lt.iter().map(|(s, _)| s).collect();
+                    record_script(&mut rng, tree, &ScriptConfig::new(6, alphabet));
+                    docs.sync(TreeId(id), tree, &lt)?;
+                    oracle.insert(TreeId(id), build_index(tree, &lt, params));
+                }
+                Remove(id) => {
+                    let stored = current.remove(&id).is_some();
+                    assert_eq!(docs.remove(TreeId(id))?, stored, "step {n}");
+                    oracle.remove(TreeId(id));
+                }
+                Reopen => {
+                    drop(docs);
+                    docs = DocumentStore::open(&path)?;
+                }
+            }
+            assert_eq!(
+                docs.verify()?.trees,
+                u64::try_from(oracle.len())?,
+                "step {n}"
+            );
+            assert!(docs.has_gram_filter(), "step {n}");
+            let stored: Vec<TreeIndex> = oracle.iter().map(|(_, index)| index.clone()).collect();
+            for tau in [0.3, 0.7, 1.0, 1.5] {
+                for query in &stored {
+                    let hits = docs.lookup(query, tau)?;
+                    assert_eq!(hits, oracle.lookup(query, tau)?, "step {n}, tau {tau}");
+                }
             }
         }
         Ok(())

@@ -148,7 +148,12 @@ pub(crate) struct GramFilter {
 
 impl GramFilter {
     fn empty(nblocks: u64) -> Self {
-        let words = vec![0u64; usize::try_from(nblocks).unwrap_or(usize::MAX).saturating_mul(BLOCK_WORDS)];
+        let words = vec![
+            0u64;
+            usize::try_from(nblocks)
+                .unwrap_or(usize::MAX)
+                .saturating_mul(BLOCK_WORDS)
+        ];
         GramFilter { nblocks, words }
     }
 
@@ -319,7 +324,9 @@ pub(crate) fn load(pool: &BufferPool) -> Result<Option<GramFilter>> {
     let total_words = filter.words.len();
     for (pi, &page) in layout.pages.iter().enumerate() {
         let start = pi * BLOCKS_PER_PAGE * BLOCK_WORDS;
-        let take = total_words.saturating_sub(start).min(BLOCKS_PER_PAGE * BLOCK_WORDS);
+        let take = total_words
+            .saturating_sub(start)
+            .min(BLOCKS_PER_PAGE * BLOCK_WORDS);
         let words = pool.with_page(page, |p| {
             if p.get_u32(OFF_MAGIC) != MAGIC_DATA
                 || crc32(p.slice(OFF_PAYLOAD, DATA_PAYLOAD)) != p.get_u32(OFF_PAGE_CRC)
@@ -436,7 +443,7 @@ fn persist(pool: &BufferPool, filter: &GramFilter, capacity: u64, count: u64) ->
 /// [`SLOT_FILTER`]. A filter whose header fails validation is only
 /// unlinked — leaking its pages is preferable to freeing pages it never
 /// owned.
-pub(crate) fn free_filter(pool: &BufferPool) -> Result<()> {
+fn free_filter(pool: &BufferPool) -> Result<()> {
     if let Some(layout) = read_layout(pool)? {
         for id in layout.pages.iter().chain(&layout.indirect) {
             pool.free(*id)?;
@@ -538,8 +545,8 @@ fn write_grams(pool: &BufferPool, layout: &Layout, grams: &[u64]) -> Result<Opti
 
 /// Builds (or rebuilds) the filter from the distinct grams of the forward
 /// relation, sized at twice the current distinct-gram count. Runs inside
-/// the caller's transaction: on migration and saturation.
-pub(crate) fn rebuild_from_forward(pool: &BufferPool) -> Result<()> {
+/// the caller's transaction, when point inserts saturate the filter.
+fn rebuild_from_forward(pool: &BufferPool) -> Result<()> {
     let fwd = BTree::open(pool, crate::ops::SLOT_FWD)?;
     let mut distinct: FxHashSet<u64> = FxHashSet::default();
     fwd.for_each_range((0, 0), (u64::MAX, u64::MAX), |(_, g), _| {

@@ -23,14 +23,12 @@
 //!   edit log without touching unrelated entries (Sections 8–9.2).
 
 use crate::btree::BTree;
-use crate::buffer::BufferPool;
-use crate::filter::{self, GramFilter};
 use crate::ops::{
-    check_params, lookup_merged, lookup_top_k_merged, total_u32, transactional, LookupStats,
-    RelationBytes, Source, SourceProbe, StoreCheck, TotalsView, KIND_INDEX_STORE, MAIN_SOURCE,
+    check_params, lookup_merged, lookup_top_k_merged, LookupStats, RelationBytes, StoreCheck,
     SLOT_FWD,
 };
 use crate::pager::StoreError;
+use crate::segment::{Role, Source};
 use pqgram_core::maintain::{compute_index_delta, IndexDelta, MaintainError, UpdateStats};
 use pqgram_core::{GramKey, LookupHit, PQParams, TreeId, TreeIndex};
 use pqgram_tree::{EditLog, LabelTable, Tree};
@@ -79,19 +77,11 @@ impl From<MaintainError> for IndexError {
 
 type Result<T> = std::result::Result<T, IndexError>;
 
-/// A persistent forest index file.
+/// A persistent forest index file: one [`Source`] — the relation file and
+/// its resident mirrors — plus the parameters its grams were built with.
 pub struct IndexStore {
-    pool: BufferPool,
+    file: Source,
     params: PQParams,
-    /// RAM mirror of the on-disk gram filter: probed on every lookup
-    /// without page reads, updated in lockstep with committed writes (the
-    /// disk and RAM inserts set the same bits). `None` when the persisted
-    /// filter is absent or failed validation — lookups stay correct.
-    filter: Option<GramFilter>,
-    /// RAM mirror of the totals relation, set from each committed write:
-    /// which trees are stored, emit-time size-window pruning and totals
-    /// reads, all without page I/O.
-    totals: TotalsView,
 }
 
 impl IndexStore {
@@ -102,16 +92,13 @@ impl IndexStore {
 
     /// [`IndexStore::create`] on an explicit [`crate::vfs::Vfs`] (fault
     /// injection, tests).
-    // analyze: txn-exempt(store bootstrap: writes to a file created in this call that no reader has opened; a failed create is fatal and the file is discarded)
     pub fn create_with(
         path: &Path,
         params: PQParams,
         vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
     ) -> Result<IndexStore> {
-        let pool = crate::ops::create_file(path, vfs, params, KIND_INDEX_STORE)?;
-        crate::ops::init_relations(&pool)?;
-        pool.flush()?;
-        Self::with_mirrors(pool, params)
+        let file = Source::create(vfs, path, params, Role::Main, |_| Ok(()))?;
+        Ok(IndexStore { file, params })
     }
 
     /// Opens an existing store (running crash recovery if needed).
@@ -123,9 +110,8 @@ impl IndexStore {
     /// injection, tests).
     // analyze: entrypoint(recovery)
     pub fn open_with(path: &Path, vfs: std::sync::Arc<dyn crate::vfs::Vfs>) -> Result<IndexStore> {
-        let (pool, params) = crate::ops::open_file(path, vfs, KIND_INDEX_STORE)?;
-        crate::ops::ensure_format(&pool)?;
-        Self::with_mirrors(pool, params)
+        let (file, params) = Source::open(vfs, path, Role::Main)?;
+        Ok(IndexStore { file, params })
     }
 
     /// The pq-gram parameters this store was created with.
@@ -133,76 +119,16 @@ impl IndexStore {
         self.params
     }
 
-    /// Wraps an initialised store file, loading both RAM mirrors from it.
-    fn with_mirrors(pool: BufferPool, params: PQParams) -> Result<IndexStore> {
-        let filter = filter::load(&pool)?;
-        let totals = TotalsView::load(&pool)?;
-        Ok(IndexStore {
-            pool,
-            params,
-            filter,
-            totals,
-        })
-    }
-
-    /// Records the bag size a committed write left `id` with — the value
-    /// that write stored in the totals relation — in the totals mirror
-    /// (0 — the tree is gone).
-    fn mirror_total(&mut self, id: TreeId, total: u32) {
-        if total == 0 {
-            self.totals.remove(id.0);
-        } else {
-            self.totals.set(id.0, total);
-        }
-    }
-
-    /// Folds committed gram insertions into the RAM filter mirror, or
-    /// reloads it when the transaction rebuilt (or dropped) the persisted
-    /// filter. The mirror and the disk filter set identical bits, so no
-    /// reload is needed on the common in-place path.
-    fn refresh_filter(
-        &mut self,
-        rebuilt: bool,
-        grams: impl IntoIterator<Item = GramKey>,
-    ) -> Result<()> {
-        if rebuilt {
-            self.filter = filter::load(&self.pool)?;
-        } else if let Some(f) = self.filter.as_mut() {
-            for g in grams {
-                f.insert(g);
-            }
-        }
-        Ok(())
-    }
-
-    /// This file as a lookup source — the only one of a single-file store,
-    /// the oldest of a segmented one: probed through its filter and totals
-    /// mirrors, masking nothing (no source is older).
-    pub(crate) fn source(&self) -> Source<'_> {
-        Source {
-            id: MAIN_SOURCE,
-            pool: &self.pool,
-            probe: SourceProbe {
-                fence: None,
-                filter: self.filter.as_ref(),
-                totals: Some(&self.totals),
-            },
-            owned: &[],
-        }
+    /// The store's one source: its file, masking nothing.
+    pub(crate) fn source(&self) -> &Source {
+        &self.file
     }
 
     /// Inserts (or replaces) the index of one tree. Transactional.
     // analyze: entrypoint
     pub fn put_tree(&mut self, id: TreeId, index: &TreeIndex) -> Result<()> {
         check_params(index.params(), self.params)?;
-        let mut rebuilt = false;
-        transactional(&self.pool, || {
-            crate::ops::delete_tree_entries(&self.pool, id)?;
-            rebuilt = crate::ops::put_tree_entries(&self.pool, id, index)?;
-            Ok::<_, IndexError>(())
-        })?;
-        self.mirror_total(id, total_u32(index.total())?);
-        self.refresh_filter(rebuilt, index.iter().map(|(g, _)| g))
+        self.file.put_trees(&[(id, index)], |_| Ok(()))
     }
 
     /// Inserts (or replaces) a whole batch of trees in **one** transaction —
@@ -215,20 +141,8 @@ impl IndexStore {
         for (_, index) in batch {
             check_params(index.params(), self.params)?;
         }
-        let mut rebuilt = false;
-        transactional(&self.pool, || {
-            for (id, index) in batch {
-                crate::ops::delete_tree_entries(&self.pool, *id)?;
-                rebuilt |= crate::ops::put_tree_entries(&self.pool, *id, index)?;
-            }
-            Ok::<_, IndexError>(())
-        })?;
-        // In batch order: a tree id given twice ends on its later bag.
-        for (id, index) in batch {
-            self.mirror_total(*id, total_u32(index.total())?);
-        }
-        let grams = batch.iter().flat_map(|(_, index)| index.iter().map(|(g, _)| g));
-        self.refresh_filter(rebuilt, grams.collect::<Vec<_>>())
+        let batch: Vec<(TreeId, &TreeIndex)> = batch.iter().map(|(id, ix)| (*id, ix)).collect();
+        self.file.put_trees(&batch, |_| Ok(()))
     }
 
     /// Removes a tree from the store. Transactional. Returns `true` if the
@@ -236,11 +150,7 @@ impl IndexStore {
     pub fn remove_tree(&mut self, id: TreeId) -> Result<bool> {
         let existed = self.contains_tree(id)?;
         if existed {
-            transactional(&self.pool, || {
-                crate::ops::delete_tree_entries(&self.pool, id)
-            })?;
-            // The gram filter stays a superset — deletes never shrink it.
-            self.totals.remove(id.0);
+            self.file.remove_tree(id, |_| Ok::<_, IndexError>(()))?;
         }
         Ok(existed)
     }
@@ -248,32 +158,25 @@ impl IndexStore {
     /// True if any gram of `id` is stored: answered by the totals mirror,
     /// no page read.
     pub fn contains_tree(&self, id: TreeId) -> Result<bool> {
-        Ok(self.totals.get(id.0).is_some())
+        Ok(self.file.totals().get(id.0).is_some())
     }
 
     /// Materializes the in-memory index of one stored tree.
     pub fn tree_index(&self, id: TreeId) -> Result<Option<TreeIndex>> {
-        Ok(crate::ops::tree_index(&self.pool, self.params, id)?)
+        Ok(crate::ops::tree_index(self.file.pool(), self.params, id)?)
     }
 
     /// All stored tree ids, ascending: read off the totals mirror, no page
     /// read.
     pub fn tree_ids(&self) -> Result<Vec<TreeId>> {
-        Ok(self.totals.iter().map(|(t, _)| TreeId(t)).collect())
+        Ok(self.file.totals().iter().map(|(t, _)| TreeId(t)).collect())
     }
 
     /// Applies an incremental update delta (`I ← I \ I⁻ ⊎ I⁺`) to one tree.
     /// Transactional: on any inconsistency the store is left unchanged.
     pub fn apply_delta(&mut self, id: TreeId, delta: &IndexDelta) -> Result<()> {
-        let mut applied = (0, false);
-        transactional(&self.pool, || {
-            applied = crate::ops::apply_delta_rows(&self.pool, id, delta)?
-                .map_err(|gram| IndexError::InconsistentDelta(id, gram))?;
-            Ok::<_, IndexError>(())
-        })?;
-        let (total, rebuilt) = applied;
-        self.mirror_total(id, total);
-        self.refresh_filter(rebuilt, delta.additions.iter().copied())
+        self.file
+            .apply_delta(id, delta, IndexError::InconsistentDelta, |_| Ok(()))
     }
 
     /// The full pipeline of the paper: given the stored old index of `id`,
@@ -323,7 +226,7 @@ impl IndexStore {
         k: usize,
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
         check_params(query.params(), self.params)?;
-        let sources = [self.source()].into_iter();
+        let sources = std::iter::once(&self.file);
         Ok(lookup_top_k_merged(sources, None, query, k)?)
     }
 
@@ -336,25 +239,13 @@ impl IndexStore {
         tau: f64,
     ) -> Result<(Vec<LookupHit>, LookupStats)> {
         check_params(query.params(), self.params)?;
-        let sources = [self.source()].into_iter();
+        let sources = std::iter::once(&self.file);
         Ok(lookup_merged(sources, None, query, tau)?)
-    }
-
-    /// The version-1 lookup plan — one ordered scan of the forward relation
-    /// verifying every stored tree — regardless of `tau`. Kept as the
-    /// reference side for benchmarks and equivalence tests.
-    pub fn lookup_exhaustive_with_stats(
-        &self,
-        query: &TreeIndex,
-        tau: f64,
-    ) -> Result<(Vec<LookupHit>, LookupStats)> {
-        check_params(query.params(), self.params)?;
-        Ok(crate::ops::lookup_scan_with_stats(&self.pool, query, tau)?)
     }
 
     /// Number of distinct `(tree, gram)` rows (size of the relation).
     pub fn row_count(&self) -> Result<u64> {
-        Ok(BTree::open(&self.pool, SLOT_FWD)?.len()?)
+        Ok(BTree::open(self.file.pool(), SLOT_FWD)?.len()?)
     }
 
     /// Whether the persisted gram filter decoded and validated at open.
@@ -362,28 +253,25 @@ impl IndexStore {
     /// every committed state has one — not merely on correct answers.
     #[doc(hidden)]
     pub fn has_gram_filter(&self) -> bool {
-        self.filter.is_some()
+        self.file.filter().is_some()
     }
 
     /// Verifies the on-disk B+-tree invariants of all three relations plus
     /// their cross-relation consistency (see
-    /// [`crate::ops::verify_relations`]), and the totals mirror against the
-    /// totals relation.
+    /// [`crate::ops::verify_relations`]), and the resident mirrors against
+    /// the file.
     pub fn verify(&self) -> Result<StoreCheck> {
-        let check = crate::ops::verify_relations(&self.pool)?;
-        self.totals.verify(&self.pool)?;
-        Ok(check)
+        Ok(self.file.verify()?)
     }
 
     /// Flushes caches to disk (no-op for data already committed).
     pub fn flush(&self) -> Result<()> {
-        Ok(self.pool.flush()?)
+        Ok(self.file.pool().flush()?)
     }
 
     /// Creates a store and bulk-loads a whole forest in one pass (sorted
     /// bottom-up B+-tree build) — much faster than per-tree [`Self::put_tree`]
     /// for initial indexing.
-    // analyze: txn-exempt(bulk bootstrap: loads into a store file created by this call that no reader has opened yet)
     pub fn bulk_create<'a, I>(path: &Path, params: PQParams, forest: I) -> Result<IndexStore>
     where
         I: IntoIterator<Item = (TreeId, &'a TreeIndex)>,
@@ -398,7 +286,6 @@ impl IndexStore {
 
     /// [`IndexStore::bulk_create`] on an explicit vfs (crash-enumeration
     /// tests bulk-build block-bearing stores through a fault-injecting vfs).
-    // analyze: txn-exempt(bulk bootstrap: loads into a store file created by this call that no reader can have opened yet)
     pub fn bulk_create_with<'a, I>(
         path: &Path,
         params: PQParams,
@@ -416,64 +303,29 @@ impl IndexStore {
         // Each tree's rows are in order already; this pass only has work to
         // do when the forest did not arrive in id order.
         rows.sort_unstable_by_key(|&(k, _)| k);
-        Self::bulk_create_rows_with(path, params, vfs, &rows)
+        let file = Source::build(vfs, path, params, Role::Main, &rows, &[])?;
+        Ok(IndexStore { file, params })
     }
 
     /// On-disk footprint of the three relations, in bytes.
     pub fn relation_bytes(&self) -> Result<RelationBytes> {
-        Ok(crate::ops::relation_bytes(&self.pool)?)
+        Ok(crate::ops::relation_bytes(self.file.pool())?)
     }
 
     /// Rewrites the store into a fresh compact file at `target` (bulk-built
     /// B+-trees, no free pages, ~90% leaf fill) and returns the new store.
-    // analyze: txn-exempt(writes only to the fresh target file created by this call; the source store is read-only here)
     pub fn compact_to(&self, target: &Path) -> Result<IndexStore> {
-        let src = BTree::open(&self.pool, SLOT_FWD)?;
+        let src = BTree::open(self.file.pool(), SLOT_FWD)?;
         let mut rows: Vec<((u64, u64), u32)> = Vec::new();
         src.for_each_range((0, 0), (u64::MAX, u64::MAX), |k, v| {
             rows.push((k, v));
             true
         })?;
         let vfs = std::sync::Arc::new(crate::vfs::RealVfs);
-        Self::bulk_create_rows_with(target, self.params, vfs, &rows)
-    }
-
-    /// Read-only access to the underlying pool for sibling modules: the
-    /// segmented engine runs its point reads and compaction scans against
-    /// the main file's relations directly.
-    pub(crate) fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    /// The totals mirror: which trees this file stores, and their bag
-    /// sizes, without a page read. The segmented engine resolves a tree's
-    /// owner and lists the main file's ids from it.
-    pub(crate) fn totals(&self) -> &TotalsView {
-        &self.totals
-    }
-
-    /// [`IndexStore::bulk_create`] on an explicit vfs from pre-sorted rows
-    /// — the segmented engine builds main-file generations with this
-    /// before the manifest references them.
-    // analyze: txn-exempt(bulk bootstrap: loads into a store file created by this call that no reader has opened yet)
-    pub(crate) fn bulk_create_rows_with(
-        path: &Path,
-        params: PQParams,
-        vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
-        rows: &[((u64, u64), u32)],
-    ) -> Result<IndexStore> {
-        let pool = crate::ops::create_file(path, vfs, params, KIND_INDEX_STORE)?;
-        crate::ops::init_relations(&pool)?;
-        let built = crate::ops::bulk_load_relations(&pool, rows)?;
-        // Full durability barrier: the bulk-built state is the baseline
-        // every later transaction's rollback falls back to, so it must
-        // survive any crash that happens after this constructor returns.
-        pool.sync()?;
+        let file = Source::build(vfs, target, self.params, Role::Main, &rows, &[])?;
         Ok(IndexStore {
-            pool,
-            params,
-            filter: Some(built.filter),
-            totals: built.totals,
+            file,
+            params: self.params,
         })
     }
 
@@ -625,12 +477,12 @@ mod tests {
         let idx = build_index(&t, &lt, params);
         store.put_tree(TreeId(7), &idx)?;
         store.verify()?;
-        store.totals.remove(7);
+        store.file.totals_mut().remove(7);
         assert!(matches!(
             store.verify(),
             Err(IndexError::Store(StoreError::Corrupt(_)))
         ));
-        store.totals.set(7, u32::try_from(idx.total())?);
+        store.file.totals_mut().set(7, u32::try_from(idx.total())?);
         store.verify()?;
         Ok(())
     }
@@ -652,11 +504,8 @@ mod tests {
             for t in 0..5 {
                 assert_eq!(store.contains_tree(TreeId(t))?, ids.contains(&TreeId(t)));
             }
-            let mirrored: Vec<(u64, u64)> = store
-                .totals
-                .iter()
-                .map(|(t, c)| (t, u64::from(c)))
-                .collect();
+            let totals = store.file.totals();
+            let mirrored: Vec<(u64, u64)> = totals.iter().map(|(t, c)| (t, u64::from(c))).collect();
             assert_eq!(mirrored, want);
             store.verify()?;
             Ok(())
@@ -856,7 +705,8 @@ mod tests {
         let query = build_index(&q, &qlt, params);
         for tau in [0.2, 0.6, 1.0, 1.5, 2.0] {
             let (inv_hits, inv_stats) = store.lookup_with_stats(&query, tau)?;
-            let (scan_hits, scan_stats) = store.lookup_exhaustive_with_stats(&query, tau)?;
+            let (scan_hits, scan_stats) =
+                crate::fuzz::lookup_exhaustive_with_stats(&store, &query, tau)?;
             assert_eq!(inv_stats.plan, LookupPlan::CandidateMerge, "tau={tau}");
             assert_eq!(scan_stats.plan, LookupPlan::ExhaustiveReference);
             assert_eq!(inv_hits, scan_hits, "tau={tau}");
@@ -887,7 +737,7 @@ mod tests {
         // Oracle: exhaustive scan at tau > 1 admits every tree (zero-overlap
         // trees sit at distance exactly 1 < 1.5), already distance-sorted
         // with ascending-id tie-breaks.
-        let (oracle, _) = store.lookup_exhaustive_with_stats(&query, 1.5)?;
+        let (oracle, _) = crate::fuzz::lookup_exhaustive_with_stats(&store, &query, 1.5)?;
         assert_eq!(oracle.len(), 25);
         for k in [0usize, 1, 3, 10, 25, 40] {
             let (hits, stats) = store.lookup_top_k_with_stats(&query, k)?;
@@ -898,258 +748,38 @@ mod tests {
         Ok(())
     }
 
-    #[test]
-    fn opening_a_version1_file_migrates_in_place() -> TestResult {
-        // Build a version-1 file by hand: forward relation only, version
-        // slot unset — exactly what a pre-dual-relation build wrote.
-        let params = PQParams::new(2, 3);
-        let path = tmp("legacy.pqg");
-        let (t1, lt1) = setup(11, 200);
-        let (t2, lt2) = setup(12, 150);
-        let idx1 = build_index(&t1, &lt1, params);
-        let idx2 = build_index(&t2, &lt2, params);
-        {
-            let vfs = std::sync::Arc::new(crate::vfs::RealVfs);
-            let pool = crate::ops::create_file(&path, vfs, params, KIND_INDEX_STORE)?;
-            let fwd = BTree::open(&pool, crate::ops::SLOT_FWD)?;
-            let mut rows: Vec<((u64, u64), u32)> = Vec::new();
-            for (g, c) in idx1.iter() {
-                rows.push(((1, g), c));
-            }
-            for (g, c) in idx2.iter() {
-                rows.push(((2, g), c));
-            }
-            rows.sort_unstable_by_key(|&(k, _)| k);
-            fwd.bulk_load(rows)?;
-            pool.flush()?;
-        }
-        let store = IndexStore::open(&path)?;
-        let check = store.verify()?;
-        assert_eq!(check.trees, 2);
-        // Multi-gram blocks collapse many postings per directory row; the
-        // verifier already proved the expanded rows match the forward
-        // relation, so here it suffices that blocks exist.
-        assert!(check.blocks > 0, "migration must produce posting blocks");
-        assert!(check.inverted.entries < check.forward.entries);
-        assert_eq!(store.tree_index(TreeId(1))?.ok_or("tree 1 missing")?, idx1);
-        assert_eq!(store.tree_index(TreeId(2))?.ok_or("tree 2 missing")?, idx2);
-        assert_eq!(store.tree_ids()?, vec![TreeId(1), TreeId(2)]);
-        let query = idx1.clone();
-        let (hits, stats) = store.lookup_with_stats(&query, 0.5)?;
-        assert_eq!(stats.plan, LookupPlan::CandidateMerge);
-        assert_eq!(hits[0].tree_id, TreeId(1));
-        assert_eq!(hits[0].distance, 0.0);
-        drop(store);
-        // The migration was committed: a second open must not migrate again
-        // and must see the same consistent state.
-        let again = IndexStore::open(&path)?;
-        assert_eq!(again.verify()?.trees, 2);
-        Ok(())
-    }
-
-    /// Builds a format-v2 file by hand through `vfs`: forward relation,
-    /// **row-per-posting** inverted relation, totals, and version slot 2 —
-    /// exactly what a pre-posting-block build wrote. Returns the indexes
-    /// keyed by tree id so callers can check migrated contents.
-    fn write_version2_file(
-        path: &std::path::Path,
-        vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
-        params: PQParams,
-        forest: &[(u64, TreeIndex)],
-    ) -> TestResult {
-        let pool = crate::ops::create_file(path, vfs, params, KIND_INDEX_STORE)?;
-        let mut fwd: Vec<((u64, u64), u32)> = Vec::new();
-        let mut inv: Vec<((u64, u64), u32)> = Vec::new();
-        let mut tot: Vec<((u64, u64), u32)> = Vec::new();
-        for (t, idx) in forest {
-            for (g, c) in idx.iter() {
-                fwd.push(((*t, g), c));
-                inv.push(((g, *t), c));
-            }
-            tot.push(((*t, 0), u32::try_from(idx.total())?));
-        }
-        fwd.sort_unstable_by_key(|&(k, _)| k);
-        inv.sort_unstable_by_key(|&(k, _)| k);
-        BTree::open(&pool, crate::ops::SLOT_FWD)?.bulk_load(fwd)?;
-        BTree::open(&pool, crate::ops::SLOT_INV)?.bulk_load(inv)?;
-        BTree::open(&pool, crate::ops::SLOT_TOT)?.bulk_load(tot)?;
-        pool.set_meta(crate::ops::SLOT_VERSION, crate::ops::FORMAT_VERSION_V2)?;
-        pool.sync()?;
-        Ok(())
-    }
-
-    /// Six identical trees give every gram six postings — over the block
-    /// threshold, so the migrated inverted relation must contain blocks.
-    fn version2_forest(params: PQParams) -> Vec<(u64, TreeIndex)> {
-        let (t, lt) = setup(77, 180);
-        let idx = build_index(&t, &lt, params);
-        (1..=6u64).map(|i| (i, idx.clone())).collect()
-    }
-
-    #[test]
-    fn opening_a_version2_file_migrates_to_posting_blocks() -> TestResult {
-        let params = PQParams::new(2, 3);
-        let path = tmp("legacy-v2.pqg");
-        let forest = version2_forest(params);
-        write_version2_file(
-            &path,
-            std::sync::Arc::new(crate::vfs::RealVfs),
-            params,
-            &forest,
-        )?;
-        let store = IndexStore::open(&path)?;
-        let check = store.verify()?;
-        assert_eq!(check.trees, 6);
-        assert!(
-            check.blocks > 0,
-            "migration must re-encode shared grams as posting blocks"
-        );
-        for (t, idx) in &forest {
-            assert_eq!(&store.tree_index(TreeId(*t))?.ok_or("tree missing")?, idx);
-        }
-        let (hits, stats) = store.lookup_with_stats(&forest[0].1, 0.5)?;
-        assert_eq!(stats.plan, LookupPlan::CandidateMerge);
-        assert_eq!(hits.len(), 6, "all six identical trees are at distance 0");
-        drop(store);
-        // The migration was committed: a second open sees format v3 state.
-        let again = IndexStore::open(&path)?;
-        assert!(again.verify()?.blocks > 0);
-        Ok(())
-    }
-
-    type WriteLegacyFile = fn(
-        &std::path::Path,
-        std::sync::Arc<dyn crate::vfs::Vfs>,
-        PQParams,
-        &[(u64, TreeIndex)],
-    ) -> TestResult;
-
-    /// Crash enumeration over an open-time migration of the legacy file
-    /// `write_legacy` produces: whatever I/O event the crash lands on, the
-    /// reopened file either still holds the legacy state (rolled back,
-    /// migrates again) or the committed migrated state — the visible
-    /// contents never change and verification always passes.
-    fn migration_recovers_at_every_crash_point(
-        path: &std::path::Path,
-        write_legacy: WriteLegacyFile,
-    ) -> TestResult {
-        let params = PQParams::new(2, 3);
-        let forest = version2_forest(params);
-
-        // Fault-free pass: count the setup I/O and the migration I/O.
-        let vfs = crate::vfs::FaultVfs::new();
-        write_legacy(path, std::sync::Arc::new(vfs.clone()), params, &forest)?;
-        let setup_events = vfs.io_events();
-        let store = IndexStore::open_with(path, std::sync::Arc::new(vfs.clone()))?;
-        drop(store);
-        let total_events = vfs.io_events();
-        assert!(total_events > setup_events, "migration must do I/O");
-
-        for mode in [
-            crate::vfs::CrashMode::KeepUnsynced,
-            crate::vfs::CrashMode::DropUnsynced,
-            crate::vfs::CrashMode::DropUnsyncedMatching("-journal".into()),
-            crate::vfs::CrashMode::DropUnsyncedMatching(".pqg".into()),
-        ] {
-            for n in setup_events..total_events {
-                let vfs = crate::vfs::FaultVfs::new();
-                write_legacy(path, std::sync::Arc::new(vfs.clone()), params, &forest)?;
-                assert_eq!(vfs.io_events(), setup_events, "setup is deterministic");
-                vfs.crash_at(n, mode.clone());
-                // The migrating open may fail; the error is the point.
-                let _ = IndexStore::open_with(path, std::sync::Arc::new(vfs.clone()));
-                assert!(vfs.crashed(), "crash point {n} ({mode:?}) never fired");
-                let reopened = IndexStore::open_with(path, std::sync::Arc::new(vfs.surviving()))
-                    .unwrap_or_else(|e| panic!("crash point {n} ({mode:?}): reopen failed: {e}"));
-                reopened
-                    .verify()
-                    .unwrap_or_else(|e| panic!("crash point {n} ({mode:?}): verify: {e}"));
-                for (t, idx) in &forest {
-                    assert_eq!(
-                        reopened.tree_index(TreeId(*t))?.as_ref(),
-                        Some(idx),
-                        "crash point {n} ({mode:?}): tree {t} changed across migration"
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The v2 → v3 migration (posting-block re-encode) under crash
-    /// enumeration.
-    #[test]
-    fn version2_migration_recovers_at_every_crash_point() -> TestResult {
-        let path = std::path::Path::new("/fault/migrate-v2.pqg");
-        migration_recovers_at_every_crash_point(path, write_version2_file)
-    }
-
-    /// Demotes a freshly built store to format v3 through `vfs`: frees the
-    /// gram filter and stamps version 3 — exactly the state a pre-filter
-    /// build left behind.
-    fn write_version3_file(
-        path: &std::path::Path,
-        vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
-        params: PQParams,
-        forest: &[(u64, TreeIndex)],
-    ) -> TestResult {
-        let store = IndexStore::bulk_create_with(
-            path,
-            params,
-            forest.iter().map(|(t, idx)| (TreeId(*t), idx)),
-            vfs,
-        )?;
-        crate::filter::free_filter(&store.pool)?;
-        store.pool.set_meta(crate::ops::SLOT_VERSION, crate::ops::FORMAT_VERSION_V3)?;
-        store.pool.sync()?;
-        Ok(())
-    }
-
-    #[test]
-    fn opening_a_version3_file_builds_the_gram_filter() -> TestResult {
-        let params = PQParams::new(2, 3);
-        let path = tmp("legacy-v3.pqg");
-        let forest = version2_forest(params);
-        write_version3_file(
-            &path,
-            std::sync::Arc::new(crate::vfs::RealVfs),
-            params,
-            &forest,
-        )?;
-        let store = IndexStore::open(&path)?;
-        assert!(
-            store.filter.is_some(),
-            "v3 migration must build the gram filter"
-        );
-        store.verify()?; // includes the filter-superset audit
-        let (hits, stats) = store.lookup_with_stats(&forest[0].1, 0.5)?;
-        assert_eq!(hits.len(), 6);
-        assert_eq!(stats.plan, LookupPlan::CandidateMerge);
-        Ok(())
-    }
-
-    /// The v3 → v4 migration (gram-filter build) under crash enumeration.
-    #[test]
-    fn version3_migration_recovers_at_every_crash_point() -> TestResult {
-        let path = std::path::Path::new("/fault/migrate-v3.pqg");
-        migration_recovers_at_every_crash_point(path, write_version3_file)
-    }
-
+    /// Exactly the current format version opens. Anything else — the
+    /// unstamped slot of a create that died early, the formats older builds
+    /// wrote, a future one — is rejected by the version found, and the
+    /// failed open leaves the file as it was: nothing is migrated.
     #[test]
     fn future_format_version_is_rejected() -> TestResult {
         let params = PQParams::default();
-        let path = tmp("future.pqg");
-        {
-            IndexStore::create(&path, params)?;
+        let path = tmp("versions.pqg");
+        for version in [0, 2, 3, 5] {
+            assert_ne!(version, crate::ops::FORMAT_VERSION);
+            {
+                let (t, lt) = setup(version, 60);
+                let mut store = IndexStore::create(&path, params)?;
+                store.put_tree(TreeId(1), &build_index(&t, &lt, params))?;
+                let pool = store.file.pool();
+                pool.set_meta(crate::ops::SLOT_VERSION, version)?;
+                pool.sync()?;
+            }
+            let before = std::fs::read(&path)?;
+            let Err(err) = IndexStore::open(&path) else {
+                return Err(format!("version {version} opened").into());
+            };
+            let IndexError::Store(StoreError::Corrupt(message)) = err else {
+                return Err(format!("version {version}: {err}").into());
+            };
+            assert!(
+                message.contains(&format!("format version {version} ")),
+                "{message}"
+            );
+            assert_eq!(std::fs::read(&path)?, before, "version {version}");
+            std::fs::remove_file(&path)?;
         }
-        {
-            let vfs = std::sync::Arc::new(crate::vfs::RealVfs);
-            let (pool, _) = crate::ops::open_file(&path, vfs, KIND_INDEX_STORE)?;
-            pool.set_meta(crate::ops::SLOT_VERSION, crate::ops::FORMAT_VERSION + 1)?;
-            pool.flush()?;
-        }
-        let err = IndexStore::open(&path).map(|_| ()).unwrap_err();
-        assert!(matches!(err, IndexError::Store(StoreError::Corrupt(_))));
         Ok(())
     }
 }

@@ -16,11 +16,11 @@
 //! * [`buffer`] — a clock-eviction buffer pool over the pager;
 //! * [`btree`] — a B+-tree with fixed-width `(tree_id, gram)` keys and `u32`
 //!   counts, leaf-chained for range scans;
-//! * [`mod@ops`] — the relation layer shared by both stores: the forward
-//!   relation `(treeId, pqg, cnt)` of the paper plus an inverted postings
-//!   relation `(pqg, treeId, cnt)` and a per-tree totals relation, all
-//!   maintained together in every transaction, with a candidate-merge
-//!   lookup plan over the inverted relation;
+//! * [`mod@ops`] — the relation layer every store shares: the paper's
+//!   forward relation `(treeId, pqg, cnt)`, inverted postings `(pqg,
+//!   treeId, cnt)` and per-tree totals, maintained together in every
+//!   transaction, with a candidate-merge lookup plan; a file holding them,
+//!   opened with its resident mirrors, is one private type (`segment.rs`);
 //! * [`index_store`] — the persistent forest index: per-tree pq-gram bags,
 //!   approximate lookups and transactional application of incremental
 //!   update deltas ([`pqgram_core::maintain::IndexDelta`]);
@@ -80,6 +80,7 @@ pub mod pager;
 mod postings;
 mod segment;
 pub mod segmented;
+mod sync;
 pub mod vfs;
 
 /// Structure-aware fuzzing hooks over the internal decode entry points.
@@ -249,11 +250,25 @@ pub mod fuzz {
     /// `(treeId, count)` rows; returns the number of candidates.
     pub fn merge_rows(rows: &[(u64, u32)]) -> usize {
         let skip = pqgram_tree::FxHashSet::default();
-        let mut merge = crate::ops::Merge::new(&skip, None);
+        let totals = crate::ops::TotalsView::empty();
+        let mut merge = crate::ops::Merge::new(&skip, &totals, (0, u64::MAX));
         for &(t, c) in rows {
             merge.emit(1, t, c);
         }
         merge.live
+    }
+
+    /// The reference lookup: one ordered scan of the forward relation of
+    /// `store` computing the distance of `query` to every stored tree,
+    /// whatever `tau` — the version-1 plan, kept as the oracle the planned
+    /// lookup is compared with in tests and benchmarks.
+    pub fn lookup_exhaustive_with_stats(
+        store: &crate::IndexStore,
+        query: &pqgram_core::TreeIndex,
+        tau: f64,
+    ) -> Result<(Vec<pqgram_core::LookupHit>, crate::LookupStats)> {
+        crate::ops::check_params(query.params(), store.params())?;
+        crate::ops::lookup_scan_with_stats(store.source().pool(), query, tau)
     }
 
     /// A fence built over a sorted gram column (treeIds and inline values

@@ -1,12 +1,12 @@
 //! Relation-level operations shared by every store handle, and the one
-//! read model behind them: a store is an ordered list of [`Source`]s,
-//! newest first, plus an optional memtable, and [`lookup_merged`] /
-//! [`lookup_top_k_merged`] are the only two lookup walks —
-//! [`crate::index_store::IndexStore`] and
+//! read model behind them: a store is an ordered list of [`Source`]s
+//! (`crate::segment`), newest first, plus an optional memtable, and
+//! [`lookup_merged`] / [`lookup_top_k_merged`] are the only two lookup
+//! walks — [`crate::index_store::IndexStore`] and
 //! [`crate::document::DocumentStore`] pass their one file,
 //! [`crate::segmented::SegmentedIndexStore`] its segments and main file.
 //! The header every file kind shares ([`create_file`] / [`open_file`]) and
-//! the single-file stores' transaction wrapper live here too.
+//! the in-place writers' transaction wrapper live here too.
 //!
 //! Since format version 2 a store file holds **three** B+-tree relations,
 //! maintained together inside every transaction:
@@ -45,17 +45,17 @@
 //! `crate::postings`). Since format version 4 each store also persists a
 //! gram membership filter (see `crate::filter`), maintained in the same
 //! transaction as the relations, so lookups can skip probes — and whole
-//! sources — that provably hold none of the query's grams. Older files are
-//! migrated in place on open.
+//! sources — that provably hold none of the query's grams. A file of any
+//! other version is rejected on open: nothing is migrated.
 
 use crate::btree::{BTree, BTreeCheck};
 use crate::buffer::{BufferPool, DEFAULT_CAPACITY};
-use crate::fence::Fence;
 use crate::filter::{self, GramFilter};
 use crate::memtable::Memtable;
 use crate::page::PAGE_SIZE_U64;
 use crate::pager::{Pager, Result, StoreError};
 use crate::postings::{self, DirCursor, DirRow, ProbeCounters};
+use crate::segment::Source;
 use crate::vfs::Vfs;
 use pqgram_core::join::overlap_distance;
 use pqgram_core::maintain::IndexDelta;
@@ -78,15 +78,9 @@ pub(crate) const SLOT_TOT: usize = 5;
 /// Meta slot holding the on-disk format version.
 pub(crate) const SLOT_VERSION: usize = 6;
 /// Current format: dual relations + totals + posting directory, plus a
-/// per-file gram membership filter (`crate::filter`). Version-1 files
-/// (slot unset, forward relation only), version-2 files (row-per-posting
-/// inverted relation), and version-3 files (no gram filter) are migrated
-/// in place on open.
+/// per-file gram membership filter (`crate::filter`). The only version
+/// that opens (`crate::segment::Source::open`).
 pub(crate) const FORMAT_VERSION: u64 = 4;
-/// Row-per-posting inverted relation, no posting directory.
-pub(crate) const FORMAT_VERSION_V2: u64 = 2;
-/// Posting directory but no gram membership filter.
-pub(crate) const FORMAT_VERSION_V3: u64 = 3;
 
 const KEY_MIN: (u64, u64) = (0, 0);
 const KEY_MAX: (u64, u64) = (u64::MAX, u64::MAX);
@@ -212,45 +206,6 @@ pub(crate) fn init_relations(pool: &BufferPool) -> Result<()> {
     pool.set_meta(SLOT_VERSION, FORMAT_VERSION)
 }
 
-/// Checks the format version on open, migrating older files in place inside
-/// one transaction. A version-1 file (forward relation only) gets its
-/// inverted directory and totals relation rebuilt; a version-2 file
-/// (row-per-posting inverted relation) gets its inverted relation
-/// re-encoded as a posting directory; either way the gram filter is built
-/// alongside. A version-3 file only gains its gram filter. Returns `true`
-/// if a migration ran.
-// analyze: entrypoint(recovery)
-pub(crate) fn ensure_format(pool: &BufferPool) -> Result<bool> {
-    let version = pool.meta(SLOT_VERSION);
-    let migrate: fn(&BufferPool) -> Result<()> = match version {
-        FORMAT_VERSION => return Ok(false),
-        0 => |pool| build_secondary_relations(pool, forward_rows(pool)?.into_iter()).map(|_| ()),
-        FORMAT_VERSION_V2 => |pool| {
-            crate::btree::free_tree(pool, SLOT_INV)?;
-            rebuild_inverted(pool)?;
-            filter::rebuild_from_forward(pool)
-        },
-        FORMAT_VERSION_V3 => filter::rebuild_from_forward,
-        v => {
-            return Err(StoreError::Corrupt(format!(
-                "store format version {v} is newer than this build (reads up to {FORMAT_VERSION})"
-            )))
-        }
-    };
-    pool.begin()?;
-    let migration = || -> Result<()> {
-        migrate(pool)?;
-        pool.set_meta(SLOT_VERSION, FORMAT_VERSION)
-    };
-    match migration() {
-        Ok(()) => pool.commit().map(|()| true),
-        Err(e) => {
-            pool.rollback()?;
-            Err(e)
-        }
-    }
-}
-
 /// What one bulk build wrote, kept for the handle that opens on top of it:
 /// the mirrors [`TotalsView::load`], [`crate::filter::load`] and
 /// [`Fence::build`] would otherwise read back from the pages just written.
@@ -277,18 +232,9 @@ pub(crate) fn push_tree_rows(rows: &mut Vec<((u64, u64), u32)>, t: u64, index: &
 /// Everything is derived from `rows` in one pass — nothing is read back.
 pub(crate) fn bulk_load_relations(pool: &BufferPool, rows: &[((u64, u64), u32)]) -> Result<Built> {
     BTree::open(pool, SLOT_FWD)?.bulk_load(rows.iter().copied())?;
-    build_secondary_relations(pool, rows.iter().copied())
-}
-
-/// Builds the inverted and totals relations (which must be empty) and the
-/// gram filter from the forward rows, given ascending by `(treeId, pqg)`.
-fn build_secondary_relations(
-    pool: &BufferPool,
-    forward: impl Iterator<Item = ((u64, u64), u32)>,
-) -> Result<Built> {
-    let mut inv_rows: Vec<((u64, u64), u32)> = Vec::with_capacity(forward.size_hint().0);
+    let mut inv_rows: Vec<((u64, u64), u32)> = Vec::with_capacity(rows.len());
     let mut totals: Vec<(u64, u64)> = Vec::new();
-    for ((t, g), c) in forward {
+    for &((t, g), c) in rows {
         match totals.last_mut() {
             Some((last, total)) if *last == t => *total += u64::from(c),
             _ => totals.push((t, u64::from(c))),
@@ -319,30 +265,6 @@ fn build_secondary_relations(
         filter,
         directory,
     })
-}
-
-/// Rebuilds the inverted directory (which must be empty) from one ordered
-/// scan of the forward relation.
-fn rebuild_inverted(pool: &BufferPool) -> Result<()> {
-    let mut inv_rows = forward_rows(pool)?;
-    for ((t, g), _) in &mut inv_rows {
-        std::mem::swap(t, g);
-    }
-    inv_rows.sort_unstable_by_key(|&(k, _)| k);
-    let inv = BTree::open(pool, SLOT_INV)?;
-    postings::bulk_load_inverted(pool, &inv, &inv_rows)?;
-    Ok(())
-}
-
-/// The forward relation in key order, for the migrations that rebuild the
-/// other relations from it.
-fn forward_rows(pool: &BufferPool) -> Result<Vec<((u64, u64), u32)>> {
-    let mut rows = Vec::new();
-    BTree::open(pool, SLOT_FWD)?.for_each_range(KEY_MIN, KEY_MAX, |k, c| {
-        rows.push((k, c));
-        true
-    })?;
-    Ok(rows)
 }
 
 /// Deletes every row of `id` from all three relations.
@@ -770,38 +692,6 @@ impl TotalsView {
     }
 }
 
-/// One lookup source's acceleration state: the directory mirror of an
-/// immutable segment, the gram membership filter, and the in-memory totals
-/// view. Every field is advisory — `None` degrades to relation probes and
-/// disk reads, never to wrong answers.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct SourceProbe<'a> {
-    /// Resident mirror of the source's immutable inverted directory.
-    pub(crate) fence: Option<&'a Fence>,
-    /// Gram membership filter (a superset of the source's stored grams).
-    pub(crate) filter: Option<&'a GramFilter>,
-    /// Totals mirror for emit-time size-window pruning and in-memory
-    /// totals reads.
-    pub(crate) totals: Option<&'a TotalsView>,
-}
-
-/// One on-disk source of a store. A store *is* an ordered list of these,
-/// newest first, plus an optional memtable: a single-file store has one
-/// (its own file), a segmented store one per live segment and the main
-/// file last.
-pub(crate) struct Source<'a> {
-    /// Key of this source's entry in [`LookupStats::by_source`]: a
-    /// segment's sequence number, or [`MAIN_SOURCE`].
-    pub(crate) id: u64,
-    /// The file holding the source's relations.
-    pub(crate) pool: &'a BufferPool,
-    /// What lookups consult before touching `pool`.
-    pub(crate) probe: SourceProbe<'a>,
-    /// Every tree id this source decides (data and tombstones): masked in
-    /// all older sources.
-    pub(crate) owned: &'a [u64],
-}
-
 /// Budget skipping only pays when a gram's postings dwarf the per-survivor
 /// compensation point read; grams estimated below this many rows are
 /// always probed.
@@ -914,9 +804,10 @@ impl OverlapTable {
 /// still counted exactly.
 pub(crate) struct Merge<'a> {
     skip: &'a FxHashSet<u64>,
-    /// The totals mirror with the planner's inclusive bag-size window,
-    /// derived once per source (sources with a mirror only).
-    window: Option<(&'a TotalsView, (u64, u64))>,
+    /// The source's totals mirror.
+    totals: &'a TotalsView,
+    /// The planner's inclusive bag-size window, derived once per source.
+    window: (u64, u64),
     /// `treeId → observed overlap`, or [`PRUNED`] / [`MASKED`].
     shared: OverlapTable,
     /// Entries of `shared` that are real candidates.
@@ -927,10 +818,12 @@ pub(crate) struct Merge<'a> {
 impl<'a> Merge<'a> {
     pub(crate) fn new(
         skip: &'a FxHashSet<u64>,
-        window: Option<(&'a TotalsView, (u64, u64))>,
+        totals: &'a TotalsView,
+        window: (u64, u64),
     ) -> Merge<'a> {
         Merge {
             skip,
+            totals,
             window,
             shared: OverlapTable::with_bits(OverlapTable::INITIAL_BITS),
             live: 0,
@@ -948,12 +841,11 @@ impl<'a> Merge<'a> {
             Some((_, MASKED)) => {}
             Some((_, seen)) if *seen != EMPTY => *seen += u64::from(qc.min(c)),
             _ => {
-                let outside = |(view, (lo, hi)): (&TotalsView, (u64, u64))| {
-                    (view.get(t)).is_some_and(|m| !(lo..=hi).contains(&u64::from(m)))
-                };
+                let (lo, hi) = self.window;
+                let outside = |m: u32| !(lo..=hi).contains(&u64::from(m));
                 let first = if self.skip.contains(&t) {
                     MASKED
-                } else if self.window.is_some_and(outside) {
+                } else if self.totals.get(t).is_some_and(outside) {
                     self.pruned_window += 1;
                     PRUNED
                 } else {
@@ -984,7 +876,7 @@ impl<'a> Merge<'a> {
 /// Charges its planning stage to `stats.phases.plan`; the caller charges
 /// the rest of the call to `probe`.
 fn gather_candidates(
-    src: &Source<'_>,
+    src: &Source,
     query: &QueryGrams,
     planner: &LookupPlanner,
     skip: &FxHashSet<u64>,
@@ -995,7 +887,7 @@ fn gather_candidates(
     let mut grams: Vec<(GramKey, u32)> = query.grams.clone();
     // Membership filter: a rejected gram is definitively absent from
     // this source — zero overlap, nothing to probe or compensate.
-    if let Some(f) = src.probe.filter {
+    if let Some(f) = src.filter() {
         let before = grams.len();
         grams.retain(|&(g, _)| f.contains(g));
         stats.grams_skipped_filter += before - grams.len();
@@ -1008,17 +900,16 @@ fn gather_candidates(
     // bound even at maximal overlap, nothing here is a result. (When
     // the bound admits distance 1.0 every size is feasible, so this
     // never conflicts with zero-overlap enumeration.)
-    if let Some(view) = src.probe.totals {
-        let (lo, hi) = view.bounds();
-        if !planner.admits_total_range(lo, hi) && !planner.needs_zero_overlap() {
-            stats.sources_skipped_window += 1;
-            return Ok(Gathered::default());
-        }
+    let (lo, hi) = src.totals().bounds();
+    if !planner.admits_total_range(lo, hi) && !planner.needs_zero_overlap() {
+        stats.sources_skipped_window += 1;
+        return Ok(Gathered::default());
     }
     // One directory visit per gram, in ascending order behind a forward
     // cursor; its rows serve the skip-cost estimate and the probe alike
     // (walks are not counted as reads).
-    let mut dir = DirCursor::open(src.pool, src.probe.fence)?;
+    let pool = src.pool();
+    let mut dir = DirCursor::open(pool, src.fence())?;
     let mut rows: Vec<DirRow> = Vec::new();
     let mut probe: Vec<ProbeGram> = Vec::with_capacity(grams.len());
     for (gram, qc) in grams {
@@ -1062,16 +953,15 @@ fn gather_candidates(
         }
     }
     stats.phases.plan += clock.lap();
-    let window = src.probe.totals.map(|view| (view, planner.total_window()));
-    let mut merge = Merge::new(skip, window);
+    let mut merge = Merge::new(skip, src.totals(), planner.total_window());
     let mut counters = ProbeCounters::default();
     let mut cache = postings::BlockCache::default();
-    let count_false_positives = src.probe.filter.is_some();
+    let count_false_positives = src.filter().is_some();
     let mut probe_one = |merge: &mut Merge<'_>, stats: &mut LookupStats, p: &ProbeGram| {
         let before = counters.rows;
         let mut emit = |t: u64, c: u32| merge.emit(p.qc, t, c);
         let dir = dir_rows(&rows, p);
-        postings::for_each_posting(src.pool, dir, p.gram, &mut cache, &mut counters, &mut emit)?;
+        postings::for_each_posting(pool, dir, p.gram, &mut cache, &mut counters, &mut emit)?;
         if count_false_positives && counters.rows == before {
             stats.filter_false_positive_probes += 1;
         }
@@ -1123,49 +1013,68 @@ fn gather_candidates(
 /// tree id). Runs only when the planner admits distance 1.0, in which case
 /// no window or overlap prune can have fired, so `exclude` holds *every*
 /// tree sharing a gram and the union is exactly the stored forest. Each
-/// enumerated tree costs one totals row (from the view when present).
+/// enumerated tree costs one totals row, read from the mirror.
 fn for_each_zero_overlap(
-    src: &Source<'_>,
+    src: &Source,
     skip: &FxHashSet<u64>,
     exclude: &[(u64, u64)],
     stats: &mut LookupStats,
     mut f: impl FnMut(u64, u32) -> bool,
-) -> Result<()> {
+) {
     let mut i = 0usize;
-    let mut visit = |t: u64, m: u32, stats: &mut LookupStats| -> bool {
+    for (t, m) in src.totals().iter() {
         while exclude.get(i).is_some_and(|&(e, _)| e < t) {
             i += 1;
         }
         if exclude.get(i).is_some_and(|&(e, _)| e == t) || skip.contains(&t) {
-            return true;
+            continue;
         }
         stats.rows_read += 1;
         stats.candidates += 1;
         stats.verified += 1;
-        f(t, m)
-    };
-    match src.probe.totals {
-        Some(view) => {
-            for (t, m) in view.iter() {
-                if !visit(t, m, stats) {
-                    break;
-                }
-            }
-            Ok(())
-        }
-        None => {
-            let tot = BTree::open_existing(src.pool, SLOT_TOT)?;
-            tot.for_each_range(KEY_MIN, KEY_MAX, |(t, _), m| visit(t, m, stats))
+        if !f(t, m) {
+            break;
         }
     }
 }
 
+/// The candidate check of both walks: the exact distance of candidate
+/// `(treeId, observed overlap)` of `src` — or `None` if its bag size falls
+/// outside the planner's window. Costs one totals read (from the mirror)
+/// and, for a survivor, one forward point read per budget-skipped gram of
+/// `skipped`.
+fn candidate_distance(
+    src: &Source,
+    fwd: &BTree<'_>,
+    query: &QueryGrams,
+    planner: &LookupPlanner,
+    skipped: &[(GramKey, u32)],
+    (t, mut overlap): (u64, u64),
+    stats: &mut LookupStats,
+) -> Result<Option<f64>> {
+    let total = src.totals().get(t).ok_or_else(|| {
+        StoreError::Corrupt(format!("tree {t} has inverted rows but no totals row"))
+    })?;
+    let total = u64::from(total);
+    stats.rows_read += 1;
+    if !planner.admits_total(total) {
+        return Ok(None);
+    }
+    for &(g, qc) in skipped {
+        stats.rows_read += 1;
+        if let Some(c) = fwd.get((t, g))? {
+            overlap += u64::from(qc.min(c));
+        }
+    }
+    stats.verified += 1;
+    Ok(Some(overlap_distance(overlap, query.total, total)))
+}
+
 /// The planner-driven candidate merge against one source, appending its
 /// hits (unsorted — the caller sorts once at the end). Verification costs
-/// one totals read, the size window, the compensation point reads and one
-/// exact distance per candidate, ascending by tree id.
+/// one [`candidate_distance`] per candidate, ascending by tree id.
 fn lookup_source_threshold(
-    src: &Source<'_>,
+    src: &Source,
     query: &QueryGrams,
     planner: &LookupPlanner,
     skip: &FxHashSet<u64>,
@@ -1175,46 +1084,27 @@ fn lookup_source_threshold(
 ) -> Result<()> {
     let gathered = gather_candidates(src, query, planner, skip, stats, clock)?;
     stats.phases.probe += clock.lap();
-    let fwd = BTree::open_existing(src.pool, SLOT_FWD)?;
-    let tot = BTree::open_existing(src.pool, SLOT_TOT)?;
-    for &(t, overlap) in &gathered.candidates {
-        let total = match src.probe.totals.and_then(|v| v.get(t)) {
-            Some(m) => m,
-            None => tot.get((t, 0))?.ok_or_else(|| {
-                StoreError::Corrupt(format!("tree {t} has inverted rows but no totals row"))
-            })?,
-        };
-        stats.rows_read += 1;
-        if !planner.admits_total(u64::from(total)) {
-            continue;
-        }
-        let mut overlap = overlap;
-        for &(g, qc) in &gathered.skipped {
-            stats.rows_read += 1;
-            if let Some(c) = fwd.get((t, g))? {
-                overlap += u64::from(qc.min(c));
-            }
-        }
-        stats.verified += 1;
-        let distance = overlap_distance(overlap, query.total, u64::from(total));
+    let fwd = BTree::open_existing(src.pool(), SLOT_FWD)?;
+    let mut admit = |t: u64, distance: f64| {
         if planner.admits_distance(distance) {
             hits.push(LookupHit {
                 tree_id: TreeId(t),
                 distance,
             });
         }
+    };
+    let skipped = &gathered.skipped;
+    for &candidate in &gathered.candidates {
+        let checked = candidate_distance(src, &fwd, query, planner, skipped, candidate, stats)?;
+        if let Some(distance) = checked {
+            admit(candidate.0, distance);
+        }
     }
     if planner.needs_zero_overlap() {
         for_each_zero_overlap(src, skip, &gathered.candidates, stats, |t, m| {
-            let distance = overlap_distance(0, query.total, u64::from(m));
-            if planner.admits_distance(distance) {
-                hits.push(LookupHit {
-                    tree_id: TreeId(t),
-                    distance,
-                });
-            }
+            admit(t, overlap_distance(0, query.total, u64::from(m)));
             true
-        })?;
+        });
     }
     stats.phases.verify += clock.lap();
     Ok(())
@@ -1228,7 +1118,7 @@ fn lookup_source_threshold(
 /// exactly 1) are enumerated ascending only while the heap still admits
 /// them.
 fn lookup_source_top_k(
-    src: &Source<'_>,
+    src: &Source,
     query: &QueryGrams,
     planner: &mut LookupPlanner,
     topk: &mut TopK,
@@ -1239,36 +1129,20 @@ fn lookup_source_top_k(
     planner.tighten_to(topk.bound());
     let gathered = gather_candidates(src, query, planner, skip, stats, clock)?;
     stats.phases.probe += clock.lap();
-    let fwd = BTree::open_existing(src.pool, SLOT_FWD)?;
-    let tot = BTree::open_existing(src.pool, SLOT_TOT)?;
-    let mass: u64 = gathered.skipped.iter().map(|&(_, qc)| u64::from(qc)).sum();
+    let fwd = BTree::open_existing(src.pool(), SLOT_FWD)?;
+    let skipped = &gathered.skipped;
+    let mass: u64 = skipped.iter().map(|&(_, qc)| u64::from(qc)).sum();
     let mut by_overlap = gathered.candidates.clone();
     by_overlap.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    for &(t, overlap) in &by_overlap {
+    for &candidate in &by_overlap {
         planner.tighten_to(topk.bound());
-        if !planner.admits_overlap(overlap + mass) {
+        if !planner.admits_overlap(candidate.1 + mass) {
             break;
         }
-        let total = match src.probe.totals.and_then(|v| v.get(t)) {
-            Some(m) => m,
-            None => tot.get((t, 0))?.ok_or_else(|| {
-                StoreError::Corrupt(format!("tree {t} has inverted rows but no totals row"))
-            })?,
-        };
-        stats.rows_read += 1;
-        if !planner.admits_total(u64::from(total)) {
-            continue;
+        let checked = candidate_distance(src, &fwd, query, planner, skipped, candidate, stats)?;
+        if let Some(distance) = checked {
+            topk.offer(TreeId(candidate.0), distance);
         }
-        let mut overlap = overlap;
-        for &(g, qc) in &gathered.skipped {
-            stats.rows_read += 1;
-            if let Some(c) = fwd.get((t, g))? {
-                overlap += u64::from(qc.min(c));
-            }
-        }
-        stats.verified += 1;
-        let distance = overlap_distance(overlap, query.total, u64::from(total));
-        topk.offer(TreeId(t), distance);
     }
     planner.tighten_to(topk.bound());
     if planner.needs_zero_overlap() {
@@ -1277,7 +1151,7 @@ fn lookup_source_top_k(
         for_each_zero_overlap(src, skip, &gathered.candidates, stats, |t, m| {
             let distance = overlap_distance(0, query.total, u64::from(m));
             topk.offer(TreeId(t), distance)
-        })?;
+        });
     }
     stats.phases.verify += clock.lap();
     Ok(())
@@ -1314,7 +1188,7 @@ fn memtable_pass(
 /// bit-identical to a single file holding the merged forest, and a
 /// single-file lookup *is* this walk over one source.
 pub(crate) fn lookup_merged<'a>(
-    sources: impl Iterator<Item = Source<'a>>,
+    sources: impl Iterator<Item = &'a Source>,
     memtable: Option<&Memtable>,
     query: &TreeIndex,
     tau: f64,
@@ -1354,10 +1228,10 @@ pub(crate) fn lookup_merged<'a>(
     for src in sources {
         let before = stats.rows_read;
         lookup_source_threshold(
-            &src, &query, &planner, &skip, &mut stats, &mut clock, &mut hits,
+            src, &query, &planner, &skip, &mut stats, &mut clock, &mut hits,
         )?;
-        stats.by_source.push((src.id, stats.rows_read - before));
-        skip.extend(src.owned.iter().copied());
+        stats.by_source.push((src.id(), stats.rows_read - before));
+        skip.extend(src.owned().iter().copied());
     }
     sort_hits(&mut hits);
     stats.phases.sort += clock.lap();
@@ -1373,7 +1247,7 @@ pub(crate) fn lookup_merged<'a>(
 /// hits ascending by `(distance, id)`: exactly the first `k` of the
 /// distance-sorted exhaustive answer.
 pub(crate) fn lookup_top_k_merged<'a>(
-    sources: impl Iterator<Item = Source<'a>>,
+    sources: impl Iterator<Item = &'a Source>,
     memtable: Option<&Memtable>,
     query: &TreeIndex,
     k: usize,
@@ -1401,7 +1275,7 @@ pub(crate) fn lookup_top_k_merged<'a>(
     for src in sources {
         let before = stats.rows_read;
         lookup_source_top_k(
-            &src,
+            src,
             &query,
             &mut planner,
             &mut topk,
@@ -1409,8 +1283,8 @@ pub(crate) fn lookup_top_k_merged<'a>(
             &mut stats,
             &mut clock,
         )?;
-        stats.by_source.push((src.id, stats.rows_read - before));
-        skip.extend(src.owned.iter().copied());
+        stats.by_source.push((src.id(), stats.rows_read - before));
+        skip.extend(src.owned().iter().copied());
     }
     let hits = topk.into_sorted_hits();
     stats.phases.sort += clock.lap();
@@ -1602,17 +1476,14 @@ mod tests {
     fn model(
         rows: &[(u64, u32, u32)],
         skip: &FxHashSet<u64>,
-        window: Option<(&TotalsView, (u64, u64))>,
+        (view, (lo, hi)): (&TotalsView, (u64, u64)),
     ) -> (usize, u64, Vec<(u64, u64)>) {
         let mut seen: BTreeMap<u64, Seen> = BTreeMap::new();
         let (mut live, mut pruned) = (0usize, 0u64);
         for &(t, qc, c) in rows {
             let first = if skip.contains(&t) {
                 Seen::Masked
-            } else if window.is_some_and(|(view, (lo, hi))| {
-                view.get(t)
-                    .is_some_and(|m| u64::from(m) < lo || u64::from(m) > hi)
-            }) {
+            } else if (view.get(t)).is_some_and(|m| u64::from(m) < lo || u64::from(m) > hi) {
                 Seen::Pruned
             } else {
                 Seen::Overlap(0)
@@ -1640,9 +1511,9 @@ mod tests {
     fn merged(
         rows: &[(u64, u32, u32)],
         skip: &FxHashSet<u64>,
-        window: Option<(&TotalsView, (u64, u64))>,
+        (view, window): (&TotalsView, (u64, u64)),
     ) -> (usize, u64, Vec<(u64, u64)>) {
-        let mut merge = Merge::new(skip, window);
+        let mut merge = Merge::new(skip, view, window);
         for &(t, qc, c) in rows {
             merge.emit(qc, t, c);
         }
@@ -1671,24 +1542,26 @@ mod tests {
             masked in proptest::collection::vec(0u64..900, 0..40),
             totals in proptest::collection::vec((0u64..900, 1u32..60), 0..600),
             window in (0u64..40, 0u64..70),
-            windowed in any::<bool>(),
+            mirrored in any::<bool>(),
         ) {
             let rows: Vec<(u64, u32, u32)> =
                 stream.iter().map(|&(i, qc, c)| (tree_id(i), qc, c)).collect();
             let skip: FxHashSet<u64> = masked.iter().map(|&i| tree_id(i)).collect();
+            // A tree the mirror does not hold is never pruned: an empty
+            // mirror switches the window off.
             let mut view = TotalsView::empty();
-            for &(i, m) in &totals {
+            for &(i, m) in totals.iter().filter(|_| mirrored) {
                 view.set(tree_id(i), m);
             }
-            let window = windowed.then_some((&view, window));
+            let window = (&view, window);
             prop_assert_eq!(merged(&rows, &skip, window), model(&rows, &skip, window));
         }
     }
 
     #[test]
     fn the_overlap_table_grows_past_its_first_slots_and_keeps_every_key() {
-        let skip = FxHashSet::default();
-        let mut merge = Merge::new(&skip, None);
+        let (skip, view) = (FxHashSet::default(), TotalsView::empty());
+        let mut merge = Merge::new(&skip, &view, (0, u64::MAX));
         let initial = merge.shared.slots.len();
         let keys: Vec<u64> = [0, u64::MAX, EMPTY, MASKED]
             .into_iter()
@@ -1718,7 +1591,7 @@ mod tests {
         view.set(7, 10);
         view.set(8, 99);
         view.set(9, 10);
-        let mut merge = Merge::new(&skip, Some((&view, (5, 20))));
+        let mut merge = Merge::new(&skip, &view, (5, 20));
         for _ in 0..4 {
             merge.emit(1, 7, 1); // masked by a newer source
             merge.emit(1, 8, 1); // bag size outside the window

@@ -1216,7 +1216,7 @@ fn pack_is_empty(p: &PageBuf) -> bool {
 
 /// Frees a pack page once its last entry is removed.
 fn free_if_empty(pool: &BufferPool, id: PageId) -> Result<()> {
-    let empty = pool.with_page(id, |p| pack_is_empty(p))?;
+    let empty = pool.with_page(id, pack_is_empty)?;
     if empty {
         if pool.meta(SLOT_FILL) == u64::from(id.0) + 1 {
             pool.set_meta(SLOT_FILL, 0)?;
@@ -1876,7 +1876,7 @@ pub(crate) fn expand_all(
                     // First visit: walk the whole entry chain, validating
                     // that it exactly fills the page's used region —
                     // [`pack_find`] alone stops at its match.
-                    pool.with_page(page, |p| pack_entries(p))??;
+                    pool.with_page(page, pack_entries)??;
                     pages.push(page);
                 }
                 let decoded = read_block(pool, page, key, &mut counters)?;

@@ -6,10 +6,14 @@
 //!
 //! * `<base>` — the [`crate::manifest::Manifest`], the **only** file ever
 //!   mutated in place (journal-protected transactions);
-//! * `<base>.main.<g>` — the main file, a plain [`IndexStore`] holding
-//!   the compacted bulk of the forest; immutable between compactions;
-//! * `<base>.seg.<s>` — immutable [`crate::segment::Segment`] files, the
-//!   flushed memtables, newest sequence number winning.
+//! * `<base>.main.<g>` — the main file, a plain index-store file (it opens
+//!   as a [`crate::IndexStore`]) holding the compacted bulk of the forest;
+//!   immutable between compactions;
+//! * `<base>.seg.<s>` — immutable segment files, the flushed memtables,
+//!   newest sequence number winning.
+//!
+//! Every one of them but the manifest is a [`Source`] (`crate::segment`):
+//! the opened file with its resident mirrors.
 //!
 //! **Write path.** Puts and removals buffer in a [`Memtable`]. A flush
 //! durably reserves a sequence number (manifest transaction A), bulk-builds
@@ -19,9 +23,10 @@
 //! sequence high-water mark committed by A guarantees the orphan can never
 //! be confused with a future segment.
 //!
-//! **Read path.** A store is an ordered list of sources: lookups hand the
-//! memtable, the live segments by descending sequence and the main file to
-//! the one walk of [`crate::ops`] (`lookup_merged` / `lookup_top_k_merged`),
+//! **Read path.** A store is one ordered list of sources — the live
+//! segments by descending sequence, the main file last: lookups hand the
+//! memtable and that list to the one walk of [`crate::ops`]
+//! (`lookup_merged` / `lookup_top_k_merged`),
 //! which runs the per-source plan with a *mask* of every tree id a newer
 //! source owns. A single-file store takes the same walk over its one
 //! source, so merged results are bit-identical to a store holding the
@@ -31,8 +36,8 @@
 //!
 //! **Point access.** One tree is located without touching a page
 //! (`SourceSet::owner`): the memtable's entry if there is one, else the
-//! newest segment whose resident id lists own the id — rows or a tombstone
-//! — else the main file's totals mirror. Whatever is then read comes from
+//! newest source whose resident mirrors decide the id — rows or a
+//! tombstone. Whatever is then read comes from
 //! that one file, once; an update edits a bag the memtable already buffers
 //! where it lies.
 //!
@@ -45,17 +50,16 @@
 //! swept at the next open if a crash intervenes.
 
 use crate::btree::BTree;
-use crate::buffer::BufferPool;
-use crate::index_store::{IndexError, IndexStore};
+use crate::index_store::IndexError;
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
 use crate::ops::{
-    check_params, lookup_merged, lookup_top_k_merged, LookupStats, Source, StoreCheck, MAIN_SOURCE,
-    SLOT_FWD,
+    check_params, lookup_merged, lookup_top_k_merged, LookupStats, StoreCheck, SLOT_FWD,
 };
-use crate::segment::Segment;
+use crate::pager::StoreError;
+use crate::segment::{Role, Source};
+use crate::sync::Mutex;
 use crate::vfs::{RealVfs, Vfs};
-use parking_lot::Mutex;
 use pqgram_core::maintain::{compute_index_delta, IndexDelta, UpdateStats};
 use pqgram_core::{GramKey, LookupHit, PQParams, TreeId, TreeIndex};
 use pqgram_tree::{EditLog, FxHashMap, FxHashSet, LabelTable, Tree};
@@ -64,15 +68,20 @@ use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, IndexError>;
 
-fn delete_file(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<()> {
-    vfs.delete(path).map_err(crate::pager::StoreError::from)?;
+/// Deletes whatever `path` holds. Every caller names a file the committed
+/// manifest does not reference — a pre-crash orphan or a superseded file —
+/// so there is nothing to lose, and usually nothing there.
+fn delete_stale(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<()> {
+    if vfs.exists(path) {
+        vfs.delete(path).map_err(StoreError::from)?;
+    }
     Ok(())
 }
 
 /// Names the file an open-time failure came from: a segmented store spans
 /// several, and one file's bare error does not say which.
 fn in_file(path: &Path, e: IndexError) -> IndexError {
-    use crate::pager::StoreError::{Corrupt, InvalidArgument, Io};
+    use StoreError::{Corrupt, InvalidArgument, Io};
     let IndexError::Store(e) = e else { return e };
     let at = path.display();
     IndexError::Store(match e {
@@ -114,42 +123,45 @@ pub(crate) fn seg_path(base: &Path, seq: u64) -> PathBuf {
 /// Published via an RCU pointer: writers swap in a fresh `Arc`, readers
 /// clone the current one and keep querying it unperturbed.
 pub(crate) struct SourceSet {
-    /// Live segments, descending by sequence number (newest first).
-    segments: Vec<Arc<Segment>>,
-    /// The compacted main file, immutable between compactions.
-    main: Arc<IndexStore>,
+    /// The live segments, descending by sequence number (newest first),
+    /// then the compacted main file: never empty, the main file last.
+    sources: Vec<Arc<Source>>,
 }
 
 impl SourceSet {
     /// The on-disk sources in probe order, newest first and the main file
     /// last.
-    fn sources(&self) -> impl Iterator<Item = Source<'_>> {
-        let segments = self.segments.iter().map(|seg| seg.source());
-        segments.chain([self.main.source()])
+    fn sources(&self) -> impl Iterator<Item = &Source> {
+        self.sources.iter().map(|src| &**src)
+    }
+
+    /// The live segments, newest first: every source but the last.
+    fn segments(&self) -> &[Arc<Source>] {
+        let segments = self.sources.len().saturating_sub(1);
+        self.sources.get(..segments).unwrap_or(&[])
     }
 
     /// Owner resolution — the one way a tree id is located on disk: the
     /// file holding the rows of `id` in the merged view, or `None` if no
-    /// source stores it. The newest segment listing the id as owned decides
-    /// (rows, or a tombstone that hides every older copy); failing that the
-    /// main file's totals mirror does. Binary searches over resident lists:
-    /// no page of any source is touched, and the sources are immutable, so
-    /// the lists are exact (`verify` checks them against the files).
-    fn owner(&self, id: TreeId) -> Option<&BufferPool> {
-        for seg in &self.segments {
-            if let Some(stored) = seg.decides(id.0) {
-                return stored.then(|| seg.pool());
+    /// source stores it. The newest source deciding the id decides (rows,
+    /// or a tombstone that hides every older copy). Searches over resident
+    /// mirrors: no page of any source is touched, and the sources are
+    /// immutable, so the mirrors are exact (`verify` checks them against
+    /// the files).
+    fn owner(&self, id: TreeId) -> Option<&Source> {
+        for src in self.sources() {
+            if let Some(stored) = src.decides(id.0) {
+                return stored.then_some(src);
             }
         }
-        let main = &self.main;
-        main.totals().get(id.0).map(|_| main.pool())
+        None
     }
 
     /// Materializes the index of one tree from its owner: one file, read
     /// once.
     fn tree_index(&self, params: PQParams, id: TreeId) -> Result<Option<TreeIndex>> {
         match self.owner(id) {
-            Some(pool) => Ok(crate::ops::tree_index(pool, params, id)?),
+            Some(src) => Ok(crate::ops::tree_index(src.pool(), params, id)?),
             None => Ok(None),
         }
     }
@@ -160,7 +172,7 @@ enum Home<'a> {
     /// A bag buffered in the memtable.
     Memtable,
     /// Rows in one immutable file (see [`SourceSet::owner`]).
-    Disk(&'a BufferPool),
+    Disk(&'a Source),
     /// Not stored: unknown to every source, or tombstoned by the newest one
     /// that knows it.
     Nowhere,
@@ -201,25 +213,29 @@ impl SegmentedIndexStore {
         vfs: Arc<dyn Vfs>,
     ) -> Result<SegmentedIndexStore> {
         let mp = main_path(base, 0);
-        if vfs.exists(&mp) {
-            delete_file(&vfs, &mp)?;
-        }
-        let main = IndexStore::bulk_create_rows_with(&mp, params, Arc::clone(&vfs), &[])?;
+        delete_stale(&vfs, &mp)?;
+        let main = Source::build(Arc::clone(&vfs), &mp, params, Role::Main, &[], &[])?;
         let manifest = Manifest::create(base, params, Arc::clone(&vfs))?;
-        let set = Arc::new(SourceSet {
-            segments: Vec::new(),
-            main: Arc::new(main),
-        });
-        Ok(SegmentedIndexStore {
+        Ok(Self::over(vfs, base, manifest, vec![Arc::new(main)]))
+    }
+
+    /// The handle over an opened manifest and the sources it lists.
+    fn over(
+        vfs: Arc<dyn Vfs>,
+        base: &Path,
+        manifest: Manifest,
+        sources: Vec<Arc<Source>>,
+    ) -> SegmentedIndexStore {
+        SegmentedIndexStore {
             vfs,
             base: base.to_path_buf(),
-            params,
+            params: manifest.params(),
             manifest,
             memtable: Memtable::new(),
             flush_grams: DEFAULT_FLUSH_GRAMS,
             deferred_cleanup: 0,
-            published: Arc::new(Mutex::new(set)),
-        })
+            published: Arc::new(Mutex::new(Arc::new(SourceSet { sources }))),
+        }
     }
 
     /// Opens an existing segmented store (running crash recovery on the
@@ -248,18 +264,12 @@ impl SegmentedIndexStore {
             if g == gen || g == u64::MAX {
                 continue;
             }
-            let p = main_path(base, g);
-            if vfs.exists(&p) {
-                delete_file(&vfs, &p)?;
-            }
+            delete_stale(&vfs, &main_path(base, g))?;
         }
-        let mp = main_path(base, gen);
-        let main = IndexStore::open_with(&mp, Arc::clone(&vfs)).map_err(|e| in_file(&mp, e))?;
-        check_params(main.params(), params)?;
         let live = manifest.live_segments()?;
         let hwm = manifest.hwm();
         if live.iter().any(|&s| s >= hwm) {
-            return Err(IndexError::Store(crate::pager::StoreError::Corrupt(
+            return Err(IndexError::Store(StoreError::Corrupt(
                 "live segment sequence at or above the high-water mark".into(),
             )));
         }
@@ -274,32 +284,24 @@ impl SegmentedIndexStore {
             if live_set.contains(&s) {
                 continue;
             }
-            let p = seg_path(base, s);
-            if vfs.exists(&p) {
-                delete_file(&vfs, &p)?;
+            delete_stale(&vfs, &seg_path(base, s))?;
+        }
+        let segments = live
+            .iter()
+            .rev()
+            .map(|&s| (seg_path(base, s), Role::Segment(s)));
+        let mut sources = Vec::with_capacity(live.len() + 1);
+        for (path, role) in segments.chain([(main_path(base, gen), Role::Main)]) {
+            let (src, stored) = Source::open(Arc::clone(&vfs), &path, role)
+                .map_err(|e| in_file(&path, e.into()))?;
+            if stored != params {
+                let clash =
+                    format!("parameters {stored:?} disagree with the manifest's {params:?}");
+                return Err(in_file(&path, StoreError::Corrupt(clash).into()));
             }
+            sources.push(Arc::new(src));
         }
-        let mut segments = Vec::with_capacity(live.len());
-        for &s in live.iter().rev() {
-            let sp = seg_path(base, s);
-            let seg = Segment::open(Arc::clone(&vfs), &sp, params, s)
-                .map_err(|e| in_file(&sp, e.into()))?;
-            segments.push(Arc::new(seg));
-        }
-        let set = Arc::new(SourceSet {
-            segments,
-            main: Arc::new(main),
-        });
-        Ok(SegmentedIndexStore {
-            vfs,
-            base: base.to_path_buf(),
-            params,
-            manifest,
-            memtable: Memtable::new(),
-            flush_grams: DEFAULT_FLUSH_GRAMS,
-            deferred_cleanup: 0,
-            published: Arc::new(Mutex::new(set)),
-        })
+        Ok(Self::over(vfs, base, manifest, sources))
     }
 
     /// The pq-gram parameters this store was created with.
@@ -314,18 +316,16 @@ impl SegmentedIndexStore {
 
     /// Number of live segment files (excludes the memtable).
     pub fn segment_count(&self) -> usize {
-        self.snapshot().segments.len()
+        self.snapshot().segments().len()
     }
 
     /// Whether the main file *and* every live segment carry a loadable
     /// gram filter. Crash tests assert recovery always lands here —
     /// every committed source has a filter — not merely on correct
-    /// answers. (Version-3 segments opened read-only are the one
-    /// legitimate exception; this store never creates them.)
+    /// answers.
     #[doc(hidden)]
     pub fn has_gram_filters(&self) -> bool {
-        let set = self.snapshot();
-        set.main.has_gram_filter() && set.segments.iter().all(|s| s.has_filter())
+        self.snapshot().sources().all(|src| src.filter().is_some())
     }
 
     /// Number of entries buffered in the memtable (tombstones included).
@@ -442,7 +442,7 @@ impl SegmentedIndexStore {
             Some(outcome) => outcome.map_err(inconsistent)?,
             None => {
                 let stored = match home {
-                    Home::Disk(pool) => crate::ops::tree_index(pool, self.params, id)?,
+                    Home::Disk(src) => crate::ops::tree_index(src.pool(), self.params, id)?,
                     Home::Memtable | Home::Nowhere => None,
                 };
                 let mut index = stored.unwrap_or_else(|| TreeIndex::empty(self.params));
@@ -522,23 +522,19 @@ impl SegmentedIndexStore {
             return Ok(());
         }
         let seq = self.manifest.reserve_seq()?;
-        let seg = Segment::build(
-            Arc::clone(&self.vfs),
-            &seg_path(&self.base, seq),
-            self.params,
-            seq,
-            self.memtable.entries(),
-        )?;
+        // Sequence numbers are reserved durably before any build starts, so
+        // no live segment holds this name.
+        let path = seg_path(&self.base, seq);
+        delete_stale(&self.vfs, &path)?;
+        let vfs = Arc::clone(&self.vfs);
+        let seg = Source::build_segment(vfs, &path, self.params, seq, self.memtable.entries())?;
         self.manifest.register_segment(seq)?;
         self.memtable.clear();
         let current = self.snapshot();
-        let mut segments = Vec::with_capacity(current.segments.len() + 1);
-        segments.push(Arc::new(seg));
-        segments.extend(current.segments.iter().cloned());
-        self.publish(SourceSet {
-            segments,
-            main: Arc::clone(&current.main),
-        });
+        let mut sources = Vec::with_capacity(current.sources.len() + 1);
+        sources.push(Arc::new(seg));
+        sources.extend(current.sources.iter().cloned());
+        self.publish(SourceSet { sources });
         Ok(())
     }
 
@@ -557,28 +553,21 @@ impl SegmentedIndexStore {
     pub fn compact(&mut self) -> Result<()> {
         self.flush()?;
         let current = self.snapshot();
-        if current.segments.is_empty() {
+        if current.segments().is_empty() {
             return Ok(());
         }
-        // A k-way merge by tree id. Every source lists the ids it decides
+        // A k-way merge by tree id. Every source yields the ids it decides
         // in ascending order, its forward relation is ascending by
         // `(tree, gram)`, and a tree belongs wholesale to the newest source
         // deciding it — so taking the smallest pending id, copying its rows
         // from the first source that lists it (none, for a tombstone) and
         // stepping every source past it yields the merged relation in key
         // order.
-        let main_ids: Vec<u64> = current.main.totals().iter().map(|(t, _)| t).collect();
-        let mut streams = Vec::with_capacity(current.segments.len() + 1);
-        for src in current.sources() {
-            // The main file masks nothing, so it lists nothing as owned: it
-            // decides the trees it stores.
-            let ids = if src.id == MAIN_SOURCE {
-                main_ids.as_slice()
-            } else {
-                src.owned
-            };
-            let fwd = BTree::open_existing(src.pool, SLOT_FWD).map_err(IndexError::Store)?;
-            streams.push((ids, fwd.cursor()));
+        let decided: Vec<Vec<u64>> = current.sources().map(Source::decided).collect();
+        let mut streams = Vec::with_capacity(decided.len());
+        for (src, ids) in current.sources().zip(&decided) {
+            let fwd = BTree::open_existing(src.pool(), SLOT_FWD).map_err(IndexError::Store)?;
+            streams.push((ids.as_slice(), fwd.cursor()));
         }
         let mut rows: Vec<((u64, u64), u32)> = Vec::new();
         while let Some(t) = streams
@@ -608,34 +597,28 @@ impl SegmentedIndexStore {
         }
         let old_gen = self.manifest.generation();
         if old_gen >= u64::MAX - 1 {
-            return Err(IndexError::Store(crate::pager::StoreError::Corrupt(
+            return Err(IndexError::Store(StoreError::Corrupt(
                 "main-file generation space exhausted".into(),
             )));
         }
         let new_gen = old_gen + 1;
         let path = main_path(&self.base, new_gen);
-        if self.vfs.exists(&path) {
-            delete_file(&self.vfs, &path)?;
-        }
-        let new_main =
-            IndexStore::bulk_create_rows_with(&path, self.params, Arc::clone(&self.vfs), &rows)?;
+        delete_stale(&self.vfs, &path)?;
+        let vfs = Arc::clone(&self.vfs);
+        let new_main = Source::build(vfs, &path, self.params, Role::Main, &rows, &[])?;
         self.manifest.commit_compaction(new_gen)?;
         // Best-effort cleanup; a crash or failure from here on only leaves
         // garbage the next open sweeps (the commit above already decided
         // the outcome), so failed unlinks are counted, not propagated.
-        let old_main = main_path(&self.base, old_gen);
-        if self.vfs.exists(&old_main) && self.vfs.delete(&old_main).is_err() {
-            self.deferred_cleanup += 1;
-        }
-        for seg in &current.segments {
-            let p = seg_path(&self.base, seg.seq());
-            if self.vfs.exists(&p) && self.vfs.delete(&p).is_err() {
+        let mut superseded = vec![main_path(&self.base, old_gen)];
+        superseded.extend((current.segments().iter()).map(|seg| seg_path(&self.base, seg.id())));
+        for path in &superseded {
+            if delete_stale(&self.vfs, path).is_err() {
                 self.deferred_cleanup += 1;
             }
         }
         self.publish(SourceSet {
-            segments: Vec::new(),
-            main: Arc::new(new_main),
+            sources: vec![Arc::new(new_main)],
         });
         Ok(())
     }
@@ -653,20 +636,22 @@ impl SegmentedIndexStore {
     }
 
     /// Verifies every on-disk source (relation invariants, tombstone
-    /// disjointness) plus the manifest/published-set agreement.
+    /// disjointness, resident mirrors) plus the manifest/published-set
+    /// agreement. The shape statistics returned are the main file's.
     pub fn verify(&self) -> Result<StoreCheck> {
         let set = self.snapshot();
-        let check = set.main.verify()?;
-        for seg in &set.segments {
-            seg.verify().map_err(IndexError::Store)?;
+        let mut check = StoreCheck::default();
+        for src in set.sources() {
+            // The main file is verified last: its check is the one kept.
+            check = src.verify()?;
         }
         let live = self.manifest.live_segments()?;
-        let mut published: Vec<u64> = set.segments.iter().map(|s| s.seq()).collect();
+        let mut published: Vec<u64> = set.segments().iter().map(|s| s.id()).collect();
         published.reverse();
         if live != published {
-            return Err(IndexError::Store(crate::pager::StoreError::Corrupt(
-                format!("manifest live segments {live:?} disagree with published {published:?}"),
-            )));
+            return Err(IndexError::Store(StoreError::Corrupt(format!(
+                "manifest live segments {live:?} disagree with published {published:?}"
+            ))));
         }
         let trees = tree_ids_merged(&set, Some(&self.memtable)).len();
         Ok(StoreCheck {
@@ -680,9 +665,9 @@ impl SegmentedIndexStore {
     /// one for the main file (keyed by [`crate::ops::MAIN_SOURCE`]).
     pub fn relation_bytes(&self) -> Result<Vec<(u64, crate::ops::RelationBytes)>> {
         let set = self.snapshot();
-        let mut out = Vec::with_capacity(set.segments.len() + 1);
+        let mut out = Vec::with_capacity(set.sources.len());
         for src in set.sources() {
-            out.push((src.id, crate::ops::relation_bytes(src.pool)?));
+            out.push((src.id(), crate::ops::relation_bytes(src.pool())?));
         }
         Ok(out)
     }
@@ -765,8 +750,8 @@ impl SegmentedReader {
     }
 }
 
-/// All tree ids of the merged view, ascending — from the id lists and the
-/// main file's totals mirror, no page read.
+/// All tree ids of the merged view, ascending — from the sources' resident
+/// mirrors, no page read.
 fn tree_ids_merged(set: &SourceSet, memtable: Option<&Memtable>) -> Vec<TreeId> {
     let mut claimed: FxHashSet<u64> = FxHashSet::default();
     let mut ids: Vec<u64> = Vec::new();
@@ -778,17 +763,13 @@ fn tree_ids_merged(set: &SourceSet, memtable: Option<&Memtable>) -> Vec<TreeId> 
             }
         }
     }
-    for seg in &set.segments {
-        for &t in seg.owned() {
-            if claimed.insert(t) && !seg.is_tombstoned(t) {
+    for src in set.sources() {
+        for (t, _) in src.totals().iter() {
+            if claimed.insert(t) {
                 ids.push(t);
             }
         }
-    }
-    for (t, _) in set.main.totals().iter() {
-        if !claimed.contains(&t) {
-            ids.push(t);
-        }
+        claimed.extend(src.tombstones());
     }
     ids.sort_unstable();
     ids.into_iter().map(TreeId).collect()
@@ -822,6 +803,7 @@ mod tests {
     use super::*;
     use crate::ops::{MAIN_SOURCE, MEMTABLE_SOURCE};
     use crate::vfs::FaultVfs;
+    use crate::IndexStore;
     use pqgram_core::build_index;
     use pqgram_tree::generate::{random_tree, RandomTreeConfig};
     use pqgram_tree::{record_script, ScriptConfig};

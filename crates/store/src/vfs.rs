@@ -36,7 +36,7 @@
 //! deletes are atomic and immediately durable here, so a crash can never
 //! resurrect a deleted journal.
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};

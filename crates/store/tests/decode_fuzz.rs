@@ -353,7 +353,7 @@ fn mutate_header(rng: &mut Rng, image: &mut Vec<u8>) {
     let hdr = PAGE_SIZE.min(image.len());
     match rng.below(6) {
         // Meta slot (u64 at 24 + 8i) with a boundary value.
-        0 | 1 | 2 => {
+        0..=2 => {
             let at = 24 + 8 * rng.below(16);
             if at + 8 <= hdr {
                 let v = match rng.below(5) {
@@ -589,7 +589,10 @@ fn fuzzed_filter_pages_load_or_reject_and_never_fabricate_hits() {
         "fixture filter must span several pages (got {})",
         offsets.len()
     );
-    assert!(fuzz::filter_load(&path).unwrap(), "pristine filter must load");
+    assert!(
+        fuzz::filter_load(&path).unwrap(),
+        "pristine filter must load"
+    );
 
     let mut rng = Rng(0x5eed_0006);
     for _ in 0..(cases() / 10).max(50) {

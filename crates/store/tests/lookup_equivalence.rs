@@ -10,8 +10,8 @@
 //!    zero-overlap trees from the totals relation, there is no exhaustive
 //!    fallback);
 //! 2. the exhaustive forward-relation scan
-//!    ([`IndexStore::lookup_exhaustive_with_stats`], the version-1 plan,
-//!    kept as the reference oracle);
+//!    ([`pqgram_store::fuzz::lookup_exhaustive_with_stats`], the version-1
+//!    plan, kept as the reference oracle);
 //! 3. [`ForestIndex::lookup`], the in-memory oracle.
 //!
 //! Top-k lookups are checked against the same reference: `top_k(K)` must
@@ -28,6 +28,7 @@
 //! so the oracle only receives the non-empty members.
 
 use pqgram_core::{build_index, ForestIndex, PQParams, TreeId, TreeIndex};
+use pqgram_store::fuzz::lookup_exhaustive_with_stats;
 use pqgram_store::{
     FaultVfs, IndexStore, LookupPlan, SegmentedIndexStore, MAIN_SOURCE, MEMTABLE_SOURCE,
 };
@@ -90,7 +91,7 @@ proptest! {
 
         let expected = oracle.lookup(&query, tau).unwrap();
         let (inverted, inv_stats) = store.lookup_with_stats(&query, tau).unwrap();
-        let (scanned, scan_stats) = store.lookup_exhaustive_with_stats(&query, tau).unwrap();
+        let (scanned, scan_stats) = lookup_exhaustive_with_stats(&store, &query, tau).unwrap();
         // Every threshold — τ > 1 included — runs the candidate merge.
         prop_assert_eq!(inv_stats.plan, LookupPlan::CandidateMerge);
         prop_assert_eq!(scan_stats.plan, LookupPlan::ExhaustiveReference);
@@ -197,7 +198,7 @@ proptest! {
         // Top-k over the N-way merge must equal top-k over the single
         // file, which must equal the first k of the distance-sorted
         // exhaustive answer (τ = 1.5 admits every stored tree).
-        let (all_sorted, _) = single.lookup_exhaustive_with_stats(&query, 1.5).unwrap();
+        let (all_sorted, _) = lookup_exhaustive_with_stats(&single, &query, 1.5).unwrap();
         for k in [0usize, 1, 3, latest.len() + 4] {
             let top_seg = seg.lookup_top_k(&query, k).unwrap();
             let top_single = single.lookup_top_k(&query, k).unwrap();
@@ -331,7 +332,7 @@ proptest! {
 
         // τ = 1.5 admits every stored tree (all distances are ≤ 1), so the
         // sorted scan is the full nearest-neighbour ranking.
-        let (all_sorted, _) = store.lookup_exhaustive_with_stats(&query, 1.5).unwrap();
+        let (all_sorted, _) = lookup_exhaustive_with_stats(&store, &query, 1.5).unwrap();
         for k in [0usize, 1, 2, members.len(), members.len() + 5] {
             let (top, stats) = store.lookup_top_k_with_stats(&query, k).unwrap();
             prop_assert_eq!(&top[..], &all_sorted[..k.min(all_sorted.len())]);

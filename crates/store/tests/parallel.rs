@@ -17,7 +17,7 @@ use pqgram_tree::generate::{random_tree, RandomTreeConfig};
 use pqgram_tree::{LabelTable, Tree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pqgram-par-{}", std::process::id()));
@@ -44,12 +44,7 @@ fn forest(count: usize, nodes: usize) -> (Vec<(TreeId, Tree)>, LabelTable) {
 
 /// The full ingest pipeline: profile `docs` over `threads` workers, then
 /// stream sorted batches of 10 into the single writer.
-fn ingest(
-    path: &PathBuf,
-    docs: &[(TreeId, Tree)],
-    labels: &LabelTable,
-    threads: usize,
-) -> IndexStore {
+fn ingest(path: &Path, docs: &[(TreeId, Tree)], labels: &LabelTable, threads: usize) -> IndexStore {
     let params = PQParams::default();
     let batch: Vec<(TreeId, TreeIndex)> = pqgram_core::par::map(docs, threads, |(id, tree)| {
         (*id, build_index(tree, labels, params))
@@ -161,7 +156,7 @@ fn reader_storm_sees_exact_post_batch_snapshots() {
         .map(|(id, tree)| (*id, build_index(tree, &labels, params)))
         .collect();
     let mut store = IndexStore::create(&tmp("storm.pqg"), params).expect("create");
-    let mut rng = StdRng::seed_from_u64(0x570_12);
+    let mut rng = StdRng::seed_from_u64(0x5_7012);
     let tau = 0.9;
     for batch in indexes.chunks(30) {
         store.put_trees(batch).expect("batch ingest");

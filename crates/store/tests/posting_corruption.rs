@@ -15,7 +15,7 @@
 use pqgram_core::{build_index, PQParams, TreeId, TreeIndex};
 use pqgram_store::{IndexStore, PAGE_SIZE};
 use pqgram_tree::{LabelTable, Tree};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Tag byte every pack page starts with (see `crates/store/src/postings.rs`).
 const PACK_TAG: u8 = 0xB7;
@@ -78,7 +78,7 @@ fn pack_used(image: &[u8], off: usize) -> usize {
 
 /// Flips one bit, reopens, and demands loud detection: `open` or `verify`
 /// must error, and a lookup through the corrupt block must not panic.
-fn assert_flip_detected(path: &PathBuf, image: &[u8], bit: usize, query: &TreeIndex) {
+fn assert_flip_detected(path: &Path, image: &[u8], bit: usize, query: &TreeIndex) {
     let mut bytes = image.to_vec();
     bytes[bit / 8] ^= 1 << (bit % 8);
     std::fs::write(path, &bytes).unwrap();
@@ -142,7 +142,7 @@ fn truncated_pack_entry_is_detected() {
     let used = pack_used(&image, page) as u16 - 1;
     image[page + 4..page + 6].copy_from_slice(&used.to_le_bytes());
     std::fs::write(&path, &image).unwrap();
-    let verdict = IndexStore::open(&path).and_then(|s| Ok(s.verify()?));
+    let verdict = IndexStore::open(&path).and_then(|s| s.verify());
     assert!(verdict.is_err(), "truncated pack entry went undetected");
 }
 
@@ -153,7 +153,7 @@ fn zeroed_pack_page_is_detected() {
     let page = pack_page_offsets(&image)[0];
     image[page..page + PAGE_SIZE].fill(0);
     std::fs::write(&path, &image).unwrap();
-    let verdict = IndexStore::open(&path).and_then(|s| Ok(s.verify()?));
+    let verdict = IndexStore::open(&path).and_then(|s| s.verify());
     assert!(
         verdict.is_err(),
         "a directory entry points into a zeroed page; verify must object"
@@ -417,7 +417,7 @@ fn filter_bearing_store(name: &str) -> (PathBuf, TreeIndex, TreeIndex) {
 /// The answer set probed by every tamper case: sub-unit and super-unit
 /// thresholds plus a top-k plan, over a member and a foreign query.
 fn filter_answers(
-    path: &PathBuf,
+    path: &Path,
     member: &TreeIndex,
     foreign: &TreeIndex,
 ) -> Vec<Vec<pqgram_core::LookupHit>> {
@@ -434,7 +434,7 @@ fn filter_answers(
 /// queries across threshold and top-k plans, and verification must still
 /// pass: the filter is advisory, so damage to it is *not* a store error.
 fn assert_same_answers(
-    path: &PathBuf,
+    path: &Path,
     member: &TreeIndex,
     foreign: &TreeIndex,
     baseline: &[Vec<pqgram_core::LookupHit>],
@@ -509,8 +509,9 @@ fn forged_extra_filter_bits_only_cost_false_positive_probes() {
         for b in 0..64 {
             image[off + fl::OFF_PAYLOAD + b * 9] = 0xFF;
         }
-        let crc =
-            pqgram_store::crc::crc32(&image[off + fl::OFF_PAYLOAD..off + fl::OFF_PAYLOAD + fl::DATA_PAYLOAD]);
+        let crc = pqgram_store::crc::crc32(
+            &image[off + fl::OFF_PAYLOAD..off + fl::OFF_PAYLOAD + fl::DATA_PAYLOAD],
+        );
         image[off + fl::OFF_PAGE_CRC..off + fl::OFF_PAGE_CRC + 4]
             .copy_from_slice(&crc.to_le_bytes());
     }
@@ -532,7 +533,8 @@ fn tampered_filter_headers_are_rejected_cleanly() {
     let (path, member, foreign) = filter_bearing_store("filterhdr.pqg");
     let baseline = filter_answers(&path, &member, &foreign);
     let pristine = std::fs::read(&path).unwrap();
-    let header = usize::try_from(pqgram_store::fuzz::filter_page_offsets(&path).unwrap()[0]).unwrap();
+    let header =
+        usize::try_from(pqgram_store::fuzz::filter_page_offsets(&path).unwrap()[0]).unwrap();
 
     // (offset-in-page, u64 value): nblocks 0 / huge, npages+nindirect
     // garbage, first direct page id nulled.
@@ -596,7 +598,7 @@ fn inflated_pack_length_fields_are_rejected_without_overallocation() {
         let mut image = pristine.clone();
         image[page + off..page + off + 2].copy_from_slice(&value.to_le_bytes());
         std::fs::write(&path, &image).unwrap();
-        let verdict = IndexStore::open(&path).and_then(|s| Ok(s.verify()?));
+        let verdict = IndexStore::open(&path).and_then(|s| s.verify());
         assert!(
             verdict.is_err(),
             "inflated pack length field at offset {off} went undetected"

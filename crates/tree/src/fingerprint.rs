@@ -181,10 +181,10 @@ mod tests {
     /// `combine` as it was written before the Mersenne fold in `reduce`: one
     /// partial fold of the product, then a generic 128-bit remainder.
     fn combine_by_remainder(acc: Fingerprint, label_fp: Fingerprint) -> Fingerprint {
-        let prod = acc as u128 * BASE;
+        let prod = u128::from(acc) * BASE;
         let folded = (prod & P) + (prod >> 61);
         let folded = if folded >= P { folded - P } else { folded };
-        ((folded + label_fp as u128 + 1) % P) as u64
+        ((folded + u128::from(label_fp) + 1) % P) as u64
     }
 
     /// Stored files hold these values: pinned as the commit before the
@@ -249,21 +249,24 @@ mod tests {
     fn reduce_is_the_remainder() {
         for &hi in &probe_values() {
             for &lo in &probe_values() {
-                let x = ((hi as u128) << 64) | lo as u128;
-                assert_eq!(reduce(x) as u128, x % P, "x={x:#x}");
+                let x = (u128::from(hi) << 64) | u128::from(lo);
+                assert_eq!(u128::from(reduce(x)), x % P, "x={x:#x}");
             }
         }
-        assert_eq!(reduce(u128::MAX) as u128, u128::MAX % P);
+        assert_eq!(u128::from(reduce(u128::MAX)), u128::MAX % P);
     }
 
     #[test]
     fn term_scale_add_agree_with_wide_arithmetic() {
         for &a in &probe_values() {
-            assert_eq!(term(a) as u128, (a as u128 + 1) % P);
+            assert_eq!(u128::from(term(a)), (u128::from(a) + 1) % P);
             for &b in &probe_values() {
-                assert_eq!(scale(a, b) as u128, (a as u128 * b as u128) % P);
+                assert_eq!(u128::from(scale(a, b)), (u128::from(a) * u128::from(b)) % P);
                 let (ra, rb) = (a % P64, b % P64);
-                assert_eq!(add(ra, rb) as u128, (ra as u128 + rb as u128) % P);
+                assert_eq!(
+                    u128::from(add(ra, rb)),
+                    (u128::from(ra) + u128::from(rb)) % P
+                );
             }
         }
         // The corners of `add`: the sum lands exactly on, and just around, P.
@@ -275,7 +278,7 @@ mod tests {
     #[test]
     fn base_power_is_repeated_scaling() {
         assert_eq!(base_power(0), 1);
-        assert_eq!(base_power(1) as u128, BASE);
+        assert_eq!(u128::from(base_power(1)), BASE);
         for k in 1..12 {
             assert_eq!(base_power(k), scale(base_power(k - 1), BASE as u64));
         }

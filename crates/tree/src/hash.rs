@@ -39,12 +39,12 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write_u8(&mut self, v: u8) {
-        self.add(v as u64);
+        self.add(u64::from(v));
     }
 
     #[inline]
     fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
+        self.add(u64::from(v));
     }
 
     #[inline]

@@ -49,7 +49,7 @@ pub fn read_varint<R: Read + ?Sized>(r: &mut R) -> io::Result<u64> {
                 "varint overflow",
             ));
         }
-        v |= ((b & 0x7f) as u64) << shift;
+        v |= u64::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
             return Ok(v);
         }
@@ -163,7 +163,16 @@ mod tests {
 
     #[test]
     fn varint_roundtrip() {
-        for v in [0u64, 1, 127, 128, 300, 1 << 20, u32::MAX as u64, u64::MAX] {
+        for v in [
+            0u64,
+            1,
+            127,
+            128,
+            300,
+            1 << 20,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v).unwrap();
             assert_eq!(read_varint(&mut buf.as_slice()).unwrap(), v);

@@ -461,7 +461,7 @@ pub fn return_type_of(sig: &str) -> Option<String> {
             }
         }
         let inner = &rest[..end];
-        Some(split_top_level(inner).first().map(|s| s.to_string())?)
+        split_top_level(inner).first().map(|s| s.to_string())
     });
     let ty = strip_wrappers(inner.as_deref().unwrap_or(ret));
     // Only plain type names are useful for receiver typing — tuples,
@@ -621,7 +621,7 @@ fn scan_let_bindings(f: &FnItem, model: &Model, out: &mut BTreeMap<String, Strin
                 out.insert(pat_name, ty);
             } else if let Some(ty) = self_method_rhs_type(rhs, f.owner.as_deref(), model) {
                 out.insert(pat_name, ty);
-            } else if let Some(ty) = local_rhs_type(rhs, &out) {
+            } else if let Some(ty) = local_rhs_type(rhs, out) {
                 out.insert(pat_name, ty);
             }
         }

@@ -64,7 +64,7 @@ fn scan_body(body: &str, start_line: usize, file: &str, out: &mut Vec<Violation>
         // for use and is fine. Scan back to the statement start and skip
         // when the value is assigned to anything.
         let stmt_start = body[..at]
-            .rfind(|c| c == ';' || c == '{' || c == '}')
+            .rfind([';', '{', '}'])
             .map(|p| p + 1)
             .unwrap_or(0);
         if body[stmt_start..at].contains('=') {

@@ -868,7 +868,7 @@ fn arith_after(bytes: &[u8], end: usize) -> bool {
     };
     let next2 = bytes.get(i + 1).copied();
     match next {
-        b'+' | b'*' | b'/' | b'%' | b'^' => next2 != Some(b'=') || true,
+        b'+' | b'*' | b'/' | b'%' | b'^' => true,
         b'-' => next2 != Some(b'>'),
         b'<' => next2 == Some(b'<'),
         b'>' => next2 == Some(b'>'),

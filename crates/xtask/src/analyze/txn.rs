@@ -8,7 +8,7 @@
 //! * `txn-sink` — a mutating write (`Pager::write_page`, buffer-pool page
 //!   mutation, …);
 //! * `txn-boundary` — opens and closes a transaction around everything it
-//!   runs (`IndexStore::transactional`, `ops::ensure_format`);
+//!   runs (`ops::transactional`, `Source::put_trees`);
 //! * `txn-exempt(<reason>)` — reviewed out-of-transaction writes
 //!   (initialising a fresh file, flushing already-committed state).
 //!

@@ -32,7 +32,7 @@ impl Counts {
     }
 
     /// Number of `(rule, file)` entries.
-    pub fn len(&self) -> usize {
+    pub fn entries(&self) -> usize {
         self.map.len()
     }
 

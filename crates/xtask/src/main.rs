@@ -177,7 +177,7 @@ fn ratchet(
                 println!(
                     "xtask: baseline updated ({} violations across {} rule/file entries)",
                     merged.total(),
-                    merged.len()
+                    merged.entries()
                 );
                 return ExitCode::SUCCESS;
             }
