@@ -24,7 +24,8 @@
 
 use crate::btree::{BTree, Fill};
 use crate::ops::{
-    check_params, lookup, LookupStats, RelationBytes, Sources, StoreCheck, Want, SLOT_FWD,
+    check_params, lookup, BuildRows, LookupStats, RelationBytes, Sources, StoreCheck, Want,
+    SLOT_FWD,
 };
 use crate::pager::StoreError;
 use crate::segment::{Role, Source};
@@ -321,15 +322,17 @@ impl IndexStore {
     where
         I: IntoIterator<Item = (TreeId, &'a TreeIndex)>,
     {
-        let mut rows: Vec<((u64, u64), u32)> = Vec::new();
-        for (id, index) in forest {
+        let mut forest: Vec<(TreeId, &TreeIndex)> = forest.into_iter().collect();
+        for (_, index) in &forest {
             check_params(index.params(), params)?;
-            crate::ops::push_tree_rows(&mut rows, id.0, index);
         }
-        // Each tree's rows are in order already; this pass only has work to
-        // do when the forest did not arrive in id order.
-        rows.sort_unstable_by_key(|&(k, _)| k);
-        let file = Source::build(vfs, path, params, Role::Main, &rows, &[], Fill::Slack)?;
+        // Ranks follow ids: the trees are sorted, never their rows.
+        forest.sort_unstable_by_key(|&(id, _)| id);
+        let mut build = BuildRows::with_capacity(forest.iter().map(|(_, i)| i.distinct()).sum());
+        for (id, index) in forest {
+            build.push_tree(id.0, index);
+        }
+        let file = Source::build(vfs, path, params, Role::Main, build, &[], Fill::Slack)?;
         Ok(IndexStore { file, params })
     }
 
@@ -344,9 +347,9 @@ impl IndexStore {
     /// Takes the store: this is a write, of another file.
     pub fn compact_to(self, target: &Path) -> Result<IndexStore> {
         let src = BTree::open_existing(self.file.pool(), SLOT_FWD)?;
-        let mut rows: Vec<((u64, u64), u32)> = Vec::new();
-        src.for_each_range((0, 0), (u64::MAX, u64::MAX), |k, v| {
-            rows.push((k, v));
+        let mut build = BuildRows::default();
+        src.for_each_range((0, 0), (u64::MAX, u64::MAX), |(t, g), c| {
+            build.push(t, g, c);
             true
         })?;
         let vfs = std::sync::Arc::new(crate::vfs::RealVfs);
@@ -355,7 +358,7 @@ impl IndexStore {
             target,
             self.params,
             Role::Main,
-            &rows,
+            build,
             &[],
             Fill::Slack,
         )?;

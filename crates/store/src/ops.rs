@@ -262,12 +262,47 @@ pub(crate) struct Built {
     pub(crate) directory: Vec<DirRow>,
 }
 
-/// Appends the forward rows of tree `t`, ascending by gram.
-pub(crate) fn push_tree_rows(rows: &mut Vec<((u64, u64), u32)>, t: u64, index: &TreeIndex) {
-    let start = rows.len();
-    rows.extend(index.iter().map(|(gram, count)| ((t, gram), count)));
-    if let Some(own) = rows.get_mut(start..) {
-        own.sort_unstable_by_key(|&(k, _)| k);
+/// The rows of one bulk build, `((treeId, pqg), cnt)`: trees in ascending
+/// id order, each tree's rows together, its grams in any order. The build
+/// sorts every row once, by gram alone ([`bulk_load_relations`]).
+#[derive(Default)]
+pub(crate) struct BuildRows {
+    /// Per tree, in order: its id, its row count and its bag size.
+    trees: Vec<(u64, usize, u64)>,
+    /// The rows, each tree's together.
+    rows: Vec<Row>,
+    /// Whether some tree's grams arrived out of ascending order.
+    unordered: bool,
+}
+
+impl BuildRows {
+    /// An empty build with room for `rows` rows.
+    pub(crate) fn with_capacity(rows: usize) -> BuildRows {
+        BuildRows {
+            rows: Vec::with_capacity(rows),
+            ..BuildRows::default()
+        }
+    }
+
+    /// Appends the row `(t, gram) → count`. A tree other than the last
+    /// one pushed starts a new tree.
+    pub(crate) fn push(&mut self, t: u64, gram: u64, count: u32) {
+        match self.trees.last_mut() {
+            Some((id, n, total)) if *id == t => {
+                *n += 1;
+                *total += u64::from(count);
+                self.unordered |= self.rows.last().is_some_and(|&((_, g), _)| g >= gram);
+            }
+            _ => self.trees.push((t, 1, u64::from(count))),
+        }
+        self.rows.push(((t, gram), count));
+    }
+
+    /// Appends the rows of tree `t`, in bag order.
+    pub(crate) fn push_tree(&mut self, t: u64, index: &TreeIndex) {
+        for (gram, count) in index.iter() {
+            self.push(t, gram, count);
+        }
     }
 }
 
@@ -275,22 +310,23 @@ pub(crate) fn push_tree_rows(rows: &mut Vec<((u64, u64), u32)>, t: u64, index: &
 /// start than its share of the sort saves.
 const MIN_ROWS_PER_BUILD_THREAD: usize = 4096;
 
-/// Forward rows sampled to place the gram-range splitters of a build.
+/// Rows sampled to place the gram ranges of a build's transpose.
 const SPLITTER_SAMPLE: usize = 1024;
 
-/// Bulk-loads all three relations and the gram filter from rows sorted
-/// strictly ascending by `(treeId, pqg)`, their B+-tree nodes filled to
-/// `fill`; the relations must be empty. Everything is derived from `rows` —
-/// nothing is read back. The CPU-only work fans out over one worker per
-/// core (DESIGN.md, "Parallel seams").
+/// Bulk-loads all three relations and the gram filter from `build`, their
+/// B+-tree nodes filled to `fill`; the relations must be empty. Everything
+/// is derived from the rows — nothing is read back. The CPU-only work fans
+/// out over one worker per core (DESIGN.md, "Parallel seams").
 pub(crate) fn bulk_load_relations(
     pool: &BufferPool,
-    rows: &[((u64, u64), u32)],
+    build: BuildRows,
     fill: Fill,
 ) -> Result<Built> {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let threads = cores.min(rows.len() / MIN_ROWS_PER_BUILD_THREAD).max(1);
-    bulk_load_relations_on(pool, rows, threads, fill)
+    let threads = cores
+        .min(build.rows.len() / MIN_ROWS_PER_BUILD_THREAD)
+        .max(1);
+    bulk_load_relations_on(pool, build, threads, fill)
 }
 
 /// [`bulk_load_relations`] on at most `threads` threads. Every page write
@@ -298,24 +334,17 @@ pub(crate) fn bulk_load_relations(
 /// `threads`: the workers only sort and encode.
 pub(crate) fn bulk_load_relations_on(
     pool: &BufferPool,
-    rows: &[Row],
+    build: BuildRows,
     threads: usize,
     fill: Fill,
 ) -> Result<Built> {
-    BTree::open(pool, SLOT_FWD)?.bulk_load_with(rows.iter().copied(), fill)?;
-    let mut totals: Vec<(u64, u64)> = Vec::new();
-    for &((t, _), c) in rows {
-        match totals.last_mut() {
-            Some((last, total)) if *last == t => *total += u64::from(c),
-            _ => totals.push((t, u64::from(c))),
-        }
-    }
-    let inv_rows = invert(rows, threads);
+    let sorted = sort_build(build, threads)?;
+    BTree::open(pool, SLOT_FWD)?.bulk_load_with(sorted.forward, fill)?;
     let inv = BTree::open(pool, SLOT_INV)?;
-    let directory = postings::bulk_load_inverted(pool, &inv, &inv_rows, threads, fill)?;
+    let directory = postings::bulk_load_inverted(pool, &inv, &sorted.inverted, threads, fill)?;
     let mut view = TotalsView::empty();
-    let mut tot_rows: Vec<((u64, u64), u32)> = Vec::with_capacity(totals.len());
-    for (t, total) in totals {
+    let mut tot_rows: Vec<((u64, u64), u32)> = Vec::with_capacity(sorted.totals.len());
+    for (t, total) in sorted.totals {
         let total = total_u32(total)?;
         view.set(t, total);
         tot_rows.push(((t, 0), total));
@@ -323,7 +352,7 @@ pub(crate) fn bulk_load_relations_on(
     BTree::open(pool, SLOT_TOT)?.bulk_load_with(tot_rows, fill)?;
     // The sorted inverted rows hold every gram's postings side by side.
     let mut grams: Vec<u64> = Vec::new();
-    for &((g, _), _) in &inv_rows {
+    for &((g, _), _) in &sorted.inverted {
         if grams.last() != Some(&g) {
             grams.push(g);
         }
@@ -336,60 +365,203 @@ pub(crate) fn bulk_load_relations_on(
     })
 }
 
-/// Transposes forward rows, sorted by `(treeId, pqg)`, into the inverted
-/// rows sorted by `(pqg, treeId)`.
+/// The rows of a build in both key orders, and each tree's bag size.
+struct Sorted {
+    /// `((treeId, pqg), cnt)`, strictly ascending when the build's keys
+    /// are distinct.
+    forward: Vec<Row>,
+    /// `((pqg, treeId), cnt)`, likewise.
+    inverted: Vec<Row>,
+    /// `(treeId, |I(T)|)`, ascending.
+    totals: Vec<(u64, u64)>,
+}
+
+/// Sorts each row of `build` once, on at most `threads` threads:
+/// [`invert`] orders the rows by gram. Where every tree's grams arrived
+/// ascending — as a compaction reads them — the rows are the forward rows
+/// already. Otherwise each row's tree goes by its rank, its position among
+/// the build's trees, and one counting pass ([`scatter`]) deals the
+/// inverted rows out to the forward order, where each tree's rows then lie
+/// ascending by gram.
+fn sort_build(build: BuildRows, threads: usize) -> Result<Sorted> {
+    let BuildRows {
+        trees,
+        mut rows,
+        unordered,
+    } = build;
+    if !trees.is_sorted_by(|a, b| a.0 < b.0) {
+        return Err(StoreError::InvalidArgument(
+            "bulk build: tree ids are not strictly ascending".into(),
+        ));
+    }
+    let totals = trees.iter().map(|&(t, _, total)| (t, total)).collect();
+    if !unordered {
+        let inverted = invert(&rows, threads);
+        return Ok(Sorted {
+            forward: rows,
+            inverted,
+            totals,
+        });
+    }
+    let ranks = (0u64..).zip(&trees);
+    let ranks = ranks.flat_map(|(rank, &(_, n, _))| std::iter::repeat_n(rank, n));
+    for (row, rank) in rows.iter_mut().zip(ranks) {
+        row.0 .0 = rank;
+    }
+    let mut inverted = invert(&rows, threads);
+    // The rank rows are spent: their buffer takes the forward rows.
+    let mut forward = rows;
+    scatter(&mut inverted, &trees, &mut forward)?;
+    Ok(Sorted {
+        forward,
+        inverted,
+        totals,
+    })
+}
+
+/// Most bits of a gram's offset within its share that pick its bucket in
+/// [`invert`].
+const BUCKET_BITS: u32 = 16;
+
+/// Transposes rows `((tree, pqg), cnt)` whose tree keys (ids or ranks)
+/// never descend into `((pqg, tree), cnt)` rows sorted by `(pqg, tree)`.
 ///
-/// The grams are cut into at most `threads` ranges by [`gram_splitters`].
-/// One worker per range collects that range's rows into its own slice of
-/// the one output vector and sorts it there, allocating nothing. The
-/// ranges are disjoint and ascending, so the slices in order are the
-/// serially sorted vector. Keys are unique, so the unstable sort has one
-/// possible result whatever the split.
+/// The grams are cut into at most `threads` ranges by [`gram_splitters`],
+/// and each range into buckets by the top bits of a gram's offset in it.
+/// One pass over the rows, in parallel chunks, counts the rows of every
+/// bucket. Then one worker per range deals that range's rows, in input
+/// order, into its buckets in its own slice of the one output vector, and
+/// sorts each bucket by gram alone. Both steps are stable and rows of one
+/// gram arrive in tree order, so the slice comes out in `(pqg, tree)`
+/// order. The ranges are disjoint and ascending, so the slices in order
+/// are the serially sorted vector, whatever the split.
 fn invert(rows: &[Row], threads: usize) -> Vec<Row> {
-    let splitters = gram_splitters(rows, threads);
+    let sample = gram_sample(rows);
+    let (Some(&lowest), Some(&highest)) = (sample.first(), sample.last()) else {
+        return Vec::new();
+    };
+    let splitters = gram_splitters(&sample, threads);
     let share = |g: u64| splitters.partition_point(|&s| s <= g);
     let shares = splitters.len() + 1;
-    let mut lens = vec![0usize; shares];
-    for counts in pqgram_core::par::map_chunks(rows, shares, |part| {
-        let mut counts = vec![0usize; shares];
+    // About 8 rows per bucket, at most 2^BUCKET_BITS buckets per range.
+    let per_share = rows.len() / shares;
+    let bits = (usize::BITS - per_share.leading_zeros())
+        .saturating_sub(3)
+        .min(BUCKET_BITS);
+    let buckets = 1usize << bits;
+    // Range `k` spans `[s[k-1], s[k])`; the outer ranges end at the
+    // sample's extremes, and a gram past them joins the edge bucket.
+    let lows = std::iter::once(lowest).chain(splitters.iter().copied());
+    let highs = splitters.iter().map(|&s| s - 1).chain([highest]);
+    let layout: Vec<(u64, u32)> = lows
+        .zip(highs)
+        .map(|(lo, hi)| {
+            let span = u64::BITS - hi.saturating_sub(lo).leading_zeros();
+            (lo, span.saturating_sub(bits))
+        })
+        .collect();
+    // The index of `g`'s bucket among all ranges' buckets.
+    let slot = |g: u64| {
+        let k = share(g);
+        let (lo, shift) = layout.get(k).copied().unwrap_or((lowest, 0));
+        let b = usize::try_from(g.saturating_sub(lo) >> shift).unwrap_or(usize::MAX);
+        k * buckets + b.min(buckets - 1)
+    };
+    let mut counts = vec![0usize; shares * buckets];
+    for part in pqgram_core::par::map_chunks(rows, threads, |part| {
+        let mut counts = vec![0usize; shares * buckets];
         for &((_, g), _) in part {
-            if let Some(n) = counts.get_mut(share(g)) {
+            if let Some(n) = counts.get_mut(slot(g)) {
                 *n += 1;
             }
         }
         counts
     }) {
-        for (total, n) in lens.iter_mut().zip(counts) {
+        for (total, n) in counts.iter_mut().zip(part) {
             *total += n;
         }
     }
+    let lens: Vec<usize> = counts.chunks(buckets).map(|c| c.iter().sum()).collect();
     let mut inv = vec![((0, 0), 0); rows.len()];
     pqgram_core::par::map_chunks_mut(&mut inv, &lens, |k, out| {
-        let mine = rows.iter().filter(|&&((_, g), _)| share(g) == k);
-        for (slot, &((t, g), c)) in out.iter_mut().zip(mine) {
-            *slot = ((g, t), c);
+        // `ends[b]`: first the start of bucket `b`, then, once dealt, its end.
+        let mut ends = counts
+            .get(k * buckets..(k + 1) * buckets)
+            .unwrap_or(&[])
+            .to_vec();
+        let mut at = 0;
+        for end in &mut ends {
+            (*end, at) = (at, at + *end);
         }
-        out.sort_unstable_by_key(|&(key, _)| key);
+        for &((r, g), c) in rows.iter().filter(|&&((_, g), _)| share(g) == k) {
+            if let Some(end) = ends.get_mut(slot(g) - k * buckets) {
+                if let Some(out) = out.get_mut(*end) {
+                    *out = ((g, r), c);
+                }
+                *end += 1;
+            }
+        }
+        let mut start = 0;
+        for &end in &ends {
+            if let Some(run) = out.get_mut(start..end) {
+                run.sort_by_key(|&((g, _), _)| g);
+            }
+            start = end;
+        }
     });
     inv
 }
 
-/// Gram values that cut `rows` into at most `threads` ranges of about equal
-/// row count, ascending and distinct: range `k` holds the grams in
-/// `[s[k-1], s[k])`. They are quantiles of an evenly strided sample of the
-/// rows' grams, so they follow the keys wherever they lie (Karp–Rabin gram
-/// keys stay below 2⁶¹: a cut on a fixed high bit would split nothing). A
-/// cut at the smallest sampled gram is dropped, so every range holds at
-/// least the rows of its own lowest cut.
-fn gram_splitters(rows: &[Row], threads: usize) -> Vec<u64> {
-    if threads < 2 || rows.is_empty() {
-        return Vec::new();
+/// Deals the inverted rows of [`invert`], sorted by `(pqg, rank)`, out to
+/// `fwd` as the forward rows `((treeId, pqg), cnt)` in one counting pass:
+/// rank `r` owns the `trees[r].1` slots after the ranks before it, and its
+/// rows arrive in gram order. The same pass writes each row's tree id over
+/// its rank, which leaves `inv` sorted by `(pqg, treeId)`.
+fn scatter(inv: &mut [Row], trees: &[(u64, usize, u64)], fwd: &mut [Row]) -> Result<()> {
+    let mut next: Vec<(u64, usize)> = Vec::with_capacity(trees.len());
+    let mut at = 0;
+    for &(t, n, _) in trees {
+        next.push((t, at));
+        at += n;
     }
+    for row in inv.iter_mut() {
+        let ((g, r), c) = *row;
+        let place = usize::try_from(r).ok().and_then(|r| next.get_mut(r));
+        let Some((t, at)) = place else {
+            return Err(StoreError::Corrupt(format!(
+                "bulk build: rank {r} out of range"
+            )));
+        };
+        if let Some(slot) = fwd.get_mut(*at) {
+            *slot = ((*t, g), c);
+        }
+        *at += 1;
+        row.0 .1 = *t;
+    }
+    Ok(())
+}
+
+/// The grams of an evenly strided sample of about [`SPLITTER_SAMPLE`]
+/// rows, ascending.
+fn gram_sample(rows: &[Row]) -> Vec<u64> {
     let step = (rows.len() / SPLITTER_SAMPLE).max(1);
     let mut sample: Vec<u64> = rows.iter().step_by(step).map(|&((_, g), _)| g).collect();
     sample.sort_unstable();
-    let lowest = sample.first().copied().unwrap_or(0);
-    let mut cuts: Vec<u64> = (1..threads)
+    sample
+}
+
+/// Gram values that cut the rows of which `sample` is the
+/// [`gram_sample`] into at most `threads` ranges of about equal row count,
+/// ascending and distinct: range `k` holds the grams in `[s[k-1], s[k])`.
+/// They are the sample's quantiles, so they follow the keys wherever they
+/// lie (Karp–Rabin gram keys stay below 2⁶¹: a cut on a fixed high bit
+/// would split nothing). A cut at the smallest sampled gram is dropped, so
+/// every range holds at least the rows of its own lowest cut.
+fn gram_splitters(sample: &[u64], threads: usize) -> Vec<u64> {
+    let Some(&lowest) = sample.first() else {
+        return Vec::new();
+    };
+    let mut cuts: Vec<u64> = (1..threads.max(1))
         .filter_map(|k| sample.get(k * sample.len() / threads).copied())
         .filter(|&cut| cut > lowest)
         .collect();
@@ -2356,7 +2528,7 @@ mod tests {
             FileKind::Segment,
         )?;
         init_relations(&pool)?;
-        let built = bulk_load_relations_on(&pool, rows, threads, Fill::Full)?;
+        let built = bulk_load_relations_on(&pool, build_of(rows), threads, Fill::Full)?;
         pool.sync()?;
         verify_relations(&pool)?;
         let mut file = vfs.open(path)?;
@@ -2382,9 +2554,20 @@ mod tests {
         let mut sorted: Vec<Row> = rows.iter().map(|&((t, g), c)| ((g, t), c)).collect();
         sorted.sort_unstable_by_key(|&(k, _)| k);
         for threads in [1, 2, 3, 4, 8] {
-            assert_eq!(invert(rows, threads), sorted, "{threads}");
+            let both = sort_build(build_of(rows), threads)?;
+            assert_eq!(both.inverted, sorted, "{threads}");
+            assert_eq!(both.forward, rows, "{threads}");
         }
         Ok(())
+    }
+
+    /// The build of forward rows `rows`, in their order.
+    fn build_of(rows: &[Row]) -> BuildRows {
+        let mut build = BuildRows::with_capacity(rows.len());
+        for &((t, g), c) in rows {
+            build.push(t, g, c);
+        }
+        build
     }
 
     #[test]
@@ -2397,7 +2580,10 @@ mod tests {
     fn one_gram_stays_in_one_share() -> Result<()> {
         let rows = forward((0..10_000).map(|t| (t, 0x1234_5678, 1)).collect());
         for threads in [2, 4, 8] {
-            assert!(gram_splitters(&rows, threads).is_empty(), "{threads}");
+            assert!(
+                gram_splitters(&gram_sample(&rows), threads).is_empty(),
+                "{threads}"
+            );
         }
         assert_thread_invariant(&rows)
     }
@@ -2408,7 +2594,7 @@ mod tests {
         assert!(rows.iter().all(|&((t, g), _)| t < 1 << 61 && g < 1 << 61));
         for threads in [2, 3, 4, 8] {
             assert_eq!(
-                gram_splitters(&rows, threads).len(),
+                gram_splitters(&gram_sample(&rows), threads).len(),
                 threads - 1,
                 "{threads}"
             );
@@ -2422,7 +2608,7 @@ mod tests {
         // the gram-range cut, which falls inside a group.
         let rows = random_rows(7, 3_000, 400, 24);
         let inv = invert(&rows, 2);
-        let cut = gram_splitters(&rows, 2);
+        let cut = gram_splitters(&gram_sample(&rows), 2);
         let at = inv.partition_point(|&((g, _), _)| cut.first().is_none_or(|&c| g < c));
         assert!(
             at > 0 && at < inv.len() && at % MAX_BLOCK_ROWS != 0,
@@ -2457,7 +2643,7 @@ mod tests {
         for (seed, grams) in [(1, 1u64 << 61), (2, 40), (3, 3), (4, u64::MAX)] {
             let rows = random_rows(seed, 5_000, 300, grams);
             for threads in 1..=8 {
-                let cuts = gram_splitters(&rows, threads);
+                let cuts = gram_splitters(&gram_sample(&rows), threads);
                 assert!(cuts.len() < threads.max(1), "{threads}: {cuts:?}");
                 assert!(cuts.windows(2).all(|w| w[0] < w[1]), "ascending: {cuts:?}");
                 // Every row falls in exactly one range, the ranges cover the
@@ -2501,6 +2687,74 @@ mod tests {
         });
     }
 
+    /// The transpose and the rank scatter give both orders of a build
+    /// exactly as sorting every row by its key does, at 1, 2 and 3
+    /// threads: sparse ascending tree ids, each tree's grams in draw
+    /// order (or, in a quarter of the cases, ascending) and shared with
+    /// other trees, ids and grams near 2⁶¹ in half
+    /// the cases, and builds of no row, of one tree and of one gram.
+    #[test]
+    fn the_transpose_equals_a_sort_of_both_orders_at_every_thread_count() {
+        let name = "the_transpose_equals_a_sort_of_both_orders_at_every_thread_count";
+        check::cases(name, 64, |g| {
+            let trees = match g.random_range(0..4) {
+                0 => 0,
+                1 => 1,
+                _ => g.random_range(2..80),
+            };
+            let grams: u64 = if g.random_bool(0.2) {
+                1
+            } else {
+                g.random_range(1..600)
+            };
+            let base = if g.random_bool(0.5) {
+                (1u64 << 61) - 1_000_000
+            } else {
+                0
+            };
+            let ascending = g.random_bool(0.25);
+            let mut rows: Vec<Row> = Vec::new();
+            let mut t = base;
+            for _ in 0..trees {
+                t += g.random_range(1u64..1_000);
+                let mut seen = BTreeSet::new();
+                let mut own = check::vec(g, 0..120, |g| base + g.random_range(0..grams));
+                own.retain(|&gram| seen.insert(gram));
+                if ascending {
+                    own.sort_unstable();
+                }
+                for gram in own {
+                    rows.push(((t, gram), g.random_range(1..=u32::MAX)));
+                }
+            }
+            let mut totals: BTreeMap<u64, u64> = BTreeMap::new();
+            for &((t, _), c) in &rows {
+                *totals.entry(t).or_default() += u64::from(c);
+            }
+            let mut inverted: Vec<Row> = rows.iter().map(|&((t, g), c)| ((g, t), c)).collect();
+            inverted.sort_unstable_by_key(|&(k, _)| k);
+            let mut forward = rows.clone();
+            forward.sort_unstable_by_key(|&(k, _)| k);
+            for threads in 1..=3 {
+                let sorted = sort_build(build_of(&rows), threads).unwrap();
+                assert_eq!(sorted.forward, forward, "forward at {threads} threads");
+                assert_eq!(sorted.inverted, inverted, "inverted at {threads} threads");
+                assert!(sorted.totals.iter().copied().eq(totals.clone()), "totals");
+            }
+        });
+    }
+
+    #[test]
+    fn a_build_refuses_tree_ids_out_of_order() {
+        let mut build = BuildRows::default();
+        build.push(5, 1, 1);
+        build.push(3, 1, 1);
+        assert!(matches!(
+            sort_build(build, 1),
+            Err(StoreError::InvalidArgument(_))
+        ));
+    }
+
     // -----------------------------------------------------------------
     // The split probe: any share of the chunks gives the serial walk's
     // tally and counters.
@@ -2531,7 +2785,7 @@ mod tests {
             path,
             params,
             Role::Main,
-            rows,
+            build_of(rows),
             &[],
             Fill::Full,
         )?);

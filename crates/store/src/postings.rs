@@ -141,13 +141,25 @@ fn low_mask(width: u8) -> u64 {
 
 /// ORs the low `width` bits of `value` into `bytes` at absolute bit
 /// position `pos` (LSB-first). The target bits must still be zero: the
-/// encoder writes every position once into a zeroed buffer.
+/// encoder writes every position once into a zeroed buffer. A value that
+/// fits the eight bytes at its first byte is one load, OR and store; a
+/// wider one, or one of a section's last few, goes through a `u128`.
+#[inline]
 fn put_bits(bytes: &mut [u8], pos: usize, value: u64, width: u8) -> Result<()> {
     if width == 0 {
         return Ok(());
     }
     let value = value & low_mask(width);
     let shift = pos % 8;
+    if shift + usize::from(width) <= 64 {
+        if let Some(chunk) = bytes
+            .get_mut(pos / 8..)
+            .and_then(<[u8]>::first_chunk_mut::<8>)
+        {
+            *chunk = (u64::from_le_bytes(*chunk) | value << shift).to_le_bytes();
+            return Ok(());
+        }
+    }
     let need = (shift + usize::from(width)).div_ceil(8);
     let dst = (pos / 8)
         .checked_add(need)
@@ -1920,6 +1932,7 @@ pub(crate) fn expand_all(
 )]
 mod tests {
     use super::*;
+    use rand::{Rng, RngCore};
 
     /// `n` rows spread over `grams` distinct grams with the given treeId
     /// stride.
@@ -1958,6 +1971,101 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The block entry of `rows` written one bit at a time: the header as
+    /// the encoder lays it out, then every section value bit by bit into
+    /// a zeroed buffer, then the CRC.
+    fn bit_by_bit(rows: &[Row]) -> Vec<u8> {
+        let plan = plan_block(rows).unwrap();
+        let (first, last) = (rows[0].0, rows[rows.len() - 1].0);
+        let mut out = Vec::new();
+        for v in [last.0, last.1, first.0, first.1] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        for v in [rows.len(), plan.total - ENTRY_HDR, plan.grams] {
+            out.extend_from_slice(&u16::try_from(v).unwrap().to_le_bytes());
+        }
+        out.extend_from_slice(&[plan.gw, plan.rw, plan.tw, plan.cw]);
+        let mut bits = vec![false; 8 * (plan.total - 4 - out.len())];
+        let mut put = |at: usize, value: u64, width: u8| {
+            for b in 0..usize::from(width) {
+                bits[at + b] = (value >> b) & 1 == 1;
+            }
+        };
+        let low_at = 8 * plan.gram_high_bits.div_ceil(8);
+        let run_at = low_at + 8 * section_bytes(plan.grams, plan.gw);
+        let tid_at = run_at + 8 * section_bytes(plan.grams, plan.rw);
+        let count_at = tid_at + 8 * section_bytes(rows.len(), plan.tw);
+        let (tw, cw, gw, rw) = (plan.tw, plan.cw, plan.gw, plan.rw);
+        let mut gram_index = 0;
+        for (i, &((gram, t), c)) in rows.iter().enumerate() {
+            put(tid_at + i * usize::from(tw), t, tw);
+            put(count_at + i * usize::from(cw), u64::from(c - 1), cw);
+            if rows.get(i + 1).is_some_and(|next| next.0 .0 == gram) {
+                continue;
+            }
+            let delta = gram - first.0;
+            let high = usize::try_from(delta >> gw).unwrap() + gram_index;
+            put(high, 1, 1);
+            put(
+                low_at + gram_index * usize::from(gw),
+                delta & low_mask(gw),
+                gw,
+            );
+            put(
+                run_at + gram_index * usize::from(rw),
+                u64::try_from(i).unwrap(),
+                rw,
+            );
+            gram_index += 1;
+        }
+        for byte in bits.chunks(8) {
+            out.push(
+                byte.iter()
+                    .rev()
+                    .fold(0, |acc, &bit| (acc << 1) | u8::from(bit)),
+            );
+        }
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    /// The encoder's word writes leave the bytes a bit-at-a-time writer
+    /// leaves, at every tree-id width up to 64 (64 takes the `u128`
+    /// path) and every count width up to 32 (counts up to `u32::MAX`);
+    /// the count section ends in the entry's last 8 bytes, where every
+    /// write falls back too. Every block decodes back to its rows.
+    #[test]
+    fn the_word_writer_encodes_what_a_bit_writer_does() {
+        let top = |width: u32| u64::MAX.checked_shr(64 - width).unwrap_or(0);
+        check::cases("the_word_writer_encodes_what_a_bit_writer_does", 200, |g| {
+            let tw: u32 = g.random_range(0..=64);
+            let cw: u32 = g.random_range(0..=32);
+            let step = 1u64 << g.random_range(0..50);
+            let mut rows: Vec<Row> = Vec::new();
+            let mut gram = g.random_range(0..1u64 << 61);
+            while rows.is_empty() || (rows.len() < 120 && g.random_range(0..12) > 0) {
+                gram += g.random_range(1u64..=4) * step;
+                let mut tids = check::vec(g, 1..6, |g| g.next_u64() & top(tw));
+                if rows.is_empty() {
+                    tids.push(top(tw));
+                }
+                tids.sort_unstable();
+                tids.dedup();
+                for t in tids {
+                    let c = g.next_u64() & top(cw);
+                    rows.push(((gram, t), u32::try_from(c + 1).unwrap_or(u32::MAX)));
+                }
+            }
+            rows[0].1 = u32::try_from(top(cw) + 1).unwrap_or(u32::MAX);
+            let bytes = encode_block(&rows).unwrap();
+            let widths = [tw, cw].map(|w| u8::try_from(w).unwrap());
+            assert_eq!(bytes[ENTRY_HDR + 4..ENTRY_HDR + 6], widths);
+            assert_eq!(bytes, bit_by_bit(&rows), "tw {tw} cw {cw}");
+            assert_eq!(decode_block(&bytes).unwrap().rows, rows);
+        });
     }
 
     #[test]

@@ -31,8 +31,8 @@ use crate::buffer::BufferPool;
 use crate::fence::Fence;
 use crate::filter::{self, GramFilter};
 use crate::ops::{
-    self, FileKind, StoreCheck, TotalsView, Written, FORMAT_VERSION, MAIN_SOURCE, SLOT_INV,
-    SLOT_VERSION,
+    self, BuildRows, FileKind, StoreCheck, TotalsView, Written, FORMAT_VERSION, MAIN_SOURCE,
+    SLOT_INV, SLOT_VERSION,
 };
 use crate::pager::{Result, StoreError};
 use crate::vfs::Vfs;
@@ -160,24 +160,23 @@ impl Source {
         }
     }
 
-    /// Bulk-builds a relation file from forward rows sorted strictly
-    /// ascending by `(treeId, pqg)` — and, for a segment, the ids it
-    /// tombstones, ascending — with B+-tree nodes filled to `fill`, and
-    /// syncs it to durable storage. The mirrors come from the build;
-    /// nothing is read back.
+    /// Bulk-builds a relation file from the rows of `build` — and, for a
+    /// segment, the ids it tombstones, ascending — with B+-tree nodes
+    /// filled to `fill`, and syncs it to durable storage. The mirrors come
+    /// from the build; nothing is read back.
     // analyze: txn-exempt(bulk bootstrap: loads into a file created by this call that no reader has opened; a manifest references it only after the durability barrier at the end, and a failed build is discarded)
     pub(crate) fn build(
         vfs: Arc<dyn Vfs>,
         path: &Path,
         params: PQParams,
         role: Role,
-        rows: &[((u64, u64), u32)],
+        build: BuildRows,
         tombstones: &[u64],
         fill: Fill,
     ) -> Result<Source> {
         let pool = ops::create_file(path, vfs, params, role.kind())?;
         ops::init_relations(&pool)?;
-        let built = ops::bulk_load_relations(&pool, rows, fill)?;
+        let built = ops::bulk_load_relations(&pool, build, fill)?;
         let mut src = Source::unmasked(pool, role, Some(built.filter), built.totals);
         src.fence = Some(Fence::from_directory(&built.directory));
         if role.is_segment() {
@@ -203,21 +202,20 @@ impl Source {
         seq: u64,
         entries: &BTreeMap<u64, Option<TreeIndex>>,
     ) -> Result<Source> {
-        // The map yields tree ids ascending, so sorting each tree's rows
-        // by gram leaves the whole relation in key order.
-        // One row per distinct gram of each live tree — the number the
-        // flush threshold counted.
+        // The map yields tree ids ascending: the build's rank order. One
+        // row per distinct gram of each live tree — the number the flush
+        // threshold counted.
         let distinct = entries.values().flatten().map(TreeIndex::distinct).sum();
-        let mut rows: Vec<((u64, u64), u32)> = Vec::with_capacity(distinct);
+        let mut build = BuildRows::with_capacity(distinct);
         let mut tombstones = Vec::new();
         for (&t, entry) in entries {
             match entry {
-                Some(index) if index.total() > 0 => ops::push_tree_rows(&mut rows, t, index),
+                Some(index) if index.total() > 0 => build.push_tree(t, index),
                 _ => tombstones.push(t),
             }
         }
         let role = Role::Segment(seq);
-        Source::build(vfs, path, params, role, &rows, &tombstones, Fill::Full)
+        Source::build(vfs, path, params, role, build, &tombstones, Fill::Full)
     }
 
     /// Key of this source's entry in [`ops::LookupStats::by_source`]: a
@@ -439,10 +437,10 @@ mod tests {
                 Source::build_segment(vfs, path, params, seq, &entries)
             }
             Role::Main => {
-                let mut rows = Vec::new();
-                ops::push_tree_rows(&mut rows, 1, &one);
-                ops::push_tree_rows(&mut rows, 2, &two);
-                Source::build(vfs, path, params, role, &rows, &[], Fill::Slack)
+                let mut build = BuildRows::default();
+                build.push_tree(1, &one);
+                build.push_tree(2, &two);
+                Source::build(vfs, path, params, role, build, &[], Fill::Slack)
             }
             Role::Documents => {
                 let mut src = Source::create(vfs.clone(), path, params, role, |_| Ok(()))?;

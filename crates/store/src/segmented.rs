@@ -62,7 +62,9 @@ use crate::btree::{BTree, Fill};
 use crate::index_store::IndexError;
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
-use crate::ops::{check_params, lookup, LookupStats, Sources, StoreCheck, Want, SLOT_FWD};
+use crate::ops::{
+    check_params, lookup, BuildRows, LookupStats, Sources, StoreCheck, Want, SLOT_FWD,
+};
 use crate::pager::StoreError;
 use crate::segment::{Role, Source};
 use crate::sync::Mutex;
@@ -297,7 +299,7 @@ impl SegmentedIndexStore {
             &mp,
             params,
             Role::Main,
-            &[],
+            BuildRows::default(),
             &[],
             Fill::Full,
         )?;
@@ -606,7 +608,8 @@ impl SegmentedIndexStore {
         delete_stale(&self.vfs, &path)?;
         let vfs = Arc::clone(&self.vfs);
         let params = self.params();
-        let seg = Source::build_segment(vfs, &path, params, seq, self.memtable.entries())?;
+        let built = Source::build_segment(vfs, &path, params, seq, self.memtable.entries());
+        let seg = self.discard_on_error(&path, built)?;
         self.manifest.register_segment(seq)?;
         self.memtable.clear();
         let current = self.reader.snapshot();
@@ -614,6 +617,23 @@ impl SegmentedIndexStore {
         let main = Arc::clone(&current.main);
         self.publish(SourceSet::new(segments.collect(), main));
         Ok(())
+    }
+
+    /// Passes a build's outcome through; after a failed build, deletes
+    /// the partial file at `path` first, best effort (a failed unlink is
+    /// counted, and the next open's sweep retries it). No manifest names
+    /// the file yet, so nothing can need it. A failure after the build
+    /// (registration, the compaction commit) leaves its file alone: the
+    /// manifest may already name it, and the open-time sweep decides.
+    fn discard_on_error(
+        &mut self,
+        path: &Path,
+        built: crate::pager::Result<Source>,
+    ) -> Result<Source> {
+        if built.is_err() && delete_stale(&self.vfs, path).is_err() {
+            self.deferred_cleanup += 1;
+        }
+        Ok(built?)
     }
 
     fn maybe_flush(&mut self) -> Result<()> {
@@ -641,11 +661,11 @@ impl SegmentedIndexStore {
         let mut cursors = (current.sources())
             .map(|src| Ok(BTree::open_existing(src.pool(), SLOT_FWD)?.cursor()))
             .collect::<std::result::Result<Vec<_>, StoreError>>()?;
-        let mut rows: Vec<((u64, u64), u32)> = Vec::new();
+        let mut build = BuildRows::default();
         for (t, at) in current.stored() {
             if let Some(fwd) = cursors.get_mut(at) {
-                fwd.seek((t, 0), |k, c| {
-                    (k.0 == t).then(|| rows.push((k, c))).is_some()
+                fwd.seek((t, 0), |(u, g), c| {
+                    (u == t).then(|| build.push(t, g, c)).is_some()
                 })?;
             }
         }
@@ -660,15 +680,9 @@ impl SegmentedIndexStore {
         delete_stale(&self.vfs, &path)?;
         let vfs = Arc::clone(&self.vfs);
         // Packed full: nothing writes to a main file until it is replaced.
-        let new_main = Source::build(
-            vfs,
-            &path,
-            self.params(),
-            Role::Main,
-            &rows,
-            &[],
-            Fill::Full,
-        )?;
+        let params = self.params();
+        let built = Source::build(vfs, &path, params, Role::Main, build, &[], Fill::Full);
+        let new_main = self.discard_on_error(&path, built)?;
         self.manifest.commit_compaction(new_gen)?;
         // Best-effort cleanup; a crash or failure from here on only leaves
         // garbage the next open sweeps (the commit above already decided
@@ -1692,5 +1706,156 @@ mod tests {
         };
         assert!(matches!(err, IndexError::UnknownTree(TreeId(9))));
         Ok(())
+    }
+
+    /// A vfs whose writes fail to every file whose name holds the armed
+    /// suffix stem: `1` fails segments (`.seg.`), `2` main files
+    /// (`.main.`), `0` nothing.
+    struct FailingBuilds {
+        inner: FaultVfs,
+        armed: Arc<std::sync::atomic::AtomicU8>,
+    }
+
+    struct FailingBuild {
+        inner: Box<dyn crate::vfs::VfsFile>,
+        kind: u8,
+        armed: Arc<std::sync::atomic::AtomicU8>,
+    }
+
+    impl FailingBuilds {
+        fn wrap(
+            &self,
+            path: &Path,
+            inner: Box<dyn crate::vfs::VfsFile>,
+        ) -> Box<dyn crate::vfs::VfsFile> {
+            let name = path.to_string_lossy();
+            let kind = if name.contains(".seg.") {
+                1
+            } else {
+                u8::from(name.contains(".main.")) * 2
+            };
+            Box::new(FailingBuild {
+                inner,
+                kind,
+                armed: Arc::clone(&self.armed),
+            })
+        }
+    }
+
+    impl Vfs for FailingBuilds {
+        fn create_new(&self, path: &Path) -> std::io::Result<Box<dyn crate::vfs::VfsFile>> {
+            Ok(self.wrap(path, self.inner.create_new(path)?))
+        }
+        fn create_truncate(&self, path: &Path) -> std::io::Result<Box<dyn crate::vfs::VfsFile>> {
+            Ok(self.wrap(path, self.inner.create_truncate(path)?))
+        }
+        fn open(&self, path: &Path) -> std::io::Result<Box<dyn crate::vfs::VfsFile>> {
+            Ok(self.wrap(path, self.inner.open(path)?))
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+        fn delete(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.delete(path)
+        }
+    }
+
+    impl crate::vfs::VfsFile for FailingBuild {
+        fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.inner.read_at(offset, buf)
+        }
+        fn write_all_at(&mut self, offset: u64, buf: &[u8]) -> std::io::Result<()> {
+            let armed = self.armed.load(std::sync::atomic::Ordering::SeqCst);
+            if self.kind != 0 && armed == self.kind {
+                return Err(std::io::Error::other("injected build write fault"));
+            }
+            self.inner.write_all_at(offset, buf)
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.inner.sync()
+        }
+        fn truncate(&mut self, size: u64) -> std::io::Result<()> {
+            self.inner.truncate(size)
+        }
+        fn size(&mut self) -> std::io::Result<u64> {
+            self.inner.size()
+        }
+    }
+
+    /// A flush or a compaction whose build fails deletes the file it was
+    /// building: after three failed flushes and a failed compaction, then
+    /// good ones, only the live files remain, every answer is the
+    /// forest's, and a reopen finds the same store.
+    #[test]
+    fn a_failed_build_leaves_no_partial_file() -> TestResult {
+        use std::sync::atomic::{AtomicU8, Ordering};
+        let params = PQParams::default();
+        let fault = FaultVfs::new();
+        let armed = Arc::new(AtomicU8::new(0));
+        let v: Arc<dyn Vfs> = Arc::new(FailingBuilds {
+            inner: fault.clone(),
+            armed: Arc::clone(&armed),
+        });
+        let base = Path::new("/partial/db");
+        let idxs = make_indexes(41, 12, params);
+        let mut seg = SegmentedIndexStore::create_with(base, params, Arc::clone(&v))?;
+        seg.set_flush_threshold(u64::MAX);
+        let mut forest = pqgram_core::ForestIndex::new();
+        let mut put = |seg: &mut SegmentedIndexStore, at: usize| {
+            let t = TreeId(u64::try_from(at).unwrap_or(0));
+            forest.insert(t, idxs[at].clone());
+            seg.put_tree(t, &idxs[at])
+        };
+        for at in 0..4 {
+            put(&mut seg, at)?;
+        }
+        seg.flush()?;
+        armed.store(1, Ordering::SeqCst);
+        for at in 4..7 {
+            put(&mut seg, at)?;
+            assert!(seg.flush().is_err(), "the segment build must fail");
+        }
+        armed.store(0, Ordering::SeqCst);
+        seg.flush()?;
+        put(&mut seg, 7)?;
+        armed.store(2, Ordering::SeqCst);
+        assert!(seg.compact().is_err(), "the main-file build must fail");
+        armed.store(0, Ordering::SeqCst);
+        put(&mut seg, 8)?;
+        seg.flush()?;
+        let live = |seg: &SegmentedIndexStore| -> TestResult<()> {
+            let segments = seg.manifest.live_segments()?;
+            for s in 0..16 {
+                let kept = v.exists(&seg_path(base, s));
+                assert_eq!(kept, segments.contains(&s), "segment {s}");
+            }
+            for g in 0..4 {
+                let kept = v.exists(&main_path(base, g));
+                assert_eq!(kept, g == seg.generation(), "main file {g}");
+            }
+            Ok(())
+        };
+        live(&seg)?;
+        assert_eq!(seg.deferred_cleanup(), 0);
+        let forest = forest;
+        let agree = |seg: &SegmentedIndexStore| -> TestResult<()> {
+            for q in idxs.iter().step_by(3) {
+                for tau in [0.4, 1.5] {
+                    assert_eq!(seg.lookup(q, tau)?, forest.lookup(q, tau)?, "tau {tau}");
+                }
+            }
+            seg.verify()?;
+            Ok(())
+        };
+        agree(&seg)?;
+        let segments = seg.segment_count();
+        drop(seg);
+        let mut seg = SegmentedIndexStore::open_with(base, Arc::clone(&v))?;
+        assert_eq!((seg.segment_count(), seg.deferred_cleanup()), (segments, 0));
+        live(&seg)?;
+        agree(&seg)?;
+        seg.compact()?;
+        live(&seg)?;
+        agree(&seg)
     }
 }
