@@ -11,6 +11,13 @@
 //! exactly that case, once; every other property runs its own case count.
 //!
 //! There is no shrinking: a failure reports the case as it was drawn.
+//!
+//! [`scratch_file`] gives a test a path for a real file in a temp
+//! directory that is removed when the test ends.
+
+mod scratch;
+
+pub use scratch::scratch_file;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};

@@ -22,10 +22,10 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// The parent of the calling test's directories, removed when the test
+/// ends.
 fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pqgram-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    check::scratch_file("cli-test", "work")
 }
 
 fn p(dir: &std::path::Path, name: &str) -> String {

@@ -551,7 +551,7 @@ mod tests {
             let alphabet: Vec<_> = lt.iter().map(|(s, _)| s).collect();
             let (log, _) = record_script(&mut rng, &mut tree, &ScriptConfig::new(8, alphabet));
             let params = PQParams::new(3, 3);
-            let versions = reference::rewind_versions(&tree, &log);
+            let versions = reference::rewind_versions(&tree, &log).unwrap();
             for (i, entry) in log.ops().iter().enumerate() {
                 // Entry i (ē_{i+1}) is defined on version i+1.
                 let defining = &versions[i + 1];

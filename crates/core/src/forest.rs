@@ -161,6 +161,7 @@ impl Forest {
             .trees
             .get_mut(&id)
             .ok_or(ForestError::UnknownTree(id))?;
+        let old_index = self.index.get(id).ok_or(ForestError::UnknownTree(id))?;
         // Dry-run validation on a clone (ops may depend on one another, so
         // they must be validated sequentially).
         let mut probe = tree.clone();
@@ -170,9 +171,8 @@ impl Forest {
         // Apply for real, recording the log.
         let mut log = EditLog::new();
         for &op in ops {
-            log.push(tree.apply_logged(op).expect("validated above"));
+            log.push(tree.apply_logged(op).map_err(ForestError::Edit)?);
         }
-        let old_index = self.index.get(id).expect("indexed with the tree");
         let outcome =
             update_index(old_index, tree, &self.labels, &log).map_err(ForestError::Maintain)?;
         let stats = outcome.stats;
@@ -213,9 +213,9 @@ impl Forest {
             .trees
             .get_mut(&id)
             .ok_or(ForestError::UnknownTree(id))?;
+        let old_index = self.index.get(id).ok_or(ForestError::UnknownTree(id))?;
         let entries = f(tree).map_err(ForestError::Edit)?;
         let log: EditLog = entries.into_iter().collect();
-        let old_index = self.index.get(id).expect("indexed with the tree");
         match update_index(old_index, tree, &self.labels, &log) {
             Ok(outcome) => {
                 let stats = outcome.stats;

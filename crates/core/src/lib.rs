@@ -59,6 +59,8 @@
 //! assert_eq!(updated, build_index(&tree, &labels, params));
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod canonical;
 pub mod delta;
 pub mod forest;

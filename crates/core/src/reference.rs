@@ -15,47 +15,53 @@ use crate::gram::{label_tuple_fingerprint, PQGram};
 use crate::index::{GramKey, TreeIndex};
 use crate::params::PQParams;
 use crate::profile::{compute_profile, for_each_gram, Profile};
-use pqgram_tree::{EditLog, EditOp, LabelTable, Tree};
+use pqgram_tree::{EditError, EditLog, EditOp, LabelTable, Tree};
 
 /// Reconstructs all intermediate versions `[T₀, T₁, …, Tₙ]` from the final
-/// tree and the log of inverse operations. Panics if the log does not match
-/// the tree (oracle code).
-pub fn rewind_versions(final_tree: &Tree, log: &EditLog) -> Vec<Tree> {
+/// tree and the log of inverse operations. Errs with the first entry that
+/// does not apply.
+pub fn rewind_versions(final_tree: &Tree, log: &EditLog) -> Result<Vec<Tree>, EditError> {
     let mut versions = Vec::with_capacity(log.len() + 1);
     versions.push(final_tree.clone());
     let mut cur = final_tree.clone();
     for entry in log.ops().iter().rev() {
-        cur.apply(entry.op).expect("oracle: log must be applicable");
+        cur.apply(entry.op)?;
         versions.push(cur.clone());
     }
     versions.reverse();
-    versions
+    Ok(versions)
 }
 
-/// `Cₙ`: the pq-grams shared by all versions (Equation 11).
+/// `Cₙ`: the pq-grams shared by all versions (Equation 11); empty for no
+/// versions.
 pub fn invariant_grams(versions: &[Tree], params: PQParams) -> Profile {
-    let mut iter = versions.iter();
-    let first = iter.next().expect("at least one version");
+    let Some((first, rest)) = versions.split_first() else {
+        return Profile::default();
+    };
     let mut inv = compute_profile(first, params);
-    for t in iter {
+    for t in rest {
         let profile = compute_profile(t, params);
         inv.retain(|g| profile.contains(g));
     }
     inv
 }
 
-/// `Δₙ⁺ = Pₙ \ Cₙ` (Equation 12).
+/// `Δₙ⁺ = Pₙ \ Cₙ` (Equation 12); empty for no versions.
 pub fn delta_plus_by_definition(versions: &[Tree], params: PQParams) -> Profile {
-    let last = versions.last().expect("at least one version");
+    let Some(last) = versions.last() else {
+        return Profile::default();
+    };
     let inv = invariant_grams(versions, params);
     let mut profile = compute_profile(last, params);
     profile.retain(|g| !inv.contains(g));
     profile
 }
 
-/// `Δₙ⁻ = P₀ \ Cₙ` (Equation 12).
+/// `Δₙ⁻ = P₀ \ Cₙ` (Equation 12); empty for no versions.
 pub fn delta_minus_by_definition(versions: &[Tree], params: PQParams) -> Profile {
-    let first = versions.first().expect("at least one version");
+    let Some(first) = versions.first() else {
+        return Profile::default();
+    };
     let inv = invariant_grams(versions, params);
     let mut profile = compute_profile(first, params);
     profile.retain(|g| !inv.contains(g));
@@ -112,7 +118,7 @@ mod tests {
         let t0 = tree.clone();
         let alphabet: Vec<_> = lt.iter().map(|(s, _)| s).collect();
         let (log, _) = record_script(&mut rng, &mut tree, &ScriptConfig::new(6, alphabet));
-        let versions = rewind_versions(&tree, &log);
+        let versions = rewind_versions(&tree, &log).unwrap();
         assert_eq!(versions.len(), 7);
         assert_eq!(versions[0], t0);
         assert_eq!(versions[6], tree);
@@ -140,7 +146,7 @@ mod tests {
         let mut tree = random_tree(&mut rng, &mut lt, &RandomTreeConfig::new(50, 4));
         let alphabet: Vec<_> = lt.iter().map(|(s, _)| s).collect();
         let (log, _) = record_script(&mut rng, &mut tree, &ScriptConfig::new(10, alphabet));
-        let versions = rewind_versions(&tree, &log);
+        let versions = rewind_versions(&tree, &log).unwrap();
         let params = PQParams::new(2, 2);
         let inv = invariant_grams(&versions, params);
         let plus = delta_plus_by_definition(&versions, params);

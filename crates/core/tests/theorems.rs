@@ -42,7 +42,7 @@ fn deltas_subsume_definitional_deltas() {
         let params = PQParams::new(3, 3);
         let (delta, _) = compute_index_delta(&tn, &lt, &log, params).unwrap();
 
-        let versions = reference::rewind_versions(&tn, &log);
+        let versions = reference::rewind_versions(&tn, &log).unwrap();
         assert_eq!(versions[0], t0);
         let def_plus = reference::delta_plus_by_definition(&versions, params);
         let def_minus = reference::delta_minus_by_definition(&versions, params);
@@ -220,7 +220,7 @@ fn prop_definitional_delta_partitions() {
             &ScriptConfig::new(ops.min(nodes.saturating_sub(2).max(1)), syms),
         );
         let params = PQParams::new(2, 2);
-        let versions = reference::rewind_versions(&tree, &log);
+        let versions = reference::rewind_versions(&tree, &log).unwrap();
         let inv = reference::invariant_grams(&versions, params);
         let plus = reference::delta_plus_by_definition(&versions, params);
         let minus = reference::delta_minus_by_definition(&versions, params);

@@ -39,6 +39,8 @@
 //! assert_eq!(log.len(), 1); // one rename b -> c
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use pqgram_tree::fingerprint::{arity_mark, combine, mix, Fingerprint, TUPLE_SEED};
 use pqgram_tree::subtree::{delete_subtree, insert_subtree, Spec};
 use pqgram_tree::{EditError, EditLog, EditOp, FxHashMap, LabelSym, LabelTable, NodeId, Tree};
@@ -193,7 +195,7 @@ fn align(
     // children are deleted, surplus new children inserted.
     let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
     let mut deletions: Vec<NodeId> = Vec::new();
-    let mut insertions: Vec<NodeId> = Vec::new(); // new-tree children
+    let mut insertions: Vec<usize> = Vec::new(); // indices into `new_children`
     {
         let mut oi = 0usize;
         let mut ni = 0usize;
@@ -209,7 +211,7 @@ fn align(
                 pairs.push((gap_old[k], gap_new[k]));
             }
             deletions.extend_from_slice(&gap_old[paired..]);
-            insertions.extend_from_slice(&gap_new[paired..]);
+            insertions.extend(ni + paired..an);
             oi = ao + 1;
             ni = an + 1;
         }
@@ -225,10 +227,9 @@ fn align(
     //    deletions, the old child list contains exactly the counterparts of
     //    the kept new children, in matching relative order, so the target
     //    position equals the new-tree position.
-    for ins in insertions {
-        let pos = new.sibling_pos(ins).expect("child");
-        let spec = capture_spec(new, ins, sym_map);
-        let (_, entries) = insert_subtree(old, old_node, pos, &spec)?;
+    for i in insertions {
+        let spec = capture_spec(new, new_children[i], sym_map);
+        let (_, entries) = insert_subtree(old, old_node, i + 1, &spec)?;
         for entry in entries {
             log.push(entry);
         }

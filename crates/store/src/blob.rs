@@ -69,7 +69,8 @@ impl<'p> BlobStore<'p> {
             let page = self.pool.allocate()?;
             self.pool.with_page_mut(page, |p| {
                 p.put_page_id(OFF_NEXT, next);
-                p.put_u16(OFF_LEN, chunk.len() as u16);
+                // A chunk holds at most BLOB_PAGE_PAYLOAD < 2^16 bytes.
+                p.put_u16(OFF_LEN, u16::try_from(chunk.len()).unwrap_or(u16::MAX));
                 p.put_slice(OFF_PAYLOAD, chunk);
             })?;
             next = page;
@@ -87,7 +88,7 @@ impl<'p> BlobStore<'p> {
         let mut cur = PageId(first);
         while cur != PageId::NONE {
             let next = self.pool.with_page(cur, |p| {
-                let len = p.get_u16(OFF_LEN) as usize;
+                let len = usize::from(p.get_u16(OFF_LEN));
                 out.extend_from_slice(p.slice(OFF_PAYLOAD, len));
                 p.get_page_id(OFF_NEXT)
             })?;
@@ -137,7 +138,7 @@ mod tests {
 
     fn pool(name: &str) -> Result<BufferPool> {
         Ok(BufferPool::new(
-            Pager::create(&crate::scratch_path("blob", name))?,
+            Pager::create(&check::scratch_file("blob", name))?,
             64,
         ))
     }

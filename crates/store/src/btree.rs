@@ -605,7 +605,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
-        crate::scratch_path("btree", name)
+        check::scratch_file("btree", name)
     }
 
     fn pool(name: &str) -> Result<BufferPool> {
@@ -918,7 +918,7 @@ impl BTree<'_> {
             Some(Node::OverCapacity(msg)) => Err(corrupt(msg)),
             Some(Node::Leaf(keys)) => {
                 check.leaves += 1;
-                check.entries += keys.len() as u64;
+                check.entries += u64::try_from(keys.len()).unwrap_or(u64::MAX);
                 check.depth = check.depth.max(depth);
                 if *leftmost_leaf == PageId::NONE {
                     *leftmost_leaf = page;
@@ -994,7 +994,7 @@ mod verify_tests {
 
     fn pool(name: &str) -> Result<BufferPool> {
         Ok(BufferPool::new(
-            Pager::create(&crate::scratch_path("bverify", name))?,
+            Pager::create(&check::scratch_file("bverify", name))?,
             128,
         ))
     }
@@ -1348,7 +1348,7 @@ mod bulk_tests {
 
     fn pool(name: &str) -> Result<BufferPool> {
         Ok(BufferPool::new(
-            Pager::create(&crate::scratch_path("bulk", name))?,
+            Pager::create(&check::scratch_file("bulk", name))?,
             256,
         ))
     }

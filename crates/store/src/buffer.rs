@@ -634,7 +634,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
-        crate::scratch_path("pool", name)
+        check::scratch_file("pool", name)
     }
 
     #[test]

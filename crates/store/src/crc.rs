@@ -14,32 +14,28 @@ const POLY: u32 = 0xedb8_8320;
 /// further through the register.
 const TABLES: [[u32; 256]; 8] = build_tables();
 
+/// `TABLES[k][i]` is byte `i` shifted through the register one bit at a
+/// time, `8 (k + 1)` bits. That equals the classic recurrence
+/// `(prev >> 8) ^ TABLES[0][prev & 0xff]`, because the bits above the low
+/// byte only move down during a byte's eight steps.
 const fn build_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
+    let (mut i, mut byte) = (0, 0u32);
     while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
+        let (mut crc, mut bit) = (byte, 0);
+        while bit < 64 {
             crc = if crc & 1 != 0 {
                 (crc >> 1) ^ POLY
             } else {
                 crc >> 1
             };
             bit += 1;
+            if bit % 8 == 0 {
+                tables[bit / 8 - 1][i] = crc;
+            }
         }
-        tables[0][i] = crc;
         i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        k += 1;
+        byte += 1;
     }
     tables
 }

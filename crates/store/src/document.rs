@@ -254,7 +254,7 @@ mod tests {
     type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
     fn tmp(name: &str) -> PathBuf {
-        crate::scratch_path("docstore", name)
+        check::scratch_file("docstore", name)
     }
 
     #[test]

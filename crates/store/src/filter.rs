@@ -123,18 +123,23 @@ fn word_bits(gram: u64) -> [u32; BLOCK_WORDS] {
     })
 }
 
+/// A `usize` layout constant widened for arithmetic on `u64` counts.
+fn wide(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
 fn blocks_for_capacity(capacity: u64) -> u64 {
     (capacity.max(1) * BITS_PER_GRAM).div_ceil(512).max(1)
 }
 
 fn pages_for_blocks(nblocks: u64) -> u64 {
-    nblocks.div_ceil(BLOCKS_PER_PAGE as u64)
+    nblocks.div_ceil(wide(BLOCKS_PER_PAGE))
 }
 
 fn indirect_for_pages(npages: u64) -> u64 {
     npages
-        .saturating_sub(MAX_DIRECT as u64)
-        .div_ceil(IDS_PER_INDIRECT as u64)
+        .saturating_sub(wide(MAX_DIRECT))
+        .div_ceil(wide(IDS_PER_INDIRECT))
 }
 
 /// The RAM-resident filter an open store probes against. Byte-identical to
@@ -230,11 +235,11 @@ fn read_layout(pool: &BufferPool) -> Result<Option<Layout>> {
             || nblocks > MAX_NBLOCKS
             || npages != pages_for_blocks(nblocks)
             || nindirect != indirect_for_pages(npages)
-            || nindirect > MAX_INDIRECT as u64
+            || nindirect > wide(MAX_INDIRECT)
         {
             return None;
         }
-        let direct = npages.min(MAX_DIRECT as u64);
+        let direct = npages.min(wide(MAX_DIRECT));
         let mut pages = Vec::new();
         for i in 0..usize::try_from(direct).unwrap_or(0) {
             pages.push(p.get_u32(OFF_DIRECT + 4 * i));
@@ -256,13 +261,13 @@ fn read_layout(pool: &BufferPool) -> Result<Option<Layout>> {
         pages.push(id);
     }
     let mut indirect = Vec::new();
-    let mut remaining = npages.saturating_sub(MAX_DIRECT as u64);
+    let mut remaining = npages.saturating_sub(wide(MAX_DIRECT));
     for raw in raw_indirect {
         let Some(id) = plausible_id(raw) else {
             return Ok(None);
         };
         indirect.push(id);
-        let take = remaining.min(IDS_PER_INDIRECT as u64);
+        let take = remaining.min(wide(IDS_PER_INDIRECT));
         let more = pool.with_page(id, |p| {
             if p.get_u32(OFF_MAGIC) != MAGIC_INDIRECT
                 || crc32(p.slice(OFF_PAYLOAD, PAGE_SIZE - OFF_PAYLOAD)) != p.get_u32(OFF_PAGE_CRC)
@@ -565,7 +570,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
-        crate::scratch_path("filter", name)
+        check::scratch_file("filter", name)
     }
 
     fn pool(name: &str) -> Result<BufferPool> {

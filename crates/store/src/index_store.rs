@@ -388,7 +388,7 @@ mod tests {
     type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
     fn tmp(name: &str) -> PathBuf {
-        crate::scratch_path("istore", name)
+        check::scratch_file("istore", name)
     }
 
     fn setup(seed: u64, n: usize) -> (Tree, LabelTable) {
@@ -828,7 +828,7 @@ mod kind_tests {
     #[test]
     fn document_store_file_is_rejected_by_index_store(
     ) -> std::result::Result<(), Box<dyn std::error::Error>> {
-        let path = crate::scratch_path("kind", "docs-as-index.docs");
+        let path = check::scratch_file("kind", "docs-as-index.docs");
         crate::DocumentStore::create(&path, PQParams::default())?;
         let err = IndexStore::open(&path).map(|_| ()).unwrap_err();
         assert!(matches!(

@@ -306,7 +306,7 @@ mod tests {
     }
 
     fn fresh_store(name: &str, pages: u32) -> io::Result<(PathBuf, Box<dyn VfsFile>)> {
-        let store = crate::scratch_path("journal", name);
+        let store = check::scratch_file("journal", name);
         let mut f = RealVfs.create_truncate(&store)?;
         for i in 0..pages {
             write_page(f.as_mut(), PageId(i), &page_with(i as u8))?;

@@ -61,6 +61,9 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 pub mod blob;
 pub mod btree;
 pub mod buffer;
@@ -307,21 +310,3 @@ pub use page::{PageBuf, PageId, PAGE_SIZE};
 pub use pager::{Pager, StoreError};
 pub use segmented::{SegmentedIndexStore, SegmentedReader};
 pub use vfs::{CrashMode, FaultVfs, RealVfs, Vfs, VfsFile};
-
-/// A fresh scratch path for an in-crate test that needs a real file:
-/// `name` under a per-process directory named after `tag`, with any file
-/// and journal left there by an earlier run removed.
-#[cfg(test)]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "tests set up real files outside the VFS seam"
-)]
-pub(crate) fn scratch_path(tag: &str, name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("pqgram-{tag}-{}", std::process::id()));
-    // Idempotent; a failure here surfaces when the test creates the file.
-    std::fs::create_dir_all(&dir).ok();
-    let path = dir.join(name);
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(journal::Journal::path_for(&path)).ok();
-    path
-}

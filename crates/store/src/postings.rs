@@ -2444,7 +2444,7 @@ mod tests {
     /// grams in one posting block, plus filler pages to evict with.
     /// Returns the path, the pool, the block's pack page and the filler.
     fn small_pool_store(name: &str) -> Result<(PathBuf, BufferPool, PageId, Vec<PageId>)> {
-        let path = crate::scratch_path("residency", name);
+        let path = check::scratch_file("residency", name);
         let pool = BufferPool::new(Pager::create(&path)?, 8);
         pool.begin()?;
         let inv = BTree::open(&pool, SLOT_INV)?;

@@ -692,10 +692,7 @@ mod tests {
 
     #[test]
     fn real_vfs_roundtrip() -> io::Result<()> {
-        let dir = std::env::temp_dir().join(format!("pqgram-vfs-{}", std::process::id()));
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join("real.bin");
-        std::fs::remove_file(&path).ok();
+        let path = check::scratch_file("vfs", "real.bin");
         let vfs = RealVfs;
         {
             let mut f = vfs.create_new(&path)?;

@@ -22,10 +22,7 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pqgram-build-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    check::scratch_file("build", name)
 }
 
 #[test]

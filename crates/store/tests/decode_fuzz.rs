@@ -345,9 +345,7 @@ fn fuzzed_fence_probes_match_binary_search() {
 // ---------------------------------------------------------------------------
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pqgram-decodefuzz-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok();
-    dir.join(name)
+    check::scratch_file("decodefuzz", name)
 }
 
 /// Mutates the header page (page 0) of `image`: meta-slot overwrites with

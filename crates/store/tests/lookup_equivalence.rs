@@ -44,14 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pqgram-equiv-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let p = dir.join(name);
-    std::fs::remove_file(&p).ok();
-    let mut j = p.as_os_str().to_owned();
-    j.push("-journal");
-    std::fs::remove_file(PathBuf::from(j)).ok();
-    p
+    check::scratch_file("equiv", name)
 }
 
 /// `(node count, seed)` per member; node count 0 means an empty bag.

@@ -29,14 +29,7 @@ use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pqgram-par-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let p = dir.join(name);
-    std::fs::remove_file(&p).ok();
-    let mut j = p.as_os_str().to_owned();
-    j.push("-journal");
-    std::fs::remove_file(PathBuf::from(j)).ok();
-    p
+    check::scratch_file("par", name)
 }
 
 fn forest(count: usize, nodes: usize) -> (Vec<(TreeId, Tree)>, LabelTable) {

@@ -27,14 +27,7 @@ const PACK_TAG: u8 = 0xB7;
 const PACK_HDR: usize = 8;
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pqgram-postcorrupt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok();
-    let p = dir.join(name);
-    std::fs::remove_file(&p).ok();
-    let mut j = p.as_os_str().to_owned();
-    j.push("-journal");
-    std::fs::remove_file(PathBuf::from(j)).ok();
-    p
+    check::scratch_file("postcorrupt", name)
 }
 
 /// Deterministic tree: node `i` hangs off `i / 2`, five cycling labels.

@@ -26,6 +26,8 @@
 //! assert_eq!(tree_edit_distance(&t1, &t2), 1); // one rename
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use pqgram_tree::{LabelSym, NodeId, Tree};
 
 /// Unit edit costs: insert = delete = rename = 1 (rename of equal labels = 0).

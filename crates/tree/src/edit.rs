@@ -266,11 +266,11 @@ pub fn apply(tree: &mut Tree, op: EditOp) -> Result<EditOp, EditError> {
             EditOp::Delete { node }
         }
         EditOp::Delete { node } => {
-            let parent = tree.parent(node).expect("checked: not root");
-            let k = tree.sibling_pos(node).expect("checked: not root");
+            let parent = tree.parent(node).ok_or(EditError::RootEdit)?;
+            let k = tree.sibling_pos(node).ok_or(EditError::RootEdit)?;
             let f = tree.fanout(node);
             let label = tree.label(node);
-            tree.delete_node(node);
+            tree.delete_node(node, parent);
             EditOp::Insert {
                 node,
                 label,
@@ -306,9 +306,9 @@ impl Tree {
                 // between node's current neighbors.
                 let children = self.children(node);
                 if children.is_empty() {
-                    let parent = self.parent(node).expect("checked: not root");
+                    let parent = self.parent(node).ok_or(EditError::RootEdit)?;
                     let siblings = self.children(parent);
-                    let pos = self.sibling_pos(node).expect("checked: not root");
+                    let pos = self.sibling_pos(node).ok_or(EditError::RootEdit)?;
                     Some(InsertAnchor::Gap {
                         pred: (pos > 1).then(|| siblings[pos - 2]),
                         succ: siblings.get(pos).copied(),
@@ -319,7 +319,7 @@ impl Tree {
             }
             EditOp::Insert { .. } | EditOp::Rename { .. } => None,
         };
-        let inverse = apply(self, op).expect("checked above");
+        let inverse = apply(self, op)?;
         Ok(LogOp {
             op: inverse,
             anchor,

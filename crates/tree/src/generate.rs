@@ -57,8 +57,9 @@ pub fn random_tree<R: Rng + ?Sized>(
     let mut nodes: Vec<NodeId> = Vec::with_capacity(cfg.nodes);
     nodes.push(tree.root());
     while nodes.len() < cfg.nodes {
-        let &parent = nodes.choose(rng).expect("non-empty");
-        let label = *alphabet.choose(rng).expect("non-empty");
+        let (Some(&parent), Some(&label)) = (nodes.choose(rng), alphabet.choose(rng)) else {
+            break;
+        };
         nodes.push(tree.add_child(parent, label));
     }
     tree
@@ -96,7 +97,7 @@ impl Vocabulary {
     }
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> LabelSym {
-        let total = *self.cumulative.last().expect("non-empty vocabulary");
+        let total = self.cumulative.last().copied().unwrap_or(0.0);
         let x = rng.random_range(0.0..total);
         let idx = self.cumulative.partition_point(|&c| c < x);
         self.words[idx.min(self.words.len() - 1)]
@@ -181,7 +182,9 @@ pub fn xmark<R: Rng + ?Sized>(rng: &mut R, labels: &mut LabelTable, target_nodes
     while t.node_count() + 16 < target_nodes {
         round += 1;
         // Item under a random region.
-        let &region = region_nodes.choose(rng).expect("non-empty");
+        let Some(&region) = region_nodes.choose(rng) else {
+            break;
+        };
         let it = t.add_child(region, item);
         kv(&mut t, it, location, country);
         kv(&mut t, it, quantity, numbers.sample(rng));
@@ -291,7 +294,10 @@ pub fn dblp<R: Rng + ?Sized>(rng: &mut R, labels: &mut LabelTable, target_nodes:
         for _ in 0..rng.random_range(3..=8) {
             t.add_child(ti, titlewords.sample(rng));
         }
-        kv(&mut t, pub_n, year, *years.choose(rng).expect("non-empty"));
+        let Some(&y) = years.choose(rng) else {
+            break;
+        };
+        kv(&mut t, pub_n, year, y);
         let venue_tag = if is_article { journal } else { booktitle };
         kv(&mut t, pub_n, venue_tag, venues.sample(rng));
         kv(&mut t, pub_n, pages, pageranges.sample(rng));

@@ -33,12 +33,21 @@ impl LabelSym {
         self.0 as usize
     }
 
-    /// Reconstructs a symbol from a raw index (for deserialization).
+    /// Reconstructs a symbol from a raw index. Panics when `index` falls
+    /// outside the symbol space (`u32` less [`LabelSym::NULL`]).
     #[inline]
     pub fn from_index(index: usize) -> Self {
-        let v = u32::try_from(index).expect("label index overflow");
-        assert_ne!(v, u32::MAX, "label index collides with NULL");
+        let v = u32::try_from(index).unwrap_or(u32::MAX);
+        assert_ne!(v, u32::MAX, "label index {index} is out of range");
         LabelSym(v)
+    }
+
+    /// A symbol read from untrusted bytes: `None` outside the symbol space.
+    pub(crate) fn checked(raw: u64) -> Option<Self> {
+        u32::try_from(raw)
+            .ok()
+            .filter(|&v| v != u32::MAX)
+            .map(LabelSym)
     }
 }
 

@@ -39,6 +39,8 @@
 //! assert_eq!(tree.label(nb), b);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod edit;
 pub mod fingerprint;
 pub mod generate;

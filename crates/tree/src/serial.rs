@@ -150,7 +150,8 @@ pub fn tree_size_bytes(tree: &Tree, labels: &LabelTable) -> usize {
         }
     }
     let mut sink = CountingSink(0);
-    write_tree(&mut sink, tree, labels).expect("counting sink cannot fail");
+    // `CountingSink` never fails a write, so the count is always complete.
+    let _ = write_tree(&mut sink, tree, labels);
     sink.0
 }
 
@@ -256,7 +257,9 @@ use crate::edit::{EditLog, EditOp, InsertAnchor, LogOp};
 ///
 /// Node ids are written as raw arena indices: a log is only meaningful
 /// together with the tree lineage it was recorded against, exactly like the
-/// in-memory representation.
+/// in-memory representation. An insert without an identity anchor (a
+/// [`LogOp`] built through its public fields) is
+/// [`io::ErrorKind::InvalidInput`].
 pub fn write_log<W: Write + ?Sized>(w: &mut W, log: &EditLog) -> io::Result<()> {
     w.write_all(LOG_MAGIC)?;
     write_varint(w, VERSION)?;
@@ -286,7 +289,13 @@ pub fn write_log<W: Write + ?Sized>(w: &mut W, log: &EditLog) -> io::Result<()> 
                 write_varint(w, k as u64)?;
                 // m = k - 1 is legal, bias by +1 so the varint stays unsigned.
                 write_varint(w, (m + 1) as u64)?;
-                match entry.anchor.as_ref().expect("log inserts carry an anchor") {
+                let Some(anchor) = entry.anchor.as_ref() else {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        "a logged insert needs an identity anchor",
+                    ));
+                };
+                match anchor {
                     InsertAnchor::Adopted(run) => {
                         write_varint(w, 1 + run.len() as u64)?;
                         for n in run.iter() {
@@ -321,27 +330,28 @@ pub fn read_log<R: Read + ?Sized>(r: &mut R) -> io::Result<EditLog> {
         return Err(bad("unsupported log version"));
     }
     let len = read_varint(r)? as usize;
-    let node = |v: u64| NodeId::from_index(v as usize);
+    let node = |v: u64| NodeId::checked(v).ok_or_else(|| bad("node id out of range"));
+    let sym = |v: u64| LabelSym::checked(v).ok_or_else(|| bad("label id out of range"));
     let mut entries = Vec::with_capacity(len.min(1 << 20));
     for _ in 0..len {
         let entry = match read_varint(r)? {
             0 => LogOp::new(
                 EditOp::Rename {
-                    node: node(read_varint(r)?),
-                    label: LabelSym::from_index(read_varint(r)? as usize),
+                    node: node(read_varint(r)?)?,
+                    label: sym(read_varint(r)?)?,
                 },
                 None,
             ),
             1 => LogOp::new(
                 EditOp::Delete {
-                    node: node(read_varint(r)?),
+                    node: node(read_varint(r)?)?,
                 },
                 None,
             ),
             2 => {
-                let n = node(read_varint(r)?);
-                let label = LabelSym::from_index(read_varint(r)? as usize);
-                let parent = node(read_varint(r)?);
+                let n = node(read_varint(r)?)?;
+                let label = sym(read_varint(r)?)?;
+                let parent = node(read_varint(r)?)?;
                 let k = read_varint(r)? as usize;
                 let m_biased = read_varint(r)? as usize;
                 if m_biased == 0 {
@@ -349,10 +359,10 @@ pub fn read_log<R: Read + ?Sized>(r: &mut R) -> io::Result<EditLog> {
                 }
                 let anchor = match read_varint(r)? {
                     0 => {
-                        let opt = |v: u64| (v > 0).then(|| node(v - 1));
+                        let opt = |v: u64| (v > 0).then(|| node(v - 1)).transpose();
                         InsertAnchor::Gap {
-                            pred: opt(read_varint(r)?),
-                            succ: opt(read_varint(r)?),
+                            pred: opt(read_varint(r)?)?,
+                            succ: opt(read_varint(r)?)?,
                         }
                     }
                     adopted_plus_1 => {
@@ -362,7 +372,7 @@ pub fn read_log<R: Read + ?Sized>(r: &mut R) -> io::Result<EditLog> {
                         }
                         let mut run = Vec::with_capacity(count.min(1 << 16));
                         for _ in 0..count {
-                            run.push(node(read_varint(r)?));
+                            run.push(node(read_varint(r)?)?);
                         }
                         InsertAnchor::Adopted(run.into())
                     }
@@ -443,5 +453,37 @@ mod log_tests {
         write_log(&mut buf, &log).unwrap();
         buf.truncate(buf.len() - 1);
         assert!(read_log(&mut buf.as_slice()).is_err());
+    }
+
+    /// `LogOp`'s fields are public, so a caller can build an insert entry
+    /// without the anchor `LogOp::new` demands.
+    #[test]
+    fn write_log_rejects_an_insert_without_an_anchor() {
+        let insert = EditOp::Insert {
+            node: NodeId::from_index(1),
+            label: LabelSym::from_index(0),
+            parent: NodeId::from_index(0),
+            k: 1,
+            m: 0,
+        };
+        let log: EditLog = [LogOp {
+            op: insert,
+            anchor: None,
+        }]
+        .into_iter()
+        .collect();
+        let err = write_log(&mut Vec::new(), &log).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn read_log_rejects_an_id_outside_the_id_space() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(LOG_MAGIC);
+        for v in [VERSION, 1, 1, u64::from(u32::MAX)] {
+            write_varint(&mut buf, v).unwrap();
+        }
+        let err = read_log(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -23,12 +23,22 @@ impl NodeId {
         self.0 as usize
     }
 
-    /// Builds a `NodeId` from a raw index (for deserialization).
+    /// Builds a `NodeId` from a raw index. Panics when `index` falls
+    /// outside the id space (`u32` less the sentinel), like a `Vec` that
+    /// outgrows its capacity.
     #[inline]
     pub fn from_index(index: usize) -> Self {
-        let v = u32::try_from(index).expect("node index overflow");
-        assert_ne!(v, Self::NONE, "node index collides with sentinel");
+        let v = u32::try_from(index).unwrap_or(Self::NONE);
+        assert_ne!(v, Self::NONE, "node index {index} is out of range");
         NodeId(v)
+    }
+
+    /// A `NodeId` read from untrusted bytes: `None` outside the id space.
+    pub(crate) fn checked(raw: u64) -> Option<Self> {
+        u32::try_from(raw)
+            .ok()
+            .filter(|&v| v != Self::NONE)
+            .map(NodeId)
     }
 }
 
@@ -341,12 +351,11 @@ impl Tree {
         self.renumber(node, 0);
     }
 
-    /// Implements `DEL(n)`: removes `node` and splices its children into its
-    /// parent's child list at `node`'s position. Validity must have been
-    /// checked by the caller. The slot stays allocated (dead) so the id is
-    /// never reused.
-    pub(crate) fn delete_node(&mut self, node: NodeId) {
-        let parent = self.parent(node).expect("cannot delete the root");
+    /// Implements `DEL(n)`: removes `node` and splices its children into
+    /// `parent`'s child list at `node`'s position. Validity (`parent` is
+    /// `node`'s parent) must have been checked by the caller. The slot
+    /// stays allocated (dead) so the id is never reused.
+    pub(crate) fn delete_node(&mut self, node: NodeId, parent: NodeId) {
         let pos = self.slots[node.index()].pos as usize - 1;
         let children = std::mem::take(&mut self.slots[node.index()].children);
         for &c in &children {
@@ -589,7 +598,7 @@ mod tests {
         assert_eq!(t.node_count(), 7);
         assert_eq!((t.sibling_pos(id), t.sibling_pos(n[3])), (Some(2), Some(2)));
 
-        t.delete_node(id);
+        t.delete_node(id, n[0]);
         t.validate().unwrap();
         assert_eq!(t, orig);
         assert_eq!(t.sibling_pos(n[3]), Some(3));
@@ -611,7 +620,7 @@ mod tests {
     #[test]
     fn delete_leaf() {
         let (mut t, _, n) = sample();
-        t.delete_node(n[1]);
+        t.delete_node(n[1], n[0]);
         t.validate().unwrap();
         assert_eq!(t.children(n[0]), &[n[2], n[3]]);
         assert_eq!(t.sibling_pos(n[3]), Some(2));
@@ -629,7 +638,7 @@ mod tests {
         let root = t2.root();
         let first = t2.children(root)[0];
         let lbl = t2.label(first);
-        t2.delete_node(first);
+        t2.delete_node(first, root);
         t2.insert_leaf_at(root, 1, lbl);
         assert!(t1.isomorphic(&t2));
         assert_ne!(t1, t2);

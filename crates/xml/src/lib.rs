@@ -27,6 +27,8 @@
 //! assert_eq!(tree.node_count(), 6); // dblp, article, @key, 42, title, pq-grams
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 mod error;
 mod parse;
 pub mod stream;

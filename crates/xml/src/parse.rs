@@ -64,19 +64,20 @@ pub fn parse_document_with(
                 attributes,
                 self_closing,
             } => {
-                let node = match (&mut tree, stack.last()) {
-                    (None, _) => {
-                        let t = Tree::with_root(labels.intern(&name));
+                let (t, node) = match (&mut tree, stack.last()) {
+                    (slot @ None, _) => {
+                        let t = slot.insert(Tree::with_root(labels.intern(&name)));
                         let root = t.root();
-                        tree = Some(t);
-                        root
+                        (t, root)
                     }
-                    (Some(t), Some(&(_, parent))) => t.add_child(parent, labels.intern(&name)),
+                    (Some(t), Some(&(_, parent))) => {
+                        let node = t.add_child(parent, labels.intern(&name));
+                        (t, node)
+                    }
                     (Some(_), None) => {
                         return Err(structure_err(&tokens, "content after the root element"))
                     }
                 };
-                let t = tree.as_mut().expect("set above");
                 if options.include_attributes {
                     let mut attrs = attributes;
                     attrs.sort_by(|a, b| a.name.cmp(&b.name));

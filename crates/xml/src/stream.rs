@@ -58,9 +58,12 @@ impl Emitter {
     }
 
     /// Closes the innermost open element: all its children are known now,
-    /// so its grams are emitted and it registers with its parent.
+    /// so its grams are emitted and it registers with its parent. Every
+    /// caller closes an element it opened, so one is always open.
     fn close(&mut self) {
-        let children = self.children.pop().expect("balanced");
+        let Some(children) = self.children.pop() else {
+            return;
+        };
         let index = &mut self.index;
         self.kernel
             .anchor(&self.path, children, |key| index.add(key));

@@ -13,7 +13,7 @@
 //! mirror).
 
 use super::model::Model;
-use crate::rules::Violation;
+use super::report::Violation;
 
 /// True for files subject to the discard analysis.
 fn in_scope(file: &str) -> bool {

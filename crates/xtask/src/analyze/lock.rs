@@ -54,7 +54,7 @@
 
 use super::callgraph::{call_sites, local_types, resolve_site_typed, Graph};
 use super::model::{FnItem, Marker, Model, Receiver};
-use crate::rules::Violation;
+use super::report::Violation;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One declared lock class.

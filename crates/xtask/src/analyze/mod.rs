@@ -2,13 +2,14 @@
 //!
 //! The pipeline: [`model`] parses every source file into functions,
 //! fields and impls; [`callgraph`] connects them; [`panic`], [`txn`],
-//! [`lock`], [`taint`] and [`discard`] run the analyses; [`report`]
-//! aggregates. The entry-point/trust vocabulary is the `// analyze:`
+//! [`lock`], [`taint`], [`discard`] and `error_impl` run the analyses;
+//! [`report`] aggregates. The entry-point/trust vocabulary is the `// analyze:`
 //! marker comments documented in DESIGN.md §10; the concurrency pass is
 //! DESIGN.md §12; the untrusted-bytes taint pass is DESIGN.md §16.
 
 pub mod callgraph;
 pub mod discard;
+mod error_impl;
 pub mod lock;
 pub mod model;
 pub mod panic;
@@ -71,6 +72,7 @@ pub fn run_model(m: &model::Model, require_anchors: bool) -> Report {
     hard.extend(txn::run(m, &graph));
     hard.extend(txn::check_ordering(m, require_anchors));
     hard.extend(discard::run(m));
+    hard.extend(error_impl::run(m));
     hard.extend(lock_report.hard);
     hard.extend(taint::run(m, require_anchors));
     let mut ratcheted = panic_report.ratcheted;

@@ -257,6 +257,21 @@ pub struct Model {
     pub traits: std::collections::BTreeSet<String>,
     /// `fn name -> fn ids` across the workspace.
     pub by_name: BTreeMap<String, Vec<usize>>,
+    /// Every `pub enum`/`pub struct` whose name ends in `Error`.
+    pub(crate) error_types: Vec<ErrorType>,
+    /// `(file, type)` of every `impl … Error for Type`.
+    pub(crate) error_impls: Vec<(String, String)>,
+}
+
+/// A public type named like an error, declared at `file:line`.
+#[derive(Debug)]
+pub(crate) struct ErrorType {
+    /// The type's name.
+    pub(crate) name: String,
+    /// Repo-relative file of the declaration.
+    pub(crate) file: String,
+    /// 1-based line of the declaration.
+    pub(crate) line: usize,
 }
 
 impl Model {
@@ -284,6 +299,22 @@ impl Model {
                     .entry(trait_name.clone())
                     .or_default()
                     .push(region.name.clone());
+                if trait_name == "Error" {
+                    self.error_impls
+                        .push((file.to_string(), region.name.clone()));
+                }
+            }
+        }
+        for kind in ["pub enum ", "pub struct "] {
+            for (at, _) in masked.match_indices(kind) {
+                let (name, _) = read_ident(bytes, at + kind.len());
+                if name.ends_with("Error") {
+                    self.error_types.push(ErrorType {
+                        name,
+                        file: file.to_string(),
+                        line: line_of(&masked, at),
+                    });
+                }
             }
         }
         let mut i = 0;
@@ -417,8 +448,8 @@ fn skip_generics(bytes: &[u8], mut i: usize) -> usize {
 
 /// `#[cfg(test)]` item ranges of masked source: from the attribute to the
 /// end of the annotated item's brace-matched block (typically `mod tests`)
-/// or its `;`. Also how `cargo xtask lint`'s ratchets leave test code out.
-pub(crate) fn test_ranges(bytes: &[u8]) -> Vec<(usize, usize)> {
+/// or its `;`.
+fn test_ranges(bytes: &[u8]) -> Vec<(usize, usize)> {
     let needle = b"#[cfg(test)]";
     let mut out = Vec::new();
     let mut i = 0;

@@ -26,7 +26,7 @@
 
 use super::callgraph::Graph;
 use super::model::{Marker, Model};
-use crate::rules::Violation;
+use super::report::Violation;
 use std::collections::VecDeque;
 
 /// One panic site inside a function body.

@@ -1,22 +1,33 @@
 //! Aggregation and rendering of the analyzer's findings.
 //!
 //! Zero-tolerance rules (`panic-recovery`, `txn-discipline`,
-//! `txn-ordering`, `discarded-result`, `lock-class`, `lock-order`,
-//! `lock-guard-io`, `reader-writes`, and the taint rules `taint-index`,
-//! `taint-alloc`, `taint-loop`, `taint-arith`, `taint-pageid`,
-//! `taint-escape`, `taint-anchor`) fail the run directly; the
-//! `panic-reach` rule and the `lock-discipline` acquisition census are
-//! ratcheted through their `baseline.toml` sections, exactly like the
-//! token lints.
+//! `txn-ordering`, `discarded-result`, `error-impl`, `lock-class`,
+//! `lock-order`, `lock-guard-io`, `reader-writes`, and the taint rules
+//! `taint-index`, `taint-alloc`, `taint-loop`, `taint-arith`,
+//! `taint-pageid`, `taint-escape`, `taint-anchor`) fail the run directly;
+//! the `panic-reach` rule and the `lock-discipline` acquisition census are
+//! ratcheted through their `baseline.toml` sections.
 
-use crate::rules::Violation;
+/// One finding.
+#[derive(Clone, Debug)]
+pub struct Violation {
+    /// Rule identifier, e.g. `txn-discipline`.
+    pub rule: &'static str,
+    /// Repo-relative path with forward slashes.
+    pub file: String,
+    /// 1-based line number.
+    pub line: usize,
+    /// Human-readable description.
+    pub message: String,
+}
 
 /// Everything one analyzer run produced.
 #[derive(Debug, Default)]
 pub struct Report {
     /// Findings that fail the run whenever present.
     pub hard: Vec<Violation>,
-    /// `panic-reach` findings, gated by the baseline ratchet.
+    /// `panic-reach` findings and the lock census, gated by the baseline
+    /// ratchet.
     pub ratcheted: Vec<Violation>,
 }
 

@@ -49,7 +49,7 @@
 
 use super::callgraph::{call_sites, local_types, resolve_site_typed};
 use super::model::{FnItem, Marker, Model};
-use crate::rules::Violation;
+use super::report::Violation;
 use std::collections::BTreeSet;
 use std::ops::Range;
 

@@ -29,7 +29,7 @@
 
 use super::callgraph::Graph;
 use super::model::{Marker, Model};
-use crate::rules::Violation;
+use super::report::Violation;
 
 /// Computes per-function "can reach a sink through uncovered functions".
 fn unguarded_reach(model: &Model, graph: &Graph) -> Vec<bool> {

@@ -1,12 +1,14 @@
-//! The ratcheted lint baseline.
+//! The ratcheted baseline of `cargo xtask analyze`.
 //!
-//! `baseline.toml` records, per rule and file, how many violations are
-//! currently tolerated. The format is a TOML subset written and parsed by
-//! this module (the workspace builds offline, so no external TOML crate):
+//! `baseline.toml` records, per rule and file, how many findings are
+//! currently tolerated: the `[panic-reach]` debt and the
+//! `[lock-discipline]` acquisition census. The format is a TOML subset
+//! written and parsed by this module (the workspace builds offline, so no
+//! external TOML crate):
 //!
 //! ```toml
-//! [unwrap]
-//! "crates/store/src/btree.rs" = 86
+//! [panic-reach]
+//! "crates/store/src/postings.rs" = 6
 //! ```
 //!
 //! [`compare`] classifies the current counts against the stored ones:
@@ -14,7 +16,7 @@
 //! is a *regression*; a count below it is an *improvement* that makes the
 //! baseline stale until `--update-baseline` re-ratchets it downward.
 
-use crate::rules::Violation;
+use crate::analyze::report::Violation;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
@@ -43,32 +45,6 @@ impl Counts {
             .copied()
             .unwrap_or(0)
     }
-
-    /// Keeps only entries whose rule satisfies `pred`.
-    pub fn retain_rules(&mut self, pred: impl Fn(&str) -> bool) {
-        self.map.retain(|(rule, _), _| pred(rule));
-    }
-
-    /// Merges `other`'s entries into `self` (overwriting duplicates).
-    pub fn merge(&mut self, other: Counts) {
-        self.map.extend(other.map);
-    }
-}
-
-/// Rewrites only the sections owned by `owned_rules` in the baseline at
-/// `path`: entries for other rules are carried over untouched, so `cargo
-/// xtask lint --update-baseline` and `cargo xtask analyze
-/// --update-baseline` never clobber each other.
-pub fn update_subset(path: &Path, owned_rules: &[&str], counts: &Counts) -> io::Result<Counts> {
-    let mut merged = match load(path) {
-        Ok(existing) => existing,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Counts::default(),
-        Err(e) => return Err(e),
-    };
-    merged.retain_rules(|rule| !owned_rules.contains(&rule));
-    merged.merge(counts.clone());
-    save(path, &merged)?;
-    Ok(merged)
 }
 
 /// Aggregates violations into per-`(rule, file)` counts.
@@ -125,13 +101,19 @@ pub fn compare(old: &Counts, new: &Counts) -> Diff {
     diff
 }
 
-/// Serialises counts to the baseline file, one `[rule]` section per rule.
+/// Writes counts to the baseline file.
 pub fn save(path: &Path, counts: &Counts) -> io::Result<()> {
+    std::fs::write(path, render(counts))
+}
+
+/// The baseline text of `counts`, one `[rule]` section per rule.
+fn render(counts: &Counts) -> String {
     let mut text = String::from(
-        "# Ratcheted counts of `cargo xtask lint` (crates/xtask/src/rules.rs) and\n\
-         # `cargo xtask analyze` (panic-reach, lock-discipline). Maintained by\n\
-         # `--update-baseline`; counts may only decrease. Rules without a count\n\
-         # live in Cargo.toml and crates/*/clippy.toml (DESIGN.md §7).\n",
+        "# Ratcheted counts of `cargo xtask analyze`: the panic-reach debt and\n\
+         # the lock-discipline acquisition census. Maintained by\n\
+         # `--update-baseline`; counts may only decrease. Every other rule is\n\
+         # zero-tolerance: in `cargo xtask analyze`, in the crate roots and\n\
+         # in Cargo.toml and the clippy.toml files (DESIGN.md §7).\n",
     );
     let mut last_rule = "";
     for ((rule, file), count) in &counts.map {
@@ -141,12 +123,16 @@ pub fn save(path: &Path, counts: &Counts) -> io::Result<()> {
         }
         text.push_str(&format!("\"{file}\" = {count}\n"));
     }
-    std::fs::write(path, text)
+    text
 }
 
-/// Parses a baseline file written by [`save`].
+/// Reads a baseline file written by [`save`].
 pub fn load(path: &Path) -> io::Result<Counts> {
-    let text = std::fs::read_to_string(path)?;
+    parse(&std::fs::read_to_string(path)?, path)
+}
+
+/// Parses baseline `text`; `path` names the file in errors.
+fn parse(text: &str, path: &Path) -> io::Result<Counts> {
     let mut map = BTreeMap::new();
     let mut rule = String::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -197,11 +183,11 @@ mod tests {
 
     #[test]
     fn compare_classifies() {
-        let old = counts(&[("unwrap", "a.rs", 3), ("unwrap", "b.rs", 1)]);
+        let old = counts(&[("panic-reach", "a.rs", 3), ("panic-reach", "b.rs", 1)]);
         let new = counts(&[
-            ("unwrap", "a.rs", 2),
-            ("unwrap", "b.rs", 1),
-            ("as-cast", "c.rs", 1),
+            ("panic-reach", "a.rs", 2),
+            ("panic-reach", "b.rs", 1),
+            ("lock-discipline", "c.rs", 1),
         ]);
         let diff = compare(&old, &new);
         assert_eq!(diff.improvements.len(), 1, "{diff:?}");
@@ -213,23 +199,16 @@ mod tests {
 
     #[test]
     fn save_load_round_trip() {
-        let c = counts(&[("unwrap", "a.rs", 3), ("as-cast", "b.rs", 2)]);
-        let dir = std::env::temp_dir().join("xtask-baseline-test");
-        std::fs::create_dir_all(&dir).expect("tempdir");
-        let path = dir.join("baseline.toml");
-        save(&path, &c).expect("save");
-        let back = load(&path).expect("load");
+        let c = counts(&[("panic-reach", "a.rs", 3), ("lock-discipline", "b.rs", 2)]);
+        let back = parse(&render(&c), Path::new("baseline.toml")).expect("parse");
         assert_eq!(back, c);
-        assert_eq!(back.get("unwrap", "a.rs"), 3);
+        assert_eq!(back.get("panic-reach", "a.rs"), 3);
         assert_eq!(back.get("missing", "a.rs"), 0);
     }
 
     #[test]
     fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("xtask-baseline-test");
-        std::fs::create_dir_all(&dir).expect("tempdir");
-        let path = dir.join("bad.toml");
-        std::fs::write(&path, "\"orphan\" = 1\n").expect("write");
-        assert!(load(&path).is_err(), "entry before any [rule] section");
+        let parsed = parse("\"orphan\" = 1\n", Path::new("bad.toml"));
+        assert!(parsed.is_err(), "entry before any [rule] section");
     }
 }

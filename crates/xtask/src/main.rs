@@ -1,43 +1,37 @@
-//! `cargo xtask` — workspace invariant-audit tooling.
-//!
-//! Two subcommands:
-//!
-//! * `lint` — the two ratchets (`unwrap`, `as-cast`) and the crate-wide
-//!   `error-impl` check, against the baseline `crates/xtask/baseline.toml`;
-//!   see [`xtask::rules`]. Zero-tolerance rules that rustc or clippy can
-//!   check live in `[workspace.lints]` and the crates' `clippy.toml` files,
-//!   enforced by `cargo clippy --workspace --all-targets -- -D warnings`.
-//! * `analyze` — whole-workspace semantic analysis: panic-reachability
-//!   from annotated entry points, transaction discipline around storage
-//!   writes, commit-ordering anchors, lock discipline (class order, I/O
-//!   under guards, single-writer), and discarded-`Result` detection in
-//!   the storage crate; see [`xtask::analyze`]. `panic-reach` findings
-//!   and the `lock-discipline` acquisition census ratchet through the
-//!   same baseline file; everything else is zero-tolerance.
+//! `cargo xtask analyze` — whole-workspace semantic analysis:
+//! panic-reachability from annotated entry points, transaction discipline
+//! around storage writes, commit-ordering anchors, lock discipline (class
+//! order, I/O under guards, single-writer), untrusted-byte taint,
+//! discarded-`Result` detection in the storage crate and `error-impl`
+//! (every public error type of a library crate implements
+//! `std::error::Error`); see [`xtask::analyze`]. `panic-reach` findings and
+//! the `lock-discipline` acquisition census ratchet through
+//! `crates/xtask/baseline.toml`; everything else is zero-tolerance. Rules
+//! that rustc or clippy can check live in `[workspace.lints]`, the crate
+//! roots and the `clippy.toml` files, enforced by `cargo clippy --workspace
+//! --all-targets -- -D warnings` (DESIGN.md §7).
 //!
 //! ```text
-//! cargo xtask lint                        # audit tokens against the baseline
 //! cargo xtask analyze                     # run the semantic analyses
-//! cargo xtask <cmd> --verbose             # also list every finding
-//! cargo xtask <cmd> --update-baseline     # re-ratchet after paying down debt
+//! cargo xtask analyze --verbose           # also list every finding
+//! cargo xtask analyze --update-baseline   # re-ratchet after paying down debt
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings / baseline regression (or stale
 //! baseline), `2` usage / I/O error.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
-use xtask::{analyze, baseline, rules, walk};
+use xtask::{analyze, baseline, walk};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut update = false;
     let mut verbose = false;
-    let mut cmd: Option<&str> = None;
+    let mut seen_analyze = false;
     for arg in &args {
         match arg.as_str() {
-            "lint" if cmd.is_none() => cmd = Some("lint"),
-            "analyze" if cmd.is_none() => cmd = Some("analyze"),
+            "analyze" if !seen_analyze => seen_analyze = true,
             "--update-baseline" => update = true,
             "--verbose" | "-v" => verbose = true,
             "--help" | "-h" => {
@@ -51,63 +45,24 @@ fn main() -> ExitCode {
             }
         }
     }
-    match cmd {
-        Some("lint") => run_lint(update, verbose),
-        Some("analyze") => run_analyze(update, verbose),
-        _ => {
-            print_usage();
-            ExitCode::from(2)
-        }
+    if !seen_analyze {
+        print_usage();
+        return ExitCode::from(2);
     }
+    run_analyze(update, verbose)
 }
 
 fn print_usage() {
-    eprintln!("usage: cargo xtask <lint|analyze> [--update-baseline] [--verbose]");
-}
-
-fn workspace_root_or_exit() -> Result<PathBuf, ExitCode> {
-    walk::workspace_root().map_err(|e| {
-        eprintln!("xtask: cannot locate workspace root: {e}");
-        ExitCode::from(2)
-    })
-}
-
-fn run_lint(update: bool, verbose: bool) -> ExitCode {
-    let root = match workspace_root_or_exit() {
-        Ok(root) => root,
-        Err(code) => return code,
-    };
-    let violations = match rules::run_all(&root) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("xtask: lint pass failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if verbose {
-        for v in &violations {
-            println!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
-        }
-    }
-    let counts = baseline::counts_of(&violations);
-    ratchet(
-        &root,
-        rules::RULES,
-        &counts,
-        &violations,
-        update,
-        &format!(
-            "{} violation(s) across {} rules",
-            counts.total(),
-            rules::RULES.len()
-        ),
-    )
+    eprintln!("usage: cargo xtask analyze [--update-baseline] [--verbose]");
 }
 
 fn run_analyze(update: bool, verbose: bool) -> ExitCode {
-    let root = match workspace_root_or_exit() {
+    let root = match walk::workspace_root() {
         Ok(root) => root,
-        Err(code) => return code,
+        Err(e) => {
+            eprintln!("xtask: cannot locate workspace root: {e}");
+            return ExitCode::from(2);
+        }
     };
     let model = match analyze::workspace_model(&root) {
         Ok(m) => m,
@@ -142,18 +97,7 @@ fn run_analyze(update: bool, verbose: bool) -> ExitCode {
         );
         failed = true;
     }
-    let counts = baseline::counts_of(&report.ratcheted);
-    let code = ratchet(
-        &root,
-        &["panic-reach", "lock-discipline"],
-        &counts,
-        &report.ratcheted,
-        update,
-        &format!(
-            "analyze: {} ratcheted finding(s) (panic-reach + lock-discipline census)",
-            report.ratcheted.len()
-        ),
-    );
+    let code = ratchet(root, &report.ratcheted, update);
     if failed {
         ExitCode::FAILURE
     } else {
@@ -161,34 +105,28 @@ fn run_analyze(update: bool, verbose: bool) -> ExitCode {
     }
 }
 
-/// Shared ratchet flow: compare `counts` (covering exactly `owned_rules`)
-/// against the committed baseline, or re-ratchet with `--update-baseline`.
-fn ratchet(
-    root: &Path,
-    owned_rules: &[&str],
-    counts: &baseline::Counts,
-    violations: &[rules::Violation],
-    update: bool,
-    summary: &str,
-) -> ExitCode {
-    let path = baseline_path(root);
+/// Compares the ratcheted findings against the committed baseline, or
+/// re-ratchets it with `--update-baseline`.
+fn ratchet(root: PathBuf, violations: &[analyze::report::Violation], update: bool) -> ExitCode {
+    let path = root.join("crates").join("xtask").join("baseline.toml");
+    let counts = baseline::counts_of(violations);
     if update {
-        match baseline::update_subset(&path, owned_rules, counts) {
-            Ok(merged) => {
+        return match baseline::save(&path, &counts) {
+            Ok(()) => {
                 println!(
                     "xtask: baseline updated ({} violations across {} rule/file entries)",
-                    merged.total(),
-                    merged.entries()
+                    counts.total(),
+                    counts.entries()
                 );
-                return ExitCode::SUCCESS;
+                ExitCode::SUCCESS
             }
             Err(e) => {
                 eprintln!("xtask: cannot write baseline: {e}");
-                return ExitCode::from(2);
+                ExitCode::from(2)
             }
-        }
+        };
     }
-    let mut old = match baseline::load(&path) {
+    let old = match baseline::load(&path) {
         Ok(b) => b,
         Err(e) => {
             eprintln!(
@@ -198,8 +136,7 @@ fn ratchet(
             return ExitCode::from(2);
         }
     };
-    old.retain_rules(|rule| owned_rules.contains(&rule));
-    let diff = baseline::compare(&old, counts);
+    let diff = baseline::compare(&old, &counts);
     for reg in &diff.regressions {
         eprintln!(
             "xtask: REGRESSION [{}] {}: {} violation(s), baseline allows {}",
@@ -219,7 +156,9 @@ fn ratchet(
         );
     }
     println!(
-        "xtask: {summary}, baseline {}",
+        "xtask: analyze: {} ratcheted finding(s) (panic-reach + lock-discipline census), \
+         baseline {}",
+        violations.len(),
         if diff.regressions.is_empty() {
             "respected"
         } else {
@@ -243,8 +182,4 @@ fn ratchet(
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-fn baseline_path(root: &Path) -> PathBuf {
-    root.join("crates").join("xtask").join("baseline.toml")
 }

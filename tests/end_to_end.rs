@@ -11,14 +11,7 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pqgram-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let p = dir.join(name);
-    std::fs::remove_file(&p).ok();
-    let mut j = p.as_os_str().to_owned();
-    j.push("-journal");
-    std::fs::remove_file(PathBuf::from(j)).ok();
-    p
+    check::scratch_file("e2e", name)
 }
 
 #[test]
